@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!opt.parse(argc, argv,
                  "ablate_commthread: comm-thread serialization sweep"))
-    return 0;
+    return 2;
 
   const int workers_per_node = 8;
   const int msgs_per_worker = opt.quick ? 1'000 : 3'000;

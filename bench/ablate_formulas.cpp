@@ -19,7 +19,7 @@ using namespace tram;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!opt.parse(argc, argv, "ablate_formulas: section III-C formulas"))
-    return 0;
+    return 2;
 
   const util::Topology topo(2, 2, 4);  // N=4 processes, t=4 workers
   const std::uint64_t z = 20'000;

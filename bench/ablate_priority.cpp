@@ -18,7 +18,7 @@ using namespace tram;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!opt.parse(argc, argv, "ablate_priority: SSSP with item priorities"))
-    return 0;
+    return 2;
 
   graph::GeneratorParams gp;
   gp.num_vertices = opt.quick ? 60'000 : 150'000;

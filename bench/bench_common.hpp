@@ -59,7 +59,8 @@ struct BenchOptions {
   BenchOptions& operator=(const BenchOptions&) = delete;
   ~BenchOptions() { finish_trace(); }
 
-  /// Parse argv; also honors TRAM_QUICK=1. Returns false on --help/err.
+  /// Parse argv; also honors TRAM_QUICK=1. Returns false on a bad option
+  /// (--help prints the options and exits 0 inside util::Cli::parse).
   bool parse(int argc, char** argv, const std::string& what) {
     util::Cli cli(what);
     cli.add_flag("quick", &quick, "run a reduced sweep (also TRAM_QUICK=1)");
@@ -225,7 +226,8 @@ struct JsonRow {
 /// structs (HistoPoint / SsspPoint / PholdPoint / ShufflePoint) inherit
 /// it and add their app-specific fields, so a new app cannot fork the
 /// copy-paste again. capture() fills it from the pieces every app result
-/// carries.
+/// carries; make_routed_row serializes it and RoutedVerifySweep compares
+/// it.
 struct RoutedPointCounters {
   std::uint64_t tram_messages = 0;  // buffers shipped
   /// Messages re-shipped by routing intermediates (0 for direct schemes).
@@ -267,50 +269,17 @@ struct RoutedPointCounters {
   }
 };
 
-/// The slice of a bench point every routed row reports — what
-/// make_routed_row serializes and RoutedVerifySweep compares.
-struct RoutedRowCounters {
-  double ns_per_item = 0.0;
-  std::uint64_t fabric_messages = 0;
-  std::uint64_t fabric_bytes = 0;
-  std::uint64_t forwarded_messages = 0;
-  std::uint64_t sorted_messages = 0;
-  std::uint64_t subview_deliveries = 0;
-  std::uint64_t fwd_copy_bytes = 0;
-  std::uint64_t fwd_subview_bytes = 0;
-  std::uint64_t max_staged_fwd_bytes = 0;
-  std::uint64_t max_reserved_buffers = 0;
-  core::FaultStats faults;
-};
-
-/// Collect the shared counter slice out of a bench's point struct.
-inline RoutedRowCounters routed_counters_from(const RoutedPointCounters& p,
-                                              double ns_per_item) {
-  RoutedRowCounters c;
-  c.ns_per_item = ns_per_item;
-  c.fabric_messages = p.fabric_messages;
-  c.fabric_bytes = p.fabric_bytes;
-  c.forwarded_messages = p.forwarded_messages;
-  c.sorted_messages = p.sorted_messages;
-  c.subview_deliveries = p.subview_deliveries;
-  c.fwd_copy_bytes = p.fwd_copy_bytes;
-  c.fwd_subview_bytes = p.fwd_subview_bytes;
-  c.max_staged_fwd_bytes = p.max_staged_fwd_bytes;
-  c.max_reserved_buffers = p.max_reserved_buffers;
-  c.faults = p.faults;
-  return c;
-}
-
 /// Build the JSON row every routed bench emits per (scheme, scale) cell.
 inline JsonRow make_routed_row(const std::string& scheme,
                                const std::string& topology,
                                const std::string& mesh,
-                               const RoutedRowCounters& c, bool verified) {
+                               const RoutedPointCounters& c,
+                               double ns_per_item, bool verified) {
   JsonRow row;
   row.scheme = scheme;
   row.topology = topology;
   row.mesh = mesh;
-  row.ns_per_item = c.ns_per_item;
+  row.ns_per_item = ns_per_item;
   row.messages = c.fabric_messages;
   row.bytes = c.fabric_bytes;
   row.forwarded = c.forwarded_messages;
@@ -486,7 +455,7 @@ class RoutedVerifySweep {
  public:
   /// Call once per proc count, before that scale's add() calls.
   void start_scale() { cells_.emplace_back(); }
-  void add(const RoutedRowCounters& c, bool verified) {
+  void add(const RoutedPointCounters& c, bool verified) {
     cells_.back().push_back(Cell{c, verified});
   }
 
@@ -507,9 +476,9 @@ class RoutedVerifySweep {
                        const std::string& verified_what) const {
     shapes.expect(all_verified(), verified_what);
     const auto& last = cells_.back();
-    const RoutedRowCounters& direct = last[0].c;
-    const RoutedRowCounters& mesh2d = last[1].c;
-    const RoutedRowCounters& mesh3d = last[2].c;
+    const RoutedPointCounters& direct = last[0].c;
+    const RoutedPointCounters& mesh2d = last[1].c;
+    const RoutedPointCounters& mesh3d = last[2].c;
     shapes.expect(
         mesh2d.max_reserved_buffers < direct.max_reserved_buffers,
         "2-D mesh holds fewer live source buffers than direct at the "
@@ -522,7 +491,7 @@ class RoutedVerifySweep {
 
  private:
   struct Cell {
-    RoutedRowCounters c;
+    RoutedPointCounters c;
     bool verified = false;
   };
   std::vector<std::vector<Cell>> cells_;

@@ -13,7 +13,7 @@ using namespace tram;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!opt.parse(argc, argv, "fig01_pingpong: Fig 1 (alpha-beta ping-pong)"))
-    return 0;
+    return 2;
 
   // Same sweep as the paper's x-axis, truncated in quick mode.
   std::vector<std::size_t> sizes = {1,    4,     16,     64,     256,

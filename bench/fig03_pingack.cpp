@@ -15,7 +15,7 @@ using namespace tram;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!opt.parse(argc, argv, "fig03_pingack: Fig 3 (SMP comm-thread woes)"))
-    return 0;
+    return 2;
 
   // 16 workers per node (scaled from the paper's 64); total message count
   // from node 0 is constant across configurations.

@@ -12,7 +12,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig08_histogram_ppn: Fig 8")) return 0;
+  if (!opt.parse(argc, argv, "fig08_histogram_ppn: Fig 8")) return 2;
 
   const std::uint64_t updates = opt.quick ? 32'000 : 64'000;
   // 4 nodes x 8 workers + comm threads is the largest shape that fits the

@@ -17,7 +17,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig09_histogram_weak: Fig 9")) return 0;
+  if (!opt.parse(argc, argv, "fig09_histogram_weak: Fig 9")) return 2;
 
   const std::uint64_t updates = opt.quick ? 32'000 : 64'000;
   std::vector<int> node_counts = {2, 4, 8};

@@ -12,7 +12,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig10_histogram_buffer: Fig 10")) return 0;
+  if (!opt.parse(argc, argv, "fig10_histogram_buffer: Fig 10")) return 2;
 
   // Paper: 8-node runs, buffers 512..4096, 1M updates/PE. Scaled: 4 nodes
   // x 4 workers = 16 destination PEs; z chosen so z/destination sits

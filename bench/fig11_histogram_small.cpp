@@ -13,7 +13,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig11_histogram_small: Fig 11")) return 0;
+  if (!opt.parse(argc, argv, "fig11_histogram_small: Fig 11")) return 2;
 
   const std::uint64_t updates = opt.quick ? 4'000 : 8'000;  // scaled 128K
   std::vector<int> node_counts = {2, 4, 8};

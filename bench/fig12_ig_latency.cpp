@@ -12,7 +12,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig12_ig_latency: Fig 12")) return 0;
+  if (!opt.parse(argc, argv, "fig12_ig_latency: Fig 12")) return 2;
 
   const std::uint64_t requests = opt.quick ? 50'000 : 150'000;  // scaled 8M
   std::vector<int> node_counts = {2, 4, 8};

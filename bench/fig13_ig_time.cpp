@@ -12,7 +12,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig13_ig_time: Fig 13")) return 0;
+  if (!opt.parse(argc, argv, "fig13_ig_time: Fig 13")) return 2;
 
   const std::uint64_t requests = opt.quick ? 50'000 : 150'000;
   std::vector<int> node_counts = {2, 4, 8};

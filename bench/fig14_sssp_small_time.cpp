@@ -11,7 +11,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig14_sssp_small_time: Fig 14")) return 0;
+  if (!opt.parse(argc, argv, "fig14_sssp_small_time: Fig 14")) return 2;
 
   graph::GeneratorParams gp;
   gp.num_vertices = opt.quick ? 40'000 : 120'000;  // scaled from 8M

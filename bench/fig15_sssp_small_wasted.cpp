@@ -11,7 +11,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig15_sssp_small_wasted: Fig 15")) return 0;
+  if (!opt.parse(argc, argv, "fig15_sssp_small_wasted: Fig 15")) return 2;
 
   graph::GeneratorParams gp;
   gp.num_vertices = opt.quick ? 40'000 : 120'000;

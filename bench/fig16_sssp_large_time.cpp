@@ -12,7 +12,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig16_sssp_large_time: Fig 16")) return 0;
+  if (!opt.parse(argc, argv, "fig16_sssp_large_time: Fig 16")) return 2;
 
   graph::GeneratorParams gp;
   gp.num_vertices = opt.quick ? 200'000 : 600'000;  // scaled from 62M

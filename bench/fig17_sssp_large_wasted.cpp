@@ -13,7 +13,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig17_sssp_large_wasted: Fig 17")) return 0;
+  if (!opt.parse(argc, argv, "fig17_sssp_large_wasted: Fig 17")) return 2;
 
   graph::GeneratorParams gp;
   gp.num_vertices = opt.quick ? 200'000 : 600'000;

@@ -13,7 +13,7 @@ using namespace tram;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!opt.parse(argc, argv, "fig18_phold_wasted: Fig 18")) return 0;
+  if (!opt.parse(argc, argv, "fig18_phold_wasted: Fig 18")) return 2;
 
   std::vector<int> proc_counts = {2, 4};
   const std::vector<core::Scheme> schemes = {

@@ -1,25 +1,16 @@
-/// Recovery-path sweep: loss rate x scheme x recovery mode -> ns/item,
-/// retransmit profile, and exactly-once verification on a contended,
-/// lossy fabric. This is the benchmark that makes src/fault/ a
-/// first-class measured subsystem instead of a correctness-only feature.
+/// Recovery-path sweep: loss rate x scheme -> ns/item, retransmit
+/// profile, and exactly-once verification on a contended, lossy fabric.
+/// This is the benchmark that makes src/fault/ a first-class measured
+/// subsystem instead of a correctness-only feature.
 ///
 /// Every cell runs the histogram workload (commutative increments, so
 /// the final table is order-independent) through the reliability layer
-/// and verifies two things: the app-level exactly-once count, and that
-/// the distributed table is *bit-identical* to a fault-free reference
-/// run of the same seed — a dropped, duplicated, or reordered packet
-/// that leaks past recovery corrupts the table and fails the row.
-///
-/// Recovery modes A/B the tentpole against the PR 5 baseline on the same
-/// fault seed:
-///   - "sack": SACK bitmap + fast retransmit + batch timer recovery
-///     (cfg.sack = true) — one ack round names every hole, a k-loss
-///     burst recovers in O(1) timeout rounds;
-///   - "hol":  cumulative ack only (cfg.sack = false) — the PR 5
-///     head-of-line probe, one loss recovered per timeout round.
-/// Both run the same adaptive RTO and AIMD window, so the only variable
-/// is the recovery scheme; the shape check asserts "sack" spends
-/// strictly fewer timer rounds than "hol" at the highest loss rate.
+/// (SACK bitmap + fast retransmit + batch timer recovery, adaptive RTO,
+/// AIMD window) and verifies two things: the app-level exactly-once
+/// count, and that the distributed table is *bit-identical* to a
+/// fault-free reference run of the same seed — a dropped, duplicated, or
+/// reordered packet that leaks past recovery corrupts the table and
+/// fails the row.
 ///
 /// The cost model adds per-link contention (CostModel::link_per_msg_ns)
 /// so converging traffic queues on destination ingress links — the
@@ -127,9 +118,8 @@ int main(int argc, char** argv) {
                    "comma-separated drop rates to sweep (e.g. 0.05,0.15)");
     cli.add_int("fault-seed", &fault_seed, "fault schedule seed");
   };
-  if (!opt.parse(argc, argv,
-                 "fig_fault_sweep: loss rate x scheme x recovery mode"))
-    return 0;
+  if (!opt.parse(argc, argv, "fig_fault_sweep: loss rate x scheme"))
+    return 2;
   if (opt.json.empty()) opt.json = "BENCH_fault_sweep.json";
   if (fault_seed < 0) {
     std::fprintf(stderr, "--fault-seed must be non-negative\n");
@@ -154,11 +144,6 @@ int main(int argc, char** argv) {
 
   const std::vector<core::Scheme> schemes = {core::Scheme::WPs,
                                              core::Scheme::Mesh2D};
-  struct Mode {
-    const char* name;
-    bool sack;
-  };
-  const std::vector<Mode> modes = {{"sack", true}, {"hol", false}};
 
   // Contended fabric: destination ingress links serialize converging
   // traffic, so the AIMD window has something real to pace against.
@@ -169,19 +154,13 @@ int main(int argc, char** argv) {
   util::Table table("Fault sweep: " + std::to_string(updates) +
                     " updates/PE, g=" + std::to_string(g) +
                     ", non-SMP, contended links");
-  table.set_header({"procs", "scheme", "mode", "drop", "rtx", "fast",
-                    "rto", "dup", "paced", "win", "ns/item", "ok"});
+  table.set_header({"procs", "scheme", "drop", "rtx", "fast", "rto", "dup",
+                    "paced", "win", "ns/item", "ok"});
 
   bench::JsonReporter json("fault_sweep");
   bench::ShapeChecker shapes;
 
-  struct CellId {
-    int procs;
-    core::Scheme scheme;
-    double drop;
-    bool sack;
-  };
-  std::vector<std::pair<CellId, SweepPoint>> cells;
+  std::vector<SweepPoint> cells;
   bool all_verified = true;
 
   for (const int procs : proc_counts) {
@@ -207,50 +186,42 @@ int main(int argc, char** argv) {
       }
 
       for (const double drop : drop_rates) {
-        for (const auto& mode : modes) {
-          rt::RuntimeConfig rt_cfg = base_cfg;
-          rt_cfg.fault.drop_rate = drop;
-          rt_cfg.fault.seed = static_cast<std::uint64_t>(fault_seed);
-          rt_cfg.fault.sack = mode.sack;
-          trace::phase(std::string(core::to_string(scheme)) + " p=" +
-                       std::to_string(procs) + " drop=" +
-                       std::to_string(drop) + " " + mode.name);
-          const SweepPoint point = run_cell(
-              topo, rt_cfg, tram, updates, static_cast<int>(opt.trials));
-          const bool verified =
-              point.verified && point.table_hash == ref.table_hash;
-          all_verified = all_verified && verified;
+        rt::RuntimeConfig rt_cfg = base_cfg;
+        rt_cfg.fault.drop_rate = drop;
+        rt_cfg.fault.seed = static_cast<std::uint64_t>(fault_seed);
+        trace::phase(std::string(core::to_string(scheme)) + " p=" +
+                     std::to_string(procs) + " drop=" +
+                     std::to_string(drop));
+        const SweepPoint point = run_cell(topo, rt_cfg, tram, updates,
+                                          static_cast<int>(opt.trials));
+        const bool verified =
+            point.verified && point.table_hash == ref.table_hash;
+        all_verified = all_verified && verified;
 
-          const double ns_per_item =
-              point.seconds * 1e9 /
-              static_cast<double>(updates *
-                                  static_cast<std::uint64_t>(procs));
-          const auto& f = point.faults;
-          table.add_row(
-              {util::Table::fmt_int(procs), core::to_string(scheme),
-               mode.name, util::Table::fmt(drop, 2),
-               util::Table::fmt_int(static_cast<long long>(f.retransmits)),
-               util::Table::fmt_int(
-                   static_cast<long long>(f.fast_retransmits)),
-               util::Table::fmt_int(static_cast<long long>(f.rto_fires)),
-               util::Table::fmt_int(static_cast<long long>(f.dup_drops)),
-               util::Table::fmt_int(static_cast<long long>(f.paced_msgs)),
-               util::Table::fmt_int(
-                   static_cast<long long>(f.max_inflight_msgs)),
-               util::Table::fmt(ns_per_item, 1),
-               verified ? "yes" : "NO"});
+        const double ns_per_item =
+            point.seconds * 1e9 /
+            static_cast<double>(updates * static_cast<std::uint64_t>(procs));
+        const auto& f = point.faults;
+        table.add_row(
+            {util::Table::fmt_int(procs), core::to_string(scheme),
+             util::Table::fmt(drop, 2),
+             util::Table::fmt_int(static_cast<long long>(f.retransmits)),
+             util::Table::fmt_int(static_cast<long long>(f.fast_retransmits)),
+             util::Table::fmt_int(static_cast<long long>(f.rto_fires)),
+             util::Table::fmt_int(static_cast<long long>(f.dup_drops)),
+             util::Table::fmt_int(static_cast<long long>(f.paced_msgs)),
+             util::Table::fmt_int(
+                 static_cast<long long>(f.max_inflight_msgs)),
+             util::Table::fmt(ns_per_item, 1), verified ? "yes" : "NO"});
 
-          const auto c = bench::routed_counters_from(point, ns_per_item);
-          bench::JsonRow row = bench::make_routed_row(
-              core::to_string(scheme), topo.to_string(), mesh, c, verified);
-          char extra[96];
-          std::snprintf(extra, sizeof extra,
-                        "\"drop\": %.2f, \"mode\": \"%s\"", drop,
-                        mode.name);
-          row.extra_json = extra;
-          json.add(row);
-          cells.push_back({CellId{procs, scheme, drop, mode.sack}, point});
-        }
+        bench::JsonRow row =
+            bench::make_routed_row(core::to_string(scheme), topo.to_string(),
+                                   mesh, point, ns_per_item, verified);
+        char extra[32];
+        std::snprintf(extra, sizeof extra, "\"drop\": %.2f", drop);
+        row.extra_json = extra;
+        json.add(row);
+        cells.push_back(point);
       }
     }
   }
@@ -262,22 +233,14 @@ int main(int argc, char** argv) {
                 "every cell delivered exactly once and matched the "
                 "fault-free reference table bit for bit");
 
-  // The tentpole claim: at the highest loss rate, SACK recovery spends
-  // strictly fewer retransmit-timer rounds than the PR 5 head-of-line
-  // path on the same fault seed — multi-loss bursts resolve in batches
-  // instead of one timeout per loss.
-  std::uint64_t rto_sack = 0, rto_hol = 0;
-  std::uint64_t fast_sack = 0;
+  std::uint64_t fast_rtx = 0;
   std::uint64_t drops_seen = 0;
   double rtx_over_total = 0.0;
   bool window_bounded = true;
   std::uint64_t link_busy = 0;
-  for (const auto& [id, point] : cells) {
+  for (const SweepPoint& point : cells) {
     const auto& f = point.faults;
-    if (id.drop == max_drop) {
-      (id.sack ? rto_sack : rto_hol) += f.rto_fires;
-      if (id.sack) fast_sack += f.fast_retransmits;
-    }
+    fast_rtx += f.fast_retransmits;
     drops_seen += f.faults_injected_drop;
     if (point.fabric_bytes > 0) {
       const double frac = static_cast<double>(f.rtx_bytes) /
@@ -287,14 +250,9 @@ int main(int argc, char** argv) {
     window_bounded = window_bounded && f.max_inflight_msgs <= 64;
     link_busy += f.link_busy_ns;
   }
-  shapes.expect(rto_sack < rto_hol,
-                "SACK spends fewer RTO rounds than head-of-line at drop " +
-                    std::to_string(max_drop) + " (" +
-                    std::to_string(rto_sack) + " vs " +
-                    std::to_string(rto_hol) + ")");
-  shapes.expect(fast_sack > 0,
-                "SACK mode fast-retransmitted at least one hole before "
-                "its timer");
+  shapes.expect(fast_rtx > 0,
+                "SACK fast-retransmitted at least one hole before its "
+                "timer");
   shapes.expect(drops_seen > 0, "the sweep injected at least one drop");
   // Overhead bound: re-shipped bytes stay within a small multiple of the
   // injected loss (batch timer recovery re-ships live entries too, so

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   };
   if (!opt.parse(argc, argv,
                  "fig_routed_histogram: direct vs 2-D vs 3-D mesh routing"))
-    return 0;
+    return 2;
   if (opt.json.empty()) opt.json = "BENCH_routed_histogram.json";
 
   const std::uint64_t updates = opt.quick ? 4'000 : 20'000;
@@ -111,11 +111,10 @@ int main(int argc, char** argv) {
            util::Table::fmt(point.seconds, 4),
            point.verified ? "yes" : "NO"});
 
-      const auto c = bench::routed_counters_from(point, ns_per_item);
-      sweep.add(c, point.verified);
+      sweep.add(point, point.verified);
       json.add(bench::make_routed_row(core::to_string(scheme),
-                                      topo.to_string(), mesh, c,
-                                      point.verified));
+                                      topo.to_string(), mesh, point,
+                                      ns_per_item, point.verified));
     }
   }
   bench::emit(table, opt);

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   };
   if (!opt.parse(argc, argv,
                  "fig_routed_phold: direct vs 2-D vs 3-D mesh routing"))
-    return 0;
+    return 2;
   if (opt.json.empty()) opt.json = "BENCH_routed_phold.json";
 
   const double end_time = opt.quick ? 80.0 : 150.0;
@@ -130,11 +130,10 @@ int main(int argc, char** argv) {
           point.exactly_once && point.events == direct_events &&
           point.events > 0;
 
-      const auto c = bench::routed_counters_from(
-          point, point.items ? point.seconds * 1e9 /
-                                   static_cast<double>(point.items)
-                             : 0.0);
-      sweep.add(c, verified);
+      const double ns_per_item =
+          point.items ? point.seconds * 1e9 / static_cast<double>(point.items)
+                      : 0.0;
+      sweep.add(point, verified);
 
       table.add_row(
           {util::Table::fmt_int(procs), core::to_string(scheme), mesh,
@@ -151,7 +150,8 @@ int main(int argc, char** argv) {
            util::Table::fmt(point.seconds, 4), verified ? "yes" : "NO"});
 
       json.add(bench::make_routed_row(core::to_string(scheme),
-                                      topo.to_string(), mesh, c, verified));
+                                      topo.to_string(), mesh, point,
+                                      ns_per_item, verified));
     }
   }
   bench::emit(table, opt);

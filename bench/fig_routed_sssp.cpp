@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   };
   if (!opt.parse(argc, argv,
                  "fig_routed_sssp: direct vs 2-D vs 3-D mesh routing"))
-    return 0;
+    return 2;
   if (opt.json.empty()) opt.json = "BENCH_routed_sssp.json";
 
   graph::GeneratorParams gp;
@@ -99,11 +99,10 @@ int main(int argc, char** argv) {
       const bool verified = point.verified && point.exactly_once &&
                             point.dist_hash == direct_hash;
 
-      const auto c = bench::routed_counters_from(
-          point, point.items ? point.seconds * 1e9 /
-                                   static_cast<double>(point.items)
-                             : 0.0);
-      sweep.add(c, verified);
+      const double ns_per_item =
+          point.items ? point.seconds * 1e9 / static_cast<double>(point.items)
+                      : 0.0;
+      sweep.add(point, verified);
       if (pi + 1 == proc_counts.size()) {
         last_priority_msgs[si] = point.priority_messages;
       }
@@ -124,7 +123,8 @@ int main(int argc, char** argv) {
            util::Table::fmt(point.seconds, 4), verified ? "yes" : "NO"});
 
       json.add(bench::make_routed_row(core::to_string(scheme),
-                                      topo.to_string(), mesh, c, verified));
+                                      topo.to_string(), mesh, point,
+                                      ns_per_item, verified));
     }
   }
   bench::emit(table, opt);

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   };
   if (!opt.parse(argc, argv,
                  "fig_shuffle: out-of-core shuffle, direct vs mesh routing"))
-    return 0;
+    return 2;
   if (opt.json.empty()) opt.json = "BENCH_shuffle.json";
 
   std::uint64_t input_bytes = opt.quick ? 4ull << 20 : 16ull << 20;
@@ -192,8 +192,7 @@ int main(int argc, char** argv) {
           point.records ? point.seconds * 1e9 /
                               static_cast<double>(point.records)
                         : 0.0;
-      const auto c = bench::routed_counters_from(point, ns_per_record);
-      sweep.add(c, verified);
+      sweep.add(point, verified);
 
       table.add_row(
           {util::Table::fmt_int(procs), core::to_string(scheme), mesh,
@@ -209,8 +208,9 @@ int main(int argc, char** argv) {
                static_cast<long long>(point.faults.retransmits)),
            util::Table::fmt(point.seconds, 4), verified ? "yes" : "NO"});
 
-      auto row = bench::make_routed_row(core::to_string(scheme),
-                                        topo.to_string(), mesh, c, verified);
+      auto row =
+          bench::make_routed_row(core::to_string(scheme), topo.to_string(),
+                                 mesh, point, ns_per_record, verified);
       char extra[256];
       std::snprintf(
           extra, sizeof extra,

@@ -23,7 +23,7 @@ void BM_WorkerBufferInsert(benchmark::State& state) {
   std::vector<Entry> buf;
   buf.reserve(g);
   std::uint64_t shipped = 0;
-  Entry e{0, 3, 42};
+  Entry e{3, 42};
   for (auto _ : state) {
     buf.push_back(e);
     if (buf.size() >= g) {
@@ -43,7 +43,7 @@ void BM_PpBufferInsertContended(benchmark::State& state) {
   if (state.thread_index() == 0) {
     buffer = new core::PpBuffer<Entry>(1024);
   }
-  Entry e{0, 3, 42};
+  Entry e{3, 42};
   std::uint64_t retries = 0;
   std::uint64_t sealed = 0;
   for (auto _ : state) {
@@ -70,7 +70,7 @@ void BM_PpBufferFlushUnderLoad(benchmark::State& state) {
   std::vector<std::thread> writers;
   for (int i = 0; i < 3; ++i) {
     writers.emplace_back([&] {
-      Entry e{0, 1, 7};
+      Entry e{1, 7};
       std::uint64_t r = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         auto sealed = buffer.insert(e, r);

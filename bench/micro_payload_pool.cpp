@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   if (!opt.parse(argc, argv,
                  "micro_payload_pool: pooled zero-copy payload path "
                  "(messages/sec and buffer recycle rate)"))
-    return 0;
+    return 2;
 
   const PathResult raw = raw_pool_path(opt);
   const PathResult e2e = end_to_end_path(opt);

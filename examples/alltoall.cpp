@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   cli.add_int("buffer", &buffer, "aggregation buffer size");
   cli.add_dims("route-dims", &route_dims,
                "mesh extents for the routed schemes (AxB[xC])");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return 2;
 
   util::Table table("All-to-all: items per pair = " +
                     std::to_string(per_pair));

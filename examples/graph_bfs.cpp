@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   cli.add_int("buffer", &buffer, "aggregation buffer size");
   cli.add_int("seed", &seed, "graph seed");
   cli.add_flag("rmat", &rmat, "use an RMAT (power-law) graph");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return 2;
   const auto scheme = core::parse_scheme(scheme_name);
   if (!scheme) {
     std::fprintf(stderr, "unknown scheme '%s'\n", scheme_name.c_str());

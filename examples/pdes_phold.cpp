@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   cli.add_double("end-time", &end_time, "virtual end time");
   cli.add_double("remote-prob", &remote_prob,
                  "probability an event targets a remote LP");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return 2;
 
   util::Table table("PHOLD: out-of-order (would-be rollback) events");
   table.set_header({"scheme", "events", "out-of-order", "%", "wall ms"});

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   cli.add_string("scheme", &scheme_name, "None|WW|WPs|WsP|PP");
   cli.add_int("buffer", &buffer, "items per aggregation buffer (g)");
   cli.add_int("updates", &updates, "updates per worker PE");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return 2;
 
   const auto scheme = core::parse_scheme(scheme_name);
   if (!scheme) {

@@ -31,19 +31,10 @@ struct TramConfig {
   /// re-aggregated at an intermediate hop have no other drain path.
   bool flush_on_idle = true;
 
-  /// Stamp every item with its insert time and record delivery latency at
-  /// the destination (the paper's latency metric). Adds 8 bytes per item on
-  /// the wire, so benchmarks measuring pure overhead leave it off.
-  bool latency_tracking = false;
-
   /// Ship TramLib messages as expedited (Charm++ expedited entry methods:
   /// delivered ahead of ordinary traffic — section III-B, basic
   /// optimizations).
   bool expedited = true;
-
-  /// Optional time-based flush: when nonzero, a worker's idle/progress path
-  /// flushes buffers older than this many nanoseconds.
-  std::uint64_t flush_timeout_ns = 0;
 
   /// Item prioritization (the paper's future-work feature): when nonzero,
   /// Handle::insert_priority routes items through a second, small set of

@@ -1,38 +1,29 @@
 #pragma once
 ///
 /// \file grouping.hpp
-/// \brief Destination-rank counting sort shared by every pre-sorted ship
-/// path.
+/// \brief Destination-rank sort shared by every pre-sorted ship path.
 ///
 /// The paper's WsP scheme moves the destination-side grouping cost to the
-/// source: a two-pass counting sort by destination local rank, written
-/// straight into the outgoing slab after a SegmentHeader of per-rank
-/// counts, lets the receiver scatter refcounted sub-views in O(t) instead
-/// of scanning g entries. The same sort serves the routed schemes' last
-/// hop (src/route/): the shipper of a final-dimension buffer knows every
-/// entry terminates at the target process, so it can pre-group exactly
-/// like a WsP source. This helper is that sort, extracted so the two
-/// paths cannot drift.
+/// source: grouping the outgoing entries by destination local rank behind
+/// a SegmentHeader of per-rank counts lets the receiver scatter refcounted
+/// sub-views in O(t) instead of scanning g entries. The same sort serves
+/// the routed schemes' last hop (src/route/): the shipper of a
+/// final-dimension buffer knows every entry terminates at the target
+/// process, so it can pre-group exactly like a WsP source. Both ship the
+/// buffer's own slab, sorted in place, by moving the handle.
 
-#include <cstring>
-#include <span>
+#include <cstddef>
 
 #include "core/wire.hpp"
 #include "util/types.hpp"
 
 namespace tram::core {
 
-/// Counting-sort `src` by destination local rank into `out` (which must
-/// hold src.size() entries), filling `header.counts` for the receiver's
-/// segment walk. `rank_of` maps a WireEntry destination worker to its
-/// local rank in [0, t). A single-worker process degenerates to one
-/// segment and a straight copy.
-/// In-place variant: permute `data` into rank-grouped order (american-flag
-/// counting sort) and fill `header.counts`. Same wire layout as
-/// counting_sort_segments but no destination buffer — the routed last-hop
-/// ship uses it to sort the slot's own slab and ship it by moving the
-/// handle, removing the sort's copy-into-fresh-slab. O(n) swaps: every
-/// swap retires one element into its final segment.
+/// Permute `data` into rank-grouped order (american-flag counting sort)
+/// and fill `header.counts` for the receiver's segment walk. `rank_of`
+/// maps a WireEntry destination worker to its local rank in [0, t). A
+/// single-worker process degenerates to one segment and no moves. O(n)
+/// swaps: every swap retires one element into its final segment.
 template <typename Entry, typename RankFn>
 void permute_sort_segments(Entry* data, std::size_t n, int t,
                            RankFn&& rank_of, SegmentHeader& header) {
@@ -64,29 +55,6 @@ void permute_sort_segments(Entry* data, std::size_t n, int t,
         ++next[b];
       }
     }
-  }
-}
-
-template <typename Entry, typename RankFn>
-void counting_sort_segments(std::span<const Entry> src, int t,
-                            RankFn&& rank_of, SegmentHeader& header,
-                            Entry* out) {
-  if (t == 1) {
-    header.counts[0] = static_cast<std::uint32_t>(src.size());
-    if (!src.empty()) std::memcpy(out, src.data(), src.size_bytes());
-    return;
-  }
-  for (const Entry& e : src) {
-    header.counts[rank_of(e.dest)]++;
-  }
-  std::uint32_t offsets[kMaxLocalWorkers];
-  std::uint32_t acc = 0;
-  for (int r = 0; r < t; ++r) {
-    offsets[r] = acc;
-    acc += header.counts[r];
-  }
-  for (const Entry& e : src) {
-    out[offsets[rank_of(e.dest)]++] = e;
   }
 }
 

@@ -54,7 +54,6 @@
 #include "runtime/message.hpp"
 #include "runtime/worker.hpp"
 #include "util/payload_pool.hpp"
-#include "util/timebase.hpp"
 
 namespace tram::core {
 
@@ -246,10 +245,7 @@ class TramDomain {
     void insert(WorkerId dest, const Item& item) {
       auto& d = *domain_;
       ++stats_.items_inserted;
-      Entry e;
-      e.birth_ns = d.cfg_.latency_tracking ? util::now_ns() : 0;
-      e.dest = dest;
-      e.item = item;
+      const Entry e{dest, item};
 
       switch (d.cfg_.scheme) {
         case Scheme::None: {
@@ -299,7 +295,6 @@ class TramDomain {
           assert(false && "unreachable: TramDomain rejects routed schemes");
           break;
       }
-      maybe_timeout_flush();
     }
 
     /// Aggregate an urgent item (the paper's future-work prioritization).
@@ -315,10 +310,7 @@ class TramDomain {
       }
       ++stats_.items_inserted;
       ++stats_.priority_items;
-      Entry e;
-      e.birth_ns = d.cfg_.latency_tracking ? util::now_ns() : 0;
-      e.dest = dest;
-      e.item = item;
+      const Entry e{dest, item};
       if (d.cfg_.scheme == Scheme::WW) {
         auto& buf = pri_bufs_[static_cast<std::size_t>(dest)];
         pri_push(buf, e, g_hi);
@@ -383,7 +375,6 @@ class TramDomain {
           assert(false && "unreachable: TramDomain rejects routed schemes");
           break;
       }
-      last_flush_ns_ = util::now_ns();
     }
 
     const WorkerTramStats& stats() const noexcept { return stats_; }
@@ -406,6 +397,12 @@ class TramDomain {
         case Scheme::WPs:
         case Scheme::WsP:
           bufs_.resize(static_cast<std::size_t>(d.topo_.procs()));
+          if (d.cfg_.scheme == Scheme::WsP) {
+            // The ship sorts the slab in place behind this header.
+            for (auto& buf : bufs_) {
+              buf.set_header_bytes(sizeof(SegmentHeader));
+            }
+          }
           break;
         default:
           break;
@@ -467,14 +464,6 @@ class TramDomain {
       pending_.fetch_add(1, std::memory_order_release);
     }
 
-    void maybe_timeout_flush() {
-      const auto& cfg = domain_->cfg_;
-      if (cfg.flush_timeout_ns == 0) return;
-      if ((++insert_tick_ & 0x3ff) != 0) return;  // check every 1024 inserts
-      const std::uint64_t now = util::now_ns();
-      if (now - last_flush_ns_ > cfg.flush_timeout_ns) flush_all();
-    }
-
     /// WW ship: the filled slab goes straight to the destination worker.
     void ship_direct(WorkerId dest, EntryBuffer<Entry>& buf,
                      bool from_flush) {
@@ -491,8 +480,9 @@ class TramDomain {
       pending_.fetch_sub(n, std::memory_order_release);
     }
 
-    /// WPs/WsP ship: message to the destination process (WsP sorts first,
-    /// directly into a fresh pool slab; WPs ships its slab as-is).
+    /// WPs/WsP ship: message to the destination process. WsP permutes its
+    /// own slab into rank-grouped order (core/grouping.hpp) behind the
+    /// SegmentHeader reserved at construction; both ship the slab as-is.
     void ship_proc(ProcId dp, EntryBuffer<Entry>& buf, bool from_flush) {
       auto& d = *domain_;
       const std::size_t n = buf.size();
@@ -500,13 +490,16 @@ class TramDomain {
       m.src_worker = self_->id();
       m.expedited = d.cfg_.expedited;
       if (d.cfg_.scheme == Scheme::WsP) {
+        SegmentHeader header;
+        permute_sort_segments(
+            buf.data(), n, d.topo_.workers_per_proc(),
+            [&](WorkerId w) { return d.topo_.local_rank(w); }, header);
+        std::memcpy(buf.header(), &header, sizeof header);
         m.endpoint = d.ep_segmented_;
-        m.payload = build_segmented_payload(buf);
-        buf.clear();  // keep the slab; the sort copied out of it
       } else {
         m.endpoint = d.ep_grouped_;
-        m.payload = buf.take();
       }
+      m.payload = buf.take();
       account_ship(n, from_flush);
       self_->send_to_proc(dp, std::move(m));
       pending_.fetch_sub(n, std::memory_order_release);
@@ -534,27 +527,9 @@ class TramDomain {
       stats_.occupancy_at_ship.add(static_cast<double>(n));
     }
 
-    /// Source-side grouping for WsP: the shared counting sort
-    /// (core/grouping.hpp), written straight into the outgoing pool slab
-    /// after a SegmentHeader of per-rank counts.
-    util::PayloadRef build_segmented_payload(const EntryBuffer<Entry>& buf) {
-      auto& d = *domain_;
-      const std::span<const Entry> src = buf.entries();
-      util::PayloadRef payload = util::PayloadPool::global().acquire(
-          sizeof(SegmentHeader) + src.size() * sizeof(Entry));
-      SegmentHeader header;
-      counting_sort_segments(
-          src, d.topo_.workers_per_proc(),
-          [&](WorkerId w) { return d.topo_.local_rank(w); }, header,
-          reinterpret_cast<Entry*>(payload.data() + sizeof header));
-      std::memcpy(payload.data(), &header, sizeof header);
-      return payload;
-    }
-
     /// Final-hop delivery on the destination worker.
     void deliver_batch(rt::Worker& w, std::span<const Entry> entries) {
       auto& d = *domain_;
-      const bool track = d.cfg_.latency_tracking;
       for (const Entry& e : entries) {
         if (e.dest != w.id()) {
           std::fprintf(stderr,
@@ -562,9 +537,6 @@ class TramDomain {
                        "(scheme=%s)\n",
                        e.dest, w.id(), to_string(d.cfg_.scheme));
           std::abort();
-        }
-        if (track && e.birth_ns != 0) {
-          stats_.latency.add(util::now_ns() - e.birth_ns);
         }
         ++stats_.items_delivered;
         d.deliver_(w, e.item);
@@ -662,8 +634,6 @@ class TramDomain {
     std::atomic<std::uint64_t> pending_{0};
     WorkerTramStats stats_;
     std::uint64_t reserved_buffers_ = 0;
-    std::uint64_t insert_tick_ = 0;
-    std::uint64_t last_flush_ns_ = 0;
   };
 };
 

@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "core/scheme.hpp"
-#include "util/latency_histogram.hpp"
 #include "util/payload_pool.hpp"
 #include "util/stats.hpp"
 #include "util/topology.hpp"
@@ -83,8 +82,6 @@ struct WorkerTramStats {
   std::uint64_t max_staged_fwd_bytes = 0;
   /// Items per shipped message, observed at ship time.
   util::RunningStats occupancy_at_ship;
-  /// Item latency (insert -> delivery), when latency_tracking is on.
-  util::LatencyHistogram latency;
 
   void merge(const WorkerTramStats& o) {
     items_inserted += o.items_inserted;
@@ -107,7 +104,6 @@ struct WorkerTramStats {
       max_staged_fwd_bytes = o.max_staged_fwd_bytes;
     }
     occupancy_at_ship.merge(o.occupancy_at_ship);
-    latency.merge(o.latency);
   }
 };
 

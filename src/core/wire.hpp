@@ -7,8 +7,8 @@
 /// Every scheme ships arrays of WireEntry<Item>. The paper's per-process
 /// schemes must carry the destination worker alongside the item
 /// ("<item, dest_w>" in Figs. 5-7); we carry it uniformly (WW pays 4 unused
-/// bytes, far below alpha-equivalent cost) plus an optional birth timestamp
-/// for the latency metric. Item must be trivially copyable.
+/// bytes, far below alpha-equivalent cost). Item must be trivially
+/// copyable. Applications that measure latency stamp it into their item.
 ///
 /// EntryBuffer is the source-side aggregation buffer: entries are written
 /// in place into a pooled payload slab (util::PayloadPool), so a full
@@ -55,8 +55,6 @@ namespace tram::core {
 template <typename Item>
   requires std::is_trivially_copyable_v<Item>
 struct WireEntry {
-  /// Insert timestamp (ns) when latency tracking is on; 0 otherwise.
-  std::uint64_t birth_ns = 0;
   /// Global id of the destination worker.
   WorkerId dest = kInvalidWorker;
   Item item{};
@@ -165,8 +163,8 @@ inline RoutedWire parse_routed_header(std::span<const std::byte> bytes,
 /// A buffer may reserve fixed header space at the front of the slab
 /// (set_header_bytes): entries encode after it, the caller stamps the
 /// header just before take(), and the slab still ships by moving the
-/// handle — this is how routed messages carry their RoutedHeader without a
-/// second allocation or copy.
+/// handle — this is how WsP and routed messages carry their headers without
+/// a second allocation or copy.
 template <typename Entry>
   requires std::is_trivially_copyable_v<Entry>
 class EntryBuffer {
@@ -245,10 +243,6 @@ class EntryBuffer {
     count_ = 0;
     return std::move(ref_);
   }
-
-  /// Reset occupancy but keep the slab (for paths that copy out instead of
-  /// shipping the buffer itself, e.g. WsP's counting sort).
-  void clear() noexcept { count_ = 0; }
 
  private:
   util::PayloadRef ref_;

@@ -35,23 +35,15 @@ struct FaultConfig {
   /// Retransmit timeout. 0 derives it from the machine's cost model:
   /// a few modeled round trips plus the injected delay (see
   /// ReliableTransport), floored so zero-cost test models still converge.
-  /// A nonzero value also pins the timer: adaptive_rto is ignored, so
-  /// experiments that fix rto_ns replay with an exactly known timeout.
+  /// When 0 the timer adapts to the measured per-channel RTT (Jacobson
+  /// srtt/rttvar, exponential backoff on repeat loss); a nonzero value
+  /// pins it, so experiments that fix rto_ns replay with an exactly known
+  /// timeout.
   std::uint64_t rto_ns = 0;
   /// Holdoff before a receiver sends a standalone cumulative ack for
   /// inbound data no reverse traffic has piggybacked yet. 0 = rto / 8.
   std::uint64_t ack_delay_ns = 0;
 
-  /// Piggyback a selective-ack bitmap (cumulative ack + out-of-order
-  /// bitmap over the dedup window) on every message, and let the sender
-  /// fast-retransmit the holes it names. Off = the PR 5 behavior: the
-  /// cumulative ack alone, one head-of-line retransmit per RTO per
-  /// channel. Kept as a knob so the fault sweep can A/B the two schemes.
-  bool sack = true;
-  /// Drive the retransmit timer from measured per-channel RTT (Jacobson
-  /// srtt/rttvar, exponential backoff on repeat loss) instead of the
-  /// static timeout. Ignored when rto_ns is set explicitly (above).
-  bool adaptive_rto = true;
   /// AIMD send window, in messages per channel: start at window_init,
   /// grow additively on ack progress up to window_max, halve on loss
   /// (never below window_min). Messages past the window are paced —
@@ -60,14 +52,6 @@ struct FaultConfig {
   std::uint32_t window_init = 8;
   std::uint32_t window_min = 2;
   std::uint32_t window_max = 64;
-  /// Cap on unacked payload bytes per channel, on top of the message
-  /// window. 0 = no byte cap.
-  std::uint64_t window_bytes = 0;
-  /// Clamp for the adaptive RTO. floor 0 derives the same minimum the
-  /// static path uses; ceil bounds exponential backoff so one unlucky
-  /// channel cannot stall recovery for seconds.
-  std::uint64_t rto_floor_ns = 0;
-  std::uint64_t rto_ceil_ns = 2'000'000'000;
 
   /// Whether any fault is configured (and thus whether the Machine
   /// installs the faulty + reliable transport decorators).
@@ -105,14 +89,10 @@ struct FaultConfig {
     }
     // The SACK bitmap must be able to name every in-flight sequence past
     // the cumulative ack; a window wider than the bitmap would leave
-    // unreportable holes that silently regress to head-of-line recovery.
+    // unreportable holes that only the timer could recover.
     if (window_max > 64) {
       throw std::invalid_argument(
           "FaultConfig: window_max must be <= 64 (SACK bitmap width)");
-    }
-    if (rto_floor_ns > rto_ceil_ns) {
-      throw std::invalid_argument(
-          "FaultConfig: rto_floor_ns must be <= rto_ceil_ns");
     }
   }
 };

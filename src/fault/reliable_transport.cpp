@@ -26,6 +26,10 @@ std::uint32_t trace_chan(ProcId src, ProcId dst) noexcept {
 /// only manufactures spurious duplicates.
 constexpr std::uint64_t kMinRtoNs = 300'000;
 
+/// Ceiling of the adaptive RTO: bounds exponential backoff so one unlucky
+/// channel cannot stall recovery for seconds.
+constexpr std::uint64_t kMaxRtoNs = 2'000'000'000;
+
 /// Cap on exponential backoff doubling; the ceiling clamp dominates long
 /// before this, it only guards the shift itself.
 constexpr std::uint32_t kMaxBackoffShift = 16;
@@ -69,16 +73,12 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
                 ? cfg.rto_ns
                 : std::max(kMinRtoNs, 4 * (modeled + cfg.delay_ns));
   ack_delay_ns_ = cfg.ack_delay_ns != 0 ? cfg.ack_delay_ns : rto_ns_ / 8;
-  rto_floor_ns_ = cfg.rto_floor_ns != 0 ? cfg.rto_floor_ns : kMinRtoNs;
-  rto_ceil_ns_ = std::max(cfg.rto_ceil_ns, rto_floor_ns_);
-  window_bytes_ = cfg.window_bytes;
   window_init_ = cfg.window_init;
   window_min_ = cfg.window_min;
   window_max_ = cfg.window_max;
-  sack_ = cfg.sack;
   // An explicit rto_ns pins the timer: experiments that fix it replay
-  // with an exactly known timeout (and PR 5 semantics).
-  adaptive_ = cfg.adaptive_rto && cfg.rto_ns == 0;
+  // with an exactly known timeout.
+  adaptive_ = cfg.rto_ns == 0;
   ch_ = std::make_unique<Channel[]>(static_cast<std::size_t>(procs_) *
                                     static_cast<std::size_t>(procs_));
   const std::size_t n = static_cast<std::size_t>(procs_) *
@@ -89,24 +89,16 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
 std::uint64_t ReliableTransport::rto_for(const Channel& c) const noexcept {
   if (!adaptive_) return rto_ns_;
   std::uint64_t base = c.rtt_valid ? c.srtt_ns + 4 * c.rttvar_ns : rto_ns_;
-  base = std::clamp(base, rto_floor_ns_, rto_ceil_ns_);
+  base = std::clamp(base, kMinRtoNs, kMaxRtoNs);
   const std::uint32_t shift = std::min(c.backoff_shift, kMaxBackoffShift);
   const std::uint64_t backed = base << shift;
   // Detect shift overflow as well as a plain over-ceiling value.
-  if ((backed >> shift) != base || backed > rto_ceil_ns_) {
-    return rto_ceil_ns_;
-  }
+  if ((backed >> shift) != base || backed > kMaxRtoNs) return kMaxRtoNs;
   return backed;
 }
 
 bool ReliableTransport::window_admits(const Channel& c) const noexcept {
-  if (c.inflight_msgs >= static_cast<std::uint32_t>(c.cwnd)) return false;
-  if (window_bytes_ != 0 && c.inflight_bytes >= window_bytes_) {
-    // Always admit at least one message, or a payload larger than the
-    // byte cap could never leave and quiescence would hang.
-    return c.inflight_msgs == 0;
-  }
-  return true;
+  return c.inflight_msgs < static_cast<std::uint32_t>(c.cwnd);
 }
 
 void ReliableTransport::rtt_sample(Channel& c,
@@ -160,7 +152,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
     Channel& rev = ch(dst, src_proc);
     std::lock_guard<util::Spinlock> g(rev.mu);
     h.ack = rev.cum;
-    if (sack_) h.sack = build_sack_bitmap(rev.cum, rev.ooo);
+    h.sack = build_sack_bitmap(rev.cum, rev.ooo);
   }
 
   // Frame into a fresh slab: header + payload bytes. The one copy this
@@ -211,7 +203,6 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
     if (fwd.paced.empty() && window_admits(fwd)) {
       e.first_send_ns = now;
       ++fwd.inflight_msgs;
-      fwd.inflight_bytes += e.bytes;
       inflight_now = fwd.inflight_msgs;
       fwd.unacked.push_back(std::move(e));
       if (fwd.probe_deadline_ns == 0) {
@@ -253,7 +244,6 @@ void ReliableTransport::drain_paced(ProcId src_proc, Channel& c) {
       c.paced.pop_front();
       e.first_send_ns = now;
       ++c.inflight_msgs;
-      c.inflight_bytes += e.bytes;
       to_send.push_back(e.msg);  // shares the framed slab
       c.unacked.push_back(std::move(e));
     }
@@ -291,7 +281,6 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
           rtt_sample(c, now - e.first_send_ns);  // Karn: fresh sends only
         }
         --c.inflight_msgs;
-        c.inflight_bytes -= e.bytes;
         ++popped_live;
         ++settled;
       }
@@ -315,7 +304,6 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
         e.sacked = true;
         e.msg = rt::Message{};
         --c.inflight_msgs;
-        c.inflight_bytes -= e.bytes;
         ++settled;
         newly_sacked = true;
         ++sacked_n;
@@ -325,7 +313,7 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
     //    SACKed sequence is a hole the fabric demonstrably passed —
     //    re-ship it now instead of waiting for the timer. Once per entry
     //    per timeout round (fast_rtxed); the timer is the backstop.
-    if (sack_ && sack != 0 && !c.unacked.empty()) {
+    if (sack != 0 && !c.unacked.empty()) {
       const std::uint32_t hi_bit =
           63u - static_cast<std::uint32_t>(__builtin_clzll(sack));
       const std::uint32_t hi_seq = sack_bit_seq(ack, hi_bit);
@@ -462,12 +450,8 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
   const bool stopping = machine_.stopping();
   for (ProcId d = 0; d < procs_; ++d) {
     if (d == p) continue;
-    // Timer-driven retransmit on the outbound channel (p -> d). With
-    // SACK every live in-window entry goes out again (batch recovery);
-    // without it, the PR 5 head-of-line probe: the cumulative ack
-    // advances past every delivered sequence once the lowest missing
-    // one lands, so probing the head alone eventually recovers any loss
-    // pattern — one timeout round per loss.
+    // Timer-driven retransmit on the outbound channel (p -> d): every
+    // live (unsacked) in-window entry goes out again (batch recovery).
     Channel& out = ch(p, d);
     std::vector<rt::Message> rtx;
     std::uint64_t rtx_bytes = 0;
@@ -482,7 +466,6 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
           e.fast_rtxed = false;  // eligible again next SACK round
           rtx.push_back(e.msg);
           rtx_bytes += e.bytes;
-          if (!sack_) break;  // legacy: head-of-line probe only
         }
         loss_event(out, /*timeout=*/true);
         out.probe_deadline_ns = now + rto_for(out);
@@ -502,8 +485,8 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
       for (auto& m : rtx) inner_->send(p, std::move(m));
     }
     // Belt and braces for pacing: acks normally drain the queue, but an
-    // admission opened by this very scan (e.g. the timer collapsing the
-    // byte window's occupant) must not strand paced entries.
+    // admission opened outside the ack path must not strand paced
+    // entries.
     drain_paced(p, out);
     if (stopping) continue;
     // Standalone ack owed on the inbound channel (d -> p) once the
@@ -519,7 +502,7 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
         in.ack_deadline_ns = 0;
         owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
         ack = in.cum;
-        if (sack_) sack = build_sack_bitmap(in.cum, in.ooo);
+        sack = build_sack_bitmap(in.cum, in.ooo);
         send_ack = true;
       }
     }
@@ -603,7 +586,6 @@ void ReliableTransport::reset() {
     c.probe_deadline_ns = 0;
     c.cwnd = window_init_;
     c.inflight_msgs = 0;
-    c.inflight_bytes = 0;
     c.srtt_ns = 0;
     c.rttvar_ns = 0;
     c.rtt_valid = false;

@@ -26,13 +26,11 @@
 ///    sequence are holes the fabric has demonstrably passed, so they are
 ///    fast-retransmitted once without waiting for the timer: one ack
 ///    round names (and recovers) every loss in the window. The timer is
-///    the backstop: on expiry all unsacked in-window entries go out again
-///    (with `sack=false`, the PR 5 behavior: head-of-line probe only,
-///    one loss recovered per timeout round — kept for A/B benchmarks).
-///  - timers: with adaptive_rto, each channel estimates RTT from
-///    non-retransmitted entries (Karn's rule) via Jacobson's EWMAs
-///    (srtt += err/8, rttvar += (|err|-rttvar)/4) and uses
-///    rto = clamp(srtt + 4·rttvar, floor, ceil), doubled per consecutive
+///    the backstop: on expiry all unsacked in-window entries go out again.
+///  - timers: each channel estimates RTT from non-retransmitted entries
+///    (Karn's rule) via Jacobson's EWMAs (srtt += err/8,
+///    rttvar += (|err|-rttvar)/4) and uses
+///    rto = clamp(srtt + 4·rttvar, 300 us, 2 s), doubled per consecutive
 ///    timeout and reset on cumulative progress. An explicit cfg.rto_ns
 ///    pins the timer and disables adaptation.
 ///  - window: AIMD. cwnd += acked/cwnd per cumulative advance (capped at
@@ -88,11 +86,10 @@ class ReliableTransport final : public rt::Transport,
   bool on_inbound(rt::Process& proc, rt::Message& m) override;
 
   /// Base retransmit timeout (cfg.rto_ns, or derived from the cost model
-  /// when 0). With adaptive_rto this is only the pre-first-sample value.
+  /// when 0). Unless cfg.rto_ns pins it, this is only the pre-first-sample
+  /// value.
   std::uint64_t rto_ns() const noexcept { return rto_ns_; }
   std::uint64_t ack_delay_ns() const noexcept { return ack_delay_ns_; }
-  bool sack_enabled() const noexcept { return sack_; }
-  bool adaptive_rto_enabled() const noexcept { return adaptive_; }
 
   /// Reliability counters (tram_stats' FaultStats block).
   std::uint64_t retransmits() const noexcept {
@@ -141,7 +138,7 @@ class ReliableTransport final : public rt::Transport,
     std::uint32_t seq = 0;
     std::uint32_t rtx_count = 0;   ///< Karn: entries with rtx>0 never
                                    ///< contribute RTT samples.
-    std::uint32_t bytes = 0;       ///< framed size, for the byte window
+    std::uint32_t bytes = 0;       ///< framed size, for rtx_bytes
     bool sacked = false;
     bool fast_rtxed = false;  ///< one fast retransmit per entry per
                               ///< timeout round; the timer is the backstop
@@ -164,7 +161,6 @@ class ReliableTransport final : public rt::Transport,
     std::uint64_t probe_deadline_ns = 0;
     double cwnd = 0;                  ///< messages; >= window_min always
     std::uint32_t inflight_msgs = 0;  ///< transmitted, not acked/sacked
-    std::uint64_t inflight_bytes = 0;
     std::uint64_t srtt_ns = 0;
     std::uint64_t rttvar_ns = 0;
     bool rtt_valid = false;
@@ -210,13 +206,9 @@ class ReliableTransport final : public rt::Transport,
   const int procs_;
   std::uint64_t rto_ns_ = 0;
   std::uint64_t ack_delay_ns_ = 0;
-  std::uint64_t rto_floor_ns_ = 0;
-  std::uint64_t rto_ceil_ns_ = 0;
-  std::uint64_t window_bytes_ = 0;
   std::uint32_t window_init_ = 0;
   std::uint32_t window_min_ = 0;
   std::uint32_t window_max_ = 0;
-  bool sack_ = true;
   bool adaptive_ = true;
   std::unique_ptr<Channel[]> ch_;
   /// Unacked data messages, transmitted or paced — the reliability

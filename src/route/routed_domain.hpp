@@ -87,7 +87,6 @@
 #include "runtime/worker.hpp"
 #include "trace/trace.hpp"
 #include "util/payload_pool.hpp"
-#include "util/timebase.hpp"
 
 namespace tram::route {
 
@@ -115,18 +114,11 @@ class RoutedDomain {
     // not a latency knob: entries re-aggregated at an intermediate after
     // the application mains returned can only leave through the idle
     // hook. A config that disables it would hang quiescence forever on
-    // the first partial intermediate buffer, so reject it loudly. The
-    // timeout-flush knob is not implemented for routed domains (ROADMAP)
-    // — reject rather than silently ignore.
+    // the first partial intermediate buffer, so reject it loudly.
     if (!cfg_.flush_on_idle) {
       throw std::invalid_argument(
           "RoutedDomain: flush_on_idle=false would strand intermediate-hop "
           "buffers (multi-hop routing requires idle flushing)");
-    }
-    if (cfg_.flush_timeout_ns != 0) {
-      throw std::invalid_argument(
-          "RoutedDomain: flush_timeout_ns is not supported for routed "
-          "schemes");
     }
     register_endpoints();
     handles_.reserve(static_cast<std::size_t>(topo_.workers()));
@@ -279,13 +271,9 @@ class RoutedDomain {
     /// Aggregate one item toward the given destination worker; it will
     /// arrive after up to mesh().ndims() hops.
     void insert(WorkerId dest, const Item& item) {
-      auto& d = *domain_;
       ++stats_.items_inserted;
-      Entry e;
-      e.birth_ns = d.cfg_.latency_tracking ? util::now_ns() : 0;
-      e.dest = dest;
-      e.item = item;
-      push_entry(row_[proc_of(dest)], e, /*hop=*/1, /*pri=*/false);
+      push_entry(row_[proc_of(dest)], Entry{dest, item}, /*hop=*/1,
+                 /*pri=*/false);
     }
 
     /// Aggregate an urgent item (the paper's future-work prioritization,
@@ -304,11 +292,8 @@ class RoutedDomain {
       }
       ++stats_.items_inserted;
       ++stats_.priority_items;
-      Entry e;
-      e.birth_ns = d.cfg_.latency_tracking ? util::now_ns() : 0;
-      e.dest = dest;
-      e.item = item;
-      push_entry(row_[proc_of(dest)], e, /*hop=*/1, /*pri=*/true);
+      push_entry(row_[proc_of(dest)], Entry{dest, item}, /*hop=*/1,
+                 /*pri=*/true);
     }
 
     /// Ship every partially filled buffer ("flush accumulated items").
@@ -919,7 +904,6 @@ class RoutedDomain {
     /// Final-hop delivery on the destination worker.
     void deliver_batch(rt::Worker& w, std::span<const Entry> entries) {
       auto& d = *domain_;
-      const bool track = d.cfg_.latency_tracking;
       for (const Entry& e : entries) {
         if (e.dest != w.id()) {
           std::fprintf(stderr,
@@ -927,9 +911,6 @@ class RoutedDomain {
                        "worker=%d (mesh=%s)\n",
                        e.dest, w.id(), d.mesh().to_string().c_str());
           std::abort();
-        }
-        if (track && e.birth_ns != 0) {
-          stats_.latency.add(util::now_ns() - e.birth_ns);
         }
         ++stats_.items_delivered;
         d.deliver_(w, e.item);

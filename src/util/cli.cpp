@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace tram::util {
@@ -121,7 +122,7 @@ bool Cli::parse(int argc, char** argv) {
     std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::fputs(help().c_str(), stdout);
-      return false;
+      std::exit(0);
     }
     if (arg.size() < 3 || arg.substr(0, 2) != "--") {
       std::fprintf(stderr, "unknown argument '%s' (see --help)\n",

@@ -31,8 +31,10 @@ class Cli {
   /// "auto-factor" (see core::TramConfig::route_dims / --route-dims).
   void add_dims(std::string name, std::array<int, 3>* out, std::string help);
 
-  /// Parse argv. Returns false (after printing help or an error) when the
-  /// caller should exit; true when parsing succeeded.
+  /// Parse argv. --help / -h prints the options to stdout and exits the
+  /// process with status 0. Returns false after printing an error for a
+  /// bad argument (callers exit with status 2); true when parsing
+  /// succeeded.
   bool parse(int argc, char** argv);
 
   std::string help() const;

@@ -1,5 +1,5 @@
 /// Flush-policy tests: flush-on-idle (the latency bound for irregular
-/// apps), the timeout flush, and expedited plumbing.
+/// apps), explicit flush, and expedited plumbing.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "core/tram.hpp"
 #include "runtime/machine.hpp"
-#include "util/timebase.hpp"
 
 namespace {
 
@@ -40,40 +39,6 @@ TEST(FlushPolicy, IdleFlushDrainsWithoutExplicitFlush) {
     // NOTE: no flush_all() here, deliberately.
   });
   EXPECT_EQ(delivered.load(), static_cast<std::uint64_t>(W) * 500);
-}
-
-TEST(FlushPolicy, TimeoutFlushShipsDuringBusyLoops) {
-  // Worker 0 inserts a trickle into a huge buffer while staying busy (so
-  // idle hooks never run during the loop); the timeout path must ship.
-  Machine m(Topology(2, 1, 1), RuntimeConfig::testing());
-  std::atomic<std::uint64_t> delivered{0};
-  TramConfig cfg;
-  cfg.scheme = Scheme::WW;
-  cfg.buffer_items = 1 << 20;
-  cfg.flush_on_idle = false;
-  cfg.flush_timeout_ns = 1'000'000;  // 1ms
-  TramDomain<std::uint64_t> tram(
-      m, cfg, [&](Worker&, const std::uint64_t&) { delivered++; });
-  std::atomic<bool> saw_mid_loop_delivery{false};
-  m.run([&](Worker& w) {
-    if (w.id() != 0) {
-      // Receiver just schedules; nothing to do in main.
-      return;
-    }
-    auto& h = tram.on(w);
-    const std::uint64_t t0 = util::now_ns();
-    std::uint64_t inserted = 0;
-    // Busy loop for ~30ms, inserting steadily. The timeout check runs
-    // every 1024 inserts, so insert well past that.
-    while (util::now_ns() - t0 < 30'000'000) {
-      h.insert(1, 1);
-      ++inserted;
-      if (delivered.load() > 0) saw_mid_loop_delivery = true;
-    }
-    h.flush_all();
-  });
-  EXPECT_TRUE(saw_mid_loop_delivery.load())
-      << "timeout flush never shipped during the busy loop";
 }
 
 TEST(FlushPolicy, ExpeditedFlagPlumbsThroughToMessages) {

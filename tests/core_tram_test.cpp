@@ -6,8 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "core/grouping.hpp"
 #include "core/tram.hpp"
 #include "runtime/machine.hpp"
+#include "util/rng.hpp"
 #include "util/spinlock.hpp"
 
 namespace {
@@ -140,30 +142,6 @@ TEST_P(TramSchemes, ExplicitFlushShipsPartials) {
   EXPECT_GT(stats.flush_msgs, 0u);
   // Flushed messages are resized: mean occupancy is far below g.
   EXPECT_LT(stats.occupancy_at_ship.mean(), p.buffer);
-}
-
-TEST_P(TramSchemes, LatencyTrackingRecordsEveryItem) {
-  const Param p = GetParam();
-  Machine machine(Topology(p.nodes, p.ppn, p.wpp), RuntimeConfig::testing());
-  const int W = machine.topology().workers();
-  TramConfig cfg;
-  cfg.scheme = p.scheme;
-  cfg.buffer_items = p.buffer;
-  cfg.latency_tracking = true;
-  TramDomain<std::uint64_t> tram(machine, cfg,
-                                 [](Worker&, const std::uint64_t&) {});
-  constexpr std::uint32_t kPerWorker = 500;
-  machine.run([&](Worker& w) {
-    auto& h = tram.on(w);
-    for (std::uint32_t i = 0; i < kPerWorker; ++i) {
-      h.insert(static_cast<WorkerId>(w.rng().below(W)),
-               TaggedItem::make(0, w.id(), i));
-    }
-    h.flush_all();
-  });
-  const auto stats = tram.aggregate_stats();
-  EXPECT_EQ(stats.latency.count(), stats.items_delivered);
-  EXPECT_GT(stats.latency.mean_ns(), 0.0);
 }
 
 /// Message-count bounds from section III-C, measured per source unit.
@@ -391,6 +369,54 @@ TEST(TramDomain, ResetStatsClearsCounters) {
   tram.reset_stats();
   EXPECT_EQ(tram.aggregate_stats().items_inserted, 0u);
   EXPECT_EQ(tram.aggregate_stats().msgs_shipped, 0u);
+}
+
+/// The wire entry is the paper's <item, dest_w> record and nothing else.
+static_assert(sizeof(core::WireEntry<std::uint64_t>) == 16);
+
+/// permute_sort_segments, the one grouping sort (WsP ship and the routed
+/// last hop): on seeded random input, the counts are the rank histogram,
+/// every segment holds only its own rank, and the output is a permutation
+/// of the input.
+TEST(Grouping, PermuteSortSegmentsGroupsByRank) {
+  using Entry = core::WireEntry<std::uint64_t>;
+  util::Xoshiro256 rng(2024);
+  for (const int t : {1, 2, 7, 64}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{257}}) {
+      std::vector<Entry> data(n);
+      std::uint32_t histogram[core::kMaxLocalWorkers] = {};
+      for (std::size_t i = 0; i < n; ++i) {
+        data[i].dest = static_cast<WorkerId>(
+            rng.below(static_cast<std::uint64_t>(t)));
+        data[i].item = i;  // unique: makes the permutation check exact
+        histogram[data[i].dest]++;
+      }
+      const std::vector<Entry> input = data;
+      core::SegmentHeader header;
+      core::permute_sort_segments(
+          data.data(), n, t, [](WorkerId w) { return w; }, header);
+
+      const std::string where =
+          "t=" + std::to_string(t) + " n=" + std::to_string(n);
+      std::size_t offset = 0;
+      for (int r = 0; r < t; ++r) {
+        EXPECT_EQ(header.counts[r], histogram[r]) << where << " r=" << r;
+        for (std::uint32_t k = 0; k < header.counts[r]; ++k) {
+          EXPECT_EQ(data[offset + k].dest, r) << where;
+        }
+        offset += header.counts[r];
+      }
+      EXPECT_EQ(offset, n) << where;
+      std::vector<bool> seen(n, false);
+      for (const Entry& e : data) {
+        ASSERT_LT(e.item, n) << where;
+        EXPECT_FALSE(seen[e.item]) << where;
+        seen[e.item] = true;
+        EXPECT_EQ(e.dest, input[e.item].dest) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

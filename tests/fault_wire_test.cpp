@@ -169,9 +169,8 @@ TEST(FaultConfig, RejectsUnrecoverableRates) {
 }
 
 /// The congestion knobs validate too: a zero-width window could never
-/// drain, an inverted window ordering is a config bug, a window wider
-/// than the SACK bitmap would leave holes the bitmap cannot name, and an
-/// inverted RTO clamp would make the timer unsatisfiable.
+/// drain, an inverted window ordering is a config bug, and a window wider
+/// than the SACK bitmap would leave holes the bitmap cannot name.
 TEST(FaultConfig, RejectsBadCongestionKnobs) {
   fault::FaultConfig ok;
   ok.dup_rate = 0.1;
@@ -193,11 +192,6 @@ TEST(FaultConfig, RejectsBadCongestionKnobs) {
 
   cfg = ok;
   cfg.window_max = 128;  // wider than the 64-bit SACK bitmap
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = ok;
-  cfg.rto_floor_ns = 2'000'000;
-  cfg.rto_ceil_ns = 1'000'000;  // floor above ceiling
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   // The machine rejects them at construction just like the rates.

@@ -126,9 +126,10 @@ TEST(Cli, RejectsMissingValue) {
 
 TEST(Cli, HelpStopsParsing) {
   Cli cli("test");
-  Argv args({"--help"});
-  EXPECT_FALSE(cli.parse(args.argc(), args.argv()));
   EXPECT_NE(cli.help().find("test"), std::string::npos);
+  Argv args({"--help"});
+  EXPECT_EXIT(cli.parse(args.argc(), args.argv()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Cli, PositionalArgumentsRejected) {
