@@ -45,12 +45,14 @@ struct FaultConfig {
   std::uint64_t ack_delay_ns = 0;
 
   /// AIMD send window, in messages per channel: start at window_init,
-  /// grow additively on ack progress up to window_max, halve on loss
-  /// (never below window_min). Messages past the window are paced —
-  /// queued sender-side, still counted in in_flight() so quiescence
-  /// detection cannot fire while they wait.
+  /// grow additively on ack progress up to window_max, halve once per
+  /// loss episode, and restart at window_init on a timeout. window_init
+  /// is also the floor: a host stall that fires the timer without any
+  /// loss must not leave the channel carrying less than it started with.
+  /// Messages past the window are paced — queued sender-side, still
+  /// counted in in_flight() so quiescence detection cannot fire while
+  /// they wait.
   std::uint32_t window_init = 8;
-  std::uint32_t window_min = 2;
   std::uint32_t window_max = 64;
 
   /// Whether any fault is configured (and thus whether the Machine
@@ -78,14 +80,14 @@ struct FaultConfig {
       throw std::invalid_argument(
           "FaultConfig: delay_ns must be at most 60s");
     }
-    // window_min 0 would let AIMD collapse a channel to a zero window and
-    // wedge quiescence with paced-forever messages.
-    if (window_min < 1) {
-      throw std::invalid_argument("FaultConfig: window_min must be >= 1");
+    // A zero window would never transmit, wedging quiescence with
+    // paced-forever messages.
+    if (window_init < 1) {
+      throw std::invalid_argument("FaultConfig: window_init must be >= 1");
     }
-    if (window_min > window_init || window_init > window_max) {
+    if (window_init > window_max) {
       throw std::invalid_argument(
-          "FaultConfig: need window_min <= window_init <= window_max");
+          "FaultConfig: need window_init <= window_max");
     }
     // The SACK bitmap must be able to name every in-flight sequence past
     // the cumulative ack; a window wider than the bitmap would leave

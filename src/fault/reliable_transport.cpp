@@ -74,7 +74,6 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
                 : std::max(kMinRtoNs, 4 * (modeled + cfg.delay_ns));
   ack_delay_ns_ = cfg.ack_delay_ns != 0 ? cfg.ack_delay_ns : rto_ns_ / 8;
   window_init_ = cfg.window_init;
-  window_min_ = cfg.window_min;
   window_max_ = cfg.window_max;
   // An explicit rto_ns pins the timer: experiments that fix it replay
   // with an exactly known timeout.
@@ -121,15 +120,18 @@ void ReliableTransport::rtt_sample(Channel& c,
 
 void ReliableTransport::loss_event(Channel& c, bool timeout) const noexcept {
   if (!c.in_recovery) {
-    // One multiplicative decrease per recovery episode: every seq below
-    // next_seq belongs to this episode, losses among them share the
-    // single halving (NewReno-style partial-ack handling).
+    // One multiplicative decrease per recovery episode: every seq
+    // transmitted so far belongs to this episode, losses among them share
+    // the single halving (NewReno partial-ack handling, RFC 6582). The
+    // recovery point is the highest seq *transmitted*: paced messages
+    // already hold sequence numbers, and counting them would keep the
+    // window from growing until the whole backlog was acked.
     c.in_recovery = true;
-    c.recovery_end_seq = c.next_seq;
-    c.cwnd = std::max<double>(window_min_,
-                              timeout ? window_min_ : c.cwnd / 2);
+    c.recovery_end_seq = c.paced.empty() ? c.next_seq : c.paced.front().seq;
+    c.cwnd = timeout ? window_init_
+                     : std::max<double>(window_init_, c.cwnd / 2);
   } else if (timeout) {
-    c.cwnd = window_min_;
+    c.cwnd = window_init_;
   }
   if (timeout && adaptive_ &&
       c.backoff_shift < kMaxBackoffShift) {
@@ -220,11 +222,15 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   }
   fetch_max(max_inflight_msgs_, inflight_now);
   {
-    // This transmit carries the reverse channel's current ack — cancel
-    // the standalone one it owed.
+    // This transmit carries the reverse channel's ack — cancel the
+    // standalone one it owed, but only if no data arrived since the
+    // piggyback was read (an inbound delivery may run on another thread,
+    // e.g. a peer's InlineTransport::send). A stale piggyback must leave
+    // the owed ack armed, or the peer waits a full RTO for it.
     Channel& rev = ch(dst, src_proc);
     std::lock_guard<util::Spinlock> g(rev.mu);
-    if (rev.owes_ack) {
+    if (rev.owes_ack && rev.cum == h.ack &&
+        build_sack_bitmap(rev.cum, rev.ooo) == h.sack) {
       rev.owes_ack = false;
       rev.ack_deadline_ns = 0;
       owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);

@@ -34,14 +34,19 @@
 ///    timeout and reset on cumulative progress. An explicit cfg.rto_ns
 ///    pins the timer and disables adaptation.
 ///  - window: AIMD. cwnd += acked/cwnd per cumulative advance (capped at
-///    window_max), halved on the first loss signal of a recovery episode
-///    (marked by recovery_end_seq = next_seq, TCP NewReno style),
-///    collapsed to window_min on timeout. Never below window_min, so the
-///    channel always drains.
+///    window_max), halved on the first loss signal of a recovery episode,
+///    restarted at window_init on timeout, and never below window_init:
+///    a host stall past the RTO fires the timer with nothing lost, and a
+///    smaller floor would leave the channel slower than its arrivals.
+///    The episode ends once the cumulative ack covers every sequence
+///    transmitted when it began (recovery_end_seq). Paced messages hold
+///    sequence numbers but were never sent, so they are not part of it
+///    (TCP NewReno, RFC 6582).
 ///  - ack: piggybacked on all reverse traffic; when none shows up within
 ///    ack_delay the receiver's pump thread sends a standalone kAck that
 ///    the peer's interceptor consumes. Duplicates re-arm the ack so a
-///    lost ack is always replaced.
+///    lost ack is always replaced. A transmit cancels the owed ack only
+///    if its piggybacked (ack, sack) is still current.
 ///
 /// Quiescence integration: in_flight() adds the count of unacked data
 /// messages — transmitted *and* paced — to the inner transport's, so the
@@ -159,14 +164,15 @@ class ReliableTransport final : public rt::Transport,
     std::deque<SendEntry> unacked;
     std::deque<SendEntry> paced;
     std::uint64_t probe_deadline_ns = 0;
-    double cwnd = 0;                  ///< messages; >= window_min always
+    double cwnd = 0;                  ///< messages; >= window_init always
     std::uint32_t inflight_msgs = 0;  ///< transmitted, not acked/sacked
     std::uint64_t srtt_ns = 0;
     std::uint64_t rttvar_ns = 0;
     bool rtt_valid = false;
     std::uint32_t backoff_shift = 0;
     bool in_recovery = false;  ///< halve cwnd once per episode
-    std::uint32_t recovery_end_seq = 0;
+    std::uint32_t recovery_end_seq = 0;  ///< one past the highest seq
+                                         ///< transmitted at episode start
     // Receiver side.
     std::uint32_t cum = 0;  ///< next expected sequence number
     std::set<std::uint32_t> ooo;  ///< received out of order, >= cum
@@ -187,8 +193,8 @@ class ReliableTransport final : public rt::Transport,
   /// Fold an RTT sample into the channel's Jacobson estimator. (lock held)
   static void rtt_sample(Channel& c, std::uint64_t sample_ns) noexcept;
   /// Register a loss signal: halve once per recovery episode; a timeout
-  /// additionally collapses the window and backs the timer off. (lock
-  /// held)
+  /// instead restarts the window at window_init and backs the timer off.
+  /// (lock held)
   void loss_event(Channel& c, bool timeout) const noexcept;
 
   /// Apply a received (ack, sack) pair to (data_src -> data_dst)'s
@@ -207,7 +213,6 @@ class ReliableTransport final : public rt::Transport,
   std::uint64_t rto_ns_ = 0;
   std::uint64_t ack_delay_ns_ = 0;
   std::uint32_t window_init_ = 0;
-  std::uint32_t window_min_ = 0;
   std::uint32_t window_max_ = 0;
   bool adaptive_ = true;
   std::unique_ptr<Channel[]> ch_;

@@ -4,12 +4,12 @@
 #include <chrono>
 #include <thread>
 
+#include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/process.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/worker.hpp"
 #include "trace/trace.hpp"
-#include "util/spinlock.hpp"
 #include "util/timebase.hpp"
 
 namespace tram::rt {
@@ -43,7 +43,7 @@ std::size_t CommThread::pump_ingress() {
 }
 
 void CommThread::run() {
-  const auto& cfg = machine_.config();
+  util::tighten_timer_slack();
   trace::set_thread_name("comm " + std::to_string(proc_.id()));
   std::uint32_t idle_round = 0;
   for (;;) {
@@ -57,35 +57,31 @@ void CommThread::run() {
     }
     const std::uint64_t due = transport_.next_due_ns(proc_.id());
     if (machine_.stopping() && due == 0) return;
-    ++idle_round;
+    const std::uint32_t round = idle_round++;
     if (due != 0) {
       // Packets queued for a future arrival: wait just until the earliest.
       // Sleep for long gaps (burning a shared core would distort every
-      // other thread's timing more than a few us of wakeup slack distorts
-      // this packet's).
+      // other thread's timing more than a few us of wakeup latency
+      // distorts this packet's), waking 10 us early for that latency.
       const std::uint64_t now = util::now_ns();
       if (due > now) {
         const std::uint64_t gap = due - now;
         if (gap > 15'000) {
-          // Cap the blind sleep: egress rings are not drained while we
-          // sleep, and reliability-layer deadlines (retransmit probes,
-          // delayed acks — src/fault/) sit hundreds of microseconds out,
-          // far past the fabric's usual arrival horizon.
+          // At most one nap: egress rings are not drained while we sleep,
+          // so a worker's push waits no longer than it would behind an
+          // idle nap, however far out the next arrival (a retransmit
+          // probe or delayed ack, src/fault/, sits hundreds of us out).
+          // A 100 us cap saves CPU while such a deadline is armed, but
+          // doubled gather-lossy's p90 (README, Idle policy).
           std::this_thread::sleep_for(std::chrono::nanoseconds(
-              std::min<std::uint64_t>(gap - 10'000, 100'000)));
+              std::min<std::uint64_t>(gap - 10'000, kIdleNapNs)));
         } else {
           util::spin_for_ns(std::min<std::uint64_t>(gap, 2'000));
         }
       }
       continue;
     }
-    if (idle_round <= cfg.idle_spin) {
-      util::cpu_relax();
-    } else if (idle_round <= cfg.idle_spin + cfg.idle_yield) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(cfg.idle_nap_ns));
-    }
+    idle_wait(idle_step(round, /*may_nap=*/true).action);
   }
 }
 

@@ -16,8 +16,10 @@
 ///      charges the send cost and models the network);
 ///   2. Transport::poll delivers every due inbound message to the
 ///      destination worker's inbox (charging the receive cost);
-///   3. adaptive idling when nothing was ready, waking for the
-///      transport's next modeled arrival.
+///   3. when nothing was ready: sleep toward the transport's next modeled
+///      arrival, at most one idle nap at a time, or, with nothing queued,
+///      walk the idle ladder shared with the workers (runtime/idle.hpp).
+///      The thread sleeps with a 1 ns timer slack.
 
 #include <cstdint>
 

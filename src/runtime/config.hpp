@@ -1,7 +1,10 @@
 #pragma once
 ///
 /// \file config.hpp
-/// \brief Runtime tuning knobs (comm-thread costs, idle policy).
+/// \brief Runtime tuning knobs (transport, faults, comm-thread costs, QD).
+///
+/// The idle policy is not a knob: workers and comm threads share one
+/// fixed spin -> yield -> nap ladder (runtime/idle.hpp).
 
 #include <cstdint>
 
@@ -60,12 +63,6 @@ struct RuntimeConfig {
   /// Quiescence detection: the condition must hold this long (two samples)
   /// before the machine declares termination.
   std::uint64_t qd_settle_ns = 200'000;
-
-  /// Spin iterations before a worker/comm thread starts yielding when idle,
-  /// and the nap length once yields also find nothing.
-  std::uint32_t idle_spin = 256;
-  std::uint32_t idle_yield = 16;
-  std::uint64_t idle_nap_ns = 20'000;
 
   /// Counter-sampler cadence while tracing is enabled (trace::enabled()):
   /// how often the sampler thread snapshots pool occupancy, send backlog,

@@ -216,6 +216,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
     for (LocalWorkerId r = 0; r < topo_.workers_per_proc(); ++r) {
       Worker* w = &process(p).worker(r);
       threads.emplace_back([this, w, &main_fn] {
+        util::tighten_timer_slack();
         w->owner_thread_.store(
             std::hash<std::thread::id>{}(std::this_thread::get_id()),
             std::memory_order_relaxed);

@@ -1,17 +1,16 @@
 #include "runtime/worker.hpp"
 
-#include <chrono>
-#include <thread>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <thread>
 
+#include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/process.hpp"
 #include "runtime/transport.hpp"
 #include "trace/trace.hpp"
 #include "util/spinlock.hpp"
-#include "util/timebase.hpp"
 
 namespace tram::rt {
 
@@ -135,30 +134,20 @@ void Worker::pump_comm_inline() {
 }
 
 void Worker::scheduler_loop() {
-  const auto& cfg = machine_.config();
+  const bool smp = machine_.config().dedicated_comm;
   std::uint32_t idle_round = 0;
   while (!machine_.stopping()) {
-    if (!cfg.dedicated_comm) pump_comm_inline();
+    if (!smp) pump_comm_inline();
     const std::size_t n = progress();
     if (n > 0) {
       idle_round = 0;
       continue;
     }
     // Idle: let the application flush / advance deferred work, then back
-    // off progressively so oversubscribed runs do not thrash.
-    if (idle_round % 8 == 0) run_idle_hooks();
-    ++idle_round;
-    if (idle_round <= cfg.idle_spin) {
-      util::cpu_relax();
-    } else if (idle_round <= cfg.idle_spin + cfg.idle_yield ||
-               !cfg.dedicated_comm) {
-      // Non-SMP workers never nap: they are also the comm pump and a nap
-      // would stretch every modeled arrival they owe their peers.
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(cfg.idle_nap_ns));
-    }
+    // off along the idle ladder so oversubscribed runs do not thrash.
+    const IdleStep step = idle_step(idle_round++, /*may_nap=*/smp);
+    if (step.run_hooks) run_idle_hooks();
+    idle_wait(step.action);
   }
 }
 

@@ -62,12 +62,16 @@ class Worker {
   std::size_t progress();
 
   /// Scheduler loop: handle messages until the machine signals stop,
-  /// running idle hooks when the inbox goes empty. Called by the runtime
-  /// after the application main returns.
+  /// walking the idle ladder (runtime/idle.hpp) and running idle hooks
+  /// when the inbox goes empty. Called by the runtime after the
+  /// application main returns.
   void scheduler_loop();
 
-  /// Register a callback run whenever this worker finds its inbox empty.
-  /// TramLib registers flush-on-idle here.
+  /// Register a callback run while this worker finds its inbox empty: on
+  /// the first idle round and every 8th one while spinning, then on every
+  /// yield and nap round (see runtime/idle.hpp), so an idle worker runs
+  /// its hooks at least once per nap. TramLib and RoutedDomain register
+  /// flush-on-idle here, SsspApp its delta-stepping threshold advance.
   void add_idle_hook(std::function<void(Worker&)> hook) {
     idle_hooks_.push_back(std::move(hook));
   }
@@ -108,7 +112,7 @@ class Worker {
 
   /// Dispatch one message to its handler and account it.
   void dispatch(Message&& m);
-  /// Run idle hooks once; returns true if any work might have been created.
+  /// Run every idle hook once, in registration order.
   void run_idle_hooks();
   /// Non-SMP mode: pump this process's communication from the worker.
   void pump_comm_inline();

@@ -1,7 +1,10 @@
 #include "util/timebase.hpp"
 
 #include <chrono>
-#include <thread>
+
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 
 #include "util/spinlock.hpp"
 
@@ -20,14 +23,11 @@ void spin_for_ns(std::uint64_t ns) noexcept {
   while (now_ns() < deadline) cpu_relax();
 }
 
-void wait_for_ns(std::uint64_t ns) noexcept {
-  constexpr std::uint64_t kSleepThreshold = 100'000;  // 100us
-  constexpr std::uint64_t kSleepSlack = 60'000;       // wake early, spin rest
-  const std::uint64_t deadline = now_ns() + ns;
-  if (ns >= kSleepThreshold) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns - kSleepSlack));
-  }
-  while (now_ns() < deadline) cpu_relax();
+void tighten_timer_slack() noexcept {
+#if defined(__linux__)
+  // 1, not 0: a slack of 0 restores the thread's default.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
 }
 
 }  // namespace tram::util

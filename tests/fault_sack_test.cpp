@@ -10,7 +10,10 @@
 ///  - window pacing never deadlocking quiescence detection: a
 ///    one-message window forces nearly every send through the pacing
 ///    queue, and the run still completes exactly-once (paced messages
-///    count in in_flight(), so QD cannot fire under them).
+///    count in in_flight(), so QD cannot fire under them);
+///  - the AIMD window step by step, with no machine run and no clock
+///    assertion: a ReliableTransport over a recording stub, fed crafted
+///    ack headers through on_inbound.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -30,6 +34,8 @@
 #include "fault/reliable_transport.hpp"
 #include "fault/reliable_wire.hpp"
 #include "runtime/machine.hpp"
+#include "runtime/transport.hpp"
+#include "util/payload_pool.hpp"
 
 namespace {
 
@@ -192,11 +198,141 @@ TEST(FaultSack, PacingNeverDeadlocksQuiescence) {
   f.drop_rate = 0.1;
   f.seed = 33;
   f.window_init = 1;
-  f.window_min = 1;
   f.window_max = 2;
   const core::FaultStats fs = run_lossy(topo, f, ref, "tiny window");
   EXPECT_GE(fs.paced_msgs, 1u);          // pacing actually engaged
   EXPECT_LE(fs.max_inflight_msgs, 2u);   // window honored
+}
+
+// ---- the window, one ack at a time ----
+
+/// Inner transport that records what the reliability layer hands it and
+/// delivers nothing: the test plays the peer by crafting ack headers.
+class RecordingTransport final : public rt::Transport {
+ public:
+  explicit RecordingTransport(std::vector<rt::Message>& sent)
+      : sent_(sent) {}
+  void send(ProcId, rt::Message&& m) override {
+    sent_.push_back(std::move(m));
+  }
+  std::size_t poll(rt::Process&) override { return 0; }
+  std::uint64_t next_due_ns(ProcId) const override { return 0; }
+  std::uint64_t in_flight() const override { return 0; }
+  std::uint64_t total_messages() const override { return sent_.size(); }
+  std::uint64_t total_bytes() const override { return 0; }
+  std::uint64_t total_forwarded() const override { return 0; }
+  void reset() override { sent_.clear(); }
+
+ private:
+  std::vector<rt::Message>& sent_;
+};
+
+/// A ReliableTransport for channel 0 -> 1 of a two-process machine, over
+/// a RecordingTransport. Nothing runs the machine: every step is a direct
+/// call on this thread.
+struct WindowRig {
+  explicit WindowRig(const fault::FaultConfig& f)
+      : machine(util::Topology(2, 1, 1), rt::RuntimeConfig::inline_testing()),
+        rel(machine, std::make_unique<RecordingTransport>(sent), f) {}
+
+  /// Data from process 0 to the worker of process 1.
+  void send(int n) {
+    for (int i = 0; i < n; ++i) {
+      rt::Message m;
+      m.dst_worker = 1;
+      m.src_worker = 0;
+      m.payload = util::PayloadPool::global().acquire(8);
+      rel.send(0, std::move(m));
+    }
+  }
+
+  /// Process 1's standalone ack for channel 0 -> 1 arriving at process 0:
+  /// every seq before `cum` received, plus the SACK bitmap.
+  void ack(std::uint32_t cum, std::uint64_t sack = 0) {
+    fault::ReliableHeader h;
+    h.kind = fault::ReliableHeader::kAck;
+    h.src_proc = 1;
+    h.ack = cum;
+    h.sack = sack;
+    rt::Message m;
+    m.dst_worker = 0;
+    m.payload = util::PayloadPool::global().acquire(sizeof h);
+    std::memcpy(m.payload.data(), &h, sizeof h);
+    EXPECT_FALSE(rel.on_inbound(machine.process(0), m));  // consumed
+  }
+
+  double cwnd() const { return rel.debug_cwnd(0, 1); }
+  std::size_t paced() const { return rel.debug_paced(0, 1); }
+
+  std::vector<rt::Message> sent;
+  rt::Machine machine;
+  fault::ReliableTransport rel;
+};
+
+/// Send a full window and ack all of it, `rounds` times: each round
+/// grows cwnd by one message. Returns the next unused sequence number.
+std::uint32_t open_window(WindowRig& rig, int rounds) {
+  std::uint32_t next = 0;
+  for (int r = 0; r < rounds; ++r) {
+    const auto n = static_cast<std::uint32_t>(rig.cwnd());
+    rig.send(static_cast<int>(n));
+    next += n;
+    rig.ack(next);
+  }
+  EXPECT_EQ(rig.paced(), 0u);
+  return next;
+}
+
+/// NewReno's recovery point is the highest sequence *transmitted*. Paced
+/// messages already hold sequence numbers; were they counted, an episode
+/// begun with a backlog would last until the whole backlog was acked, and
+/// the window could not grow at the ack that repairs the loss.
+TEST(FaultWindow, RecoveryEndsAtHighestTransmittedSeq) {
+  fault::FaultConfig f;
+  f.window_init = 2;
+  WindowRig rig(f);
+  const std::uint32_t base = open_window(rig, 2);
+  ASSERT_DOUBLE_EQ(rig.cwnd(), 4.0);
+
+  rig.send(8);  // seq base..base+3 transmit (cwnd 4), 4 more are paced
+  ASSERT_EQ(rig.paced(), 4u);
+  const std::size_t sent_before = rig.sent.size();
+
+  // base lost, base+1 arrived: SACK bit 0 names base+1, so base is a
+  // hole below the highest SACKed seq and goes out again at once.
+  rig.ack(base, 1);
+  EXPECT_EQ(rig.rel.fast_retransmits(), 1u);
+  EXPECT_EQ(rig.sent.size(), sent_before + 1);
+  const double halved = rig.cwnd();
+  EXPECT_DOUBLE_EQ(halved, 2.0);  // 4 / 2, and not below window_init
+  EXPECT_EQ(rig.paced(), 4u);     // 3 live in flight, window 2
+
+  // The retransmit lands: the cumulative ack covers every transmitted
+  // message. Recovery is over, so this ack grows the window, and the
+  // window starts draining the backlog.
+  rig.ack(base + 4);
+  EXPECT_GT(rig.cwnd(), halved);
+  EXPECT_LT(rig.paced(), 4u);
+}
+
+/// A timeout restarts the channel at its starting window. A host stall
+/// longer than the RTO fires the timer with nothing lost, so the window
+/// comes back to window_init, never below it.
+TEST(FaultWindow, TimeoutRestartsAtWindowInit) {
+  fault::FaultConfig f;
+  f.window_init = 4;
+  f.rto_ns = 1;  // pinned: any poll after a send is past the deadline
+  WindowRig rig(f);
+  open_window(rig, 1);
+  ASSERT_DOUBLE_EQ(rig.cwnd(), 5.0);
+
+  rig.send(5);
+  while (rig.rel.rto_fires() == 0) rig.rel.poll(rig.machine.process(0));
+  EXPECT_DOUBLE_EQ(rig.cwnd(), 4.0);
+
+  // A second timeout in the same episode does not go lower.
+  while (rig.rel.rto_fires() == 1) rig.rel.poll(rig.machine.process(0));
+  EXPECT_DOUBLE_EQ(rig.cwnd(), 4.0);
 }
 
 }  // namespace

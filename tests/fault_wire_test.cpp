@@ -177,12 +177,7 @@ TEST(FaultConfig, RejectsBadCongestionKnobs) {
   EXPECT_NO_THROW(ok.validate());
 
   fault::FaultConfig cfg = ok;
-  cfg.window_min = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = ok;
-  cfg.window_min = 8;
-  cfg.window_init = 4;  // init below min
+  cfg.window_init = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   cfg = ok;
@@ -197,7 +192,7 @@ TEST(FaultConfig, RejectsBadCongestionKnobs) {
   // The machine rejects them at construction just like the rates.
   rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::inline_testing();
   rt_cfg.fault.dup_rate = 0.1;
-  rt_cfg.fault.window_min = 0;
+  rt_cfg.fault.window_init = 0;
   EXPECT_THROW(rt::Machine(util::Topology(2, 1, 1), rt_cfg),
                std::invalid_argument);
 }

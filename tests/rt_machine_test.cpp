@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
+#include <array>
 #include <atomic>
 #include <set>
 #include <vector>
 
+#include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
 #include "util/spinlock.hpp"
 
@@ -291,6 +297,71 @@ TEST(Machine, ProgressInterleavesWithCompute) {
     }
   });
   EXPECT_EQ(seen.load(), 1000);
+}
+
+/// The idle ladder, round by round through 64 rounds past the last yield:
+/// 256 spin rounds running the hooks every 8th, 16 yield rounds, then
+/// naps (SMP) or more yields (non-SMP), every one running the hooks.
+TEST(IdleLadder, StepForEveryRound) {
+  using rt::IdleAction;
+  struct Stretch {
+    std::uint32_t rounds;
+    IdleAction action;
+    std::uint32_t hooks_every;
+  };
+  const std::vector<Stretch> smp = {{256, IdleAction::kSpin, 8},
+                                    {16, IdleAction::kYield, 1},
+                                    {65, IdleAction::kNap, 1}};
+  const std::vector<Stretch> non_smp = {{256, IdleAction::kSpin, 8},
+                                        {16 + 65, IdleAction::kYield, 1}};
+  ASSERT_EQ(rt::kIdleSpinRounds + rt::kIdleYieldRounds + 64, 336u);
+  EXPECT_EQ(rt::kIdleNapNs, 20'000u);
+  for (const bool may_nap : {true, false}) {
+    std::uint32_t round = 0;
+    std::uint32_t hook_rounds = 0;
+    for (const Stretch& s : may_nap ? smp : non_smp) {
+      for (std::uint32_t i = 0; i < s.rounds; ++i, ++round) {
+        const rt::IdleStep step = rt::idle_step(round, may_nap);
+        EXPECT_EQ(step.action, s.action)
+            << "round " << round << " may_nap " << may_nap;
+        EXPECT_EQ(step.run_hooks, i % s.hooks_every == 0)
+            << "round " << round << " may_nap " << may_nap;
+        hook_rounds += step.run_hooks ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(round, 337u);
+    EXPECT_EQ(hook_rounds, 32u + 16u + 65u);
+  }
+}
+
+/// Worker threads sleep with a 1 ns timer slack, so a nap lasts about as
+/// long as asked; the thread that called run() keeps its own slack.
+TEST(IdleLadder, WorkerThreadsSleepWithOneNanosecondSlack) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "timer slack is a Linux prctl";
+#else
+  const int caller_slack = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  for (const bool smp : {true, false}) {
+    RuntimeConfig cfg = testing_cfg();
+    cfg.dedicated_comm = smp;
+    Machine m(Topology(2, 1, 1), cfg);
+    std::array<std::atomic<int>, 2> seen{-1, -1};
+    for (WorkerId w = 0; w < 2; ++w) {
+      auto& slot = seen[static_cast<std::size_t>(w)];
+      m.worker(w).add_idle_hook([&slot](Worker&) {
+        slot.store(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+      });
+      // Quiescence waits until the hook has run at least once.
+      m.worker(w).add_pending_counter(
+          [&slot] { return slot.load() < 0 ? 1u : 0u; });
+    }
+    m.run([](Worker&) {});
+    EXPECT_EQ(seen[0].load(), 1) << "smp " << smp;
+    EXPECT_EQ(seen[1].load(), 1) << "smp " << smp;
+    m.clear_worker_hooks();
+  }
+  EXPECT_EQ(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0), caller_slack);
+#endif
 }
 
 }  // namespace
