@@ -33,8 +33,12 @@ void FaultyTransport::dispatch(ProcId src, rt::Message&& m,
   // Held messages are released by this source's own poll(); count them
   // in flight first so quiescence detection can never miss the window.
   held_count_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<util::Spinlock> g(st.mu);
-  st.held.push(Held{util::now_ns() + extra_delay_ns, std::move(m)});
+  {
+    std::lock_guard<util::Spinlock> g(st.mu);
+    st.held.push(Held{util::now_ns() + extra_delay_ns, std::move(m)});
+  }
+  // The hold may be src's earliest due time; src's pump may be parked.
+  machine_.wake_comm(src);
 }
 
 void FaultyTransport::send(ProcId src_proc, rt::Message&& m) {

@@ -11,7 +11,8 @@
 /// at poll() time (delay). Held messages count toward in_flight() so
 /// quiescence detection never fires under a delayed packet, and the
 /// earliest hold feeds next_due_ns() so idle pump threads sleep exactly
-/// until the release.
+/// until the release. A new hold unparks the source's pump
+/// (Machine::wake_comm), which may be parked toward a later time.
 ///
 /// Threading: poll(p) is only ever invoked from process p's pumping
 /// thread, but send(p, ...) may arrive from ANY thread — the reliability

@@ -187,6 +187,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
 
   Channel& fwd = ch(src_proc, dst);
   bool tx = false;
+  bool armed = false;
   std::uint32_t inflight_now = 0;
   {
     // The sequence number is assigned, the header stamped (the slab is
@@ -209,6 +210,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
       fwd.unacked.push_back(std::move(e));
       if (fwd.probe_deadline_ns == 0) {
         fwd.probe_deadline_ns = now + rto_for(fwd);
+        armed = true;
       }
       tx = true;
     } else {
@@ -216,6 +218,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
     }
   }
   unacked_total_.fetch_add(1, std::memory_order_acq_rel);
+  if (armed) machine_.wake_comm(src_proc);
   if (!tx) {
     paced_msgs_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -242,6 +245,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
 void ReliableTransport::drain_paced(ProcId src_proc, Channel& c) {
   std::vector<rt::Message> to_send;
   std::uint32_t inflight_now = 0;
+  bool armed = false;
   const std::uint64_t now = util::now_ns();
   {
     std::lock_guard<util::Spinlock> g(c.mu);
@@ -255,10 +259,14 @@ void ReliableTransport::drain_paced(ProcId src_proc, Channel& c) {
     }
     if (!to_send.empty()) {
       inflight_now = c.inflight_msgs;
-      if (c.probe_deadline_ns == 0) c.probe_deadline_ns = now + rto_for(c);
+      if (c.probe_deadline_ns == 0) {
+        c.probe_deadline_ns = now + rto_for(c);
+        armed = true;
+      }
     }
   }
   if (to_send.empty()) return;
+  if (armed) machine_.wake_comm(src_proc);
   fetch_max(max_inflight_msgs_, inflight_now);
   // Paced entries were stamped at submit time; their piggybacked ack may
   // be slightly stale, which is harmless (acks are monotonic).
@@ -275,6 +283,7 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
   std::uint32_t fast_n = 0;
   std::uint32_t sacked_n = 0;
   std::uint64_t cwnd_now = 0;
+  bool rearmed = false;
   {
     std::lock_guard<util::Spinlock> g(c.mu);
     // 1. Pop everything the cumulative ack covers. SACKed shells were
@@ -353,6 +362,7 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
     if (settled != 0 || fast_n != 0 || newly_sacked) {
       c.probe_deadline_ns =
           c.inflight_msgs != 0 ? now + rto_for(c) : 0;
+      rearmed = c.probe_deadline_ns != 0;
     }
     cwnd_now = static_cast<std::uint64_t>(c.cwnd);
   }
@@ -373,6 +383,9 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
   if (settled != 0) {
     unacked_total_.fetch_sub(settled, std::memory_order_acq_rel);
   }
+  // The re-armed probe may fall earlier than the one data_src's pump is
+  // parked toward.
+  if (rearmed) machine_.wake_comm(data_src);
   if (fast_n != 0) {
     retransmits_.fetch_add(fast_n, std::memory_order_relaxed);
     fast_retransmits_.fetch_add(fast_n, std::memory_order_relaxed);
@@ -393,6 +406,8 @@ bool ReliableTransport::on_inbound(rt::Process& proc, rt::Message& m) {
   if (h.kind == ReliableHeader::kAck) return false;  // consumed
 
   Channel& c = ch(src, dst);
+  bool armed = false;
+  bool duplicate = false;
   {
     std::lock_guard<util::Spinlock> g(c.mu);
     // Any data arrival (re-)arms the delayed ack: a duplicate means the
@@ -401,17 +416,23 @@ bool ReliableTransport::on_inbound(rt::Process& proc, rt::Message& m) {
       c.owes_ack = true;
       c.ack_deadline_ns = util::now_ns() + ack_delay_ns_;
       owed_acks_total_.fetch_add(1, std::memory_order_acq_rel);
+      armed = true;
     }
     if (seq_before(h.seq, c.cum) || c.ooo.count(h.seq) != 0) {
-      dup_drops_.fetch_add(1, std::memory_order_relaxed);
-      return false;  // duplicate: consumed before it reaches an endpoint
-    }
-    if (h.seq == c.cum) {
+      duplicate = true;
+    } else if (h.seq == c.cum) {
       ++c.cum;
       while (c.ooo.erase(c.cum) != 0) ++c.cum;
     } else {
       c.ooo.insert(h.seq);  // deliver out of order, remember for dedup
     }
+  }
+  // The ack is owed by this process's pump, which may be parked — and
+  // under the inline transport this runs on the sender's thread.
+  if (armed) machine_.wake_comm(dst);
+  if (duplicate) {
+    dup_drops_.fetch_add(1, std::memory_order_relaxed);
+    return false;  // consumed before it reaches an endpoint
   }
   // Strip the frame: the endpoint sees exactly the payload it was sent.
   m.payload = m.payload.subref(sizeof(ReliableHeader),

@@ -56,6 +56,9 @@
 /// processing) run on the *sender's* thread, so a channel's two ends can
 /// be touched concurrently. No path ever holds two channel locks —
 /// messages are collected under one lock and transmitted after release.
+/// For the same reason, arming or moving a probe or ack deadline unparks
+/// the owning process's pump (Machine::wake_comm): the thread that armed
+/// it may not be the one that must act on it.
 
 #include <atomic>
 #include <cstdint>

@@ -1,8 +1,6 @@
 #include "runtime/comm_thread.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
@@ -10,6 +8,7 @@
 #include "runtime/transport.hpp"
 #include "runtime/worker.hpp"
 #include "trace/trace.hpp"
+#include "util/parker.hpp"
 #include "util/timebase.hpp"
 
 namespace tram::rt {
@@ -45,6 +44,8 @@ std::size_t CommThread::pump_ingress() {
 void CommThread::run() {
   util::tighten_timer_slack();
   trace::set_thread_name("comm " + std::to_string(proc_.id()));
+  util::Parker& parker = proc_.comm_parker();
+  const bool spin = machine_.idle_spin();
   std::uint32_t idle_round = 0;
   for (;;) {
     const std::uint64_t t0 = trace::maybe_now();
@@ -60,28 +61,24 @@ void CommThread::run() {
     const std::uint32_t round = idle_round++;
     if (due != 0) {
       // Packets queued for a future arrival: wait just until the earliest.
-      // Sleep for long gaps (burning a shared core would distort every
+      // Park for long gaps (burning a shared core would distort every
       // other thread's timing more than a few us of wakeup latency
       // distorts this packet's), waking 10 us early for that latency.
+      // The park needs no cap: a worker's egress push, a new arrival or
+      // an earlier deadline unparks it.
       const std::uint64_t now = util::now_ns();
       if (due > now) {
         const std::uint64_t gap = due - now;
         if (gap > 15'000) {
-          // At most one nap: egress rings are not drained while we sleep,
-          // so a worker's push waits no longer than it would behind an
-          // idle nap, however far out the next arrival (a retransmit
-          // probe or delayed ack, src/fault/, sits hundreds of us out).
-          // A 100 us cap saves CPU while such a deadline is armed, but
-          // doubled gather-lossy's p90 (README, Idle policy).
-          std::this_thread::sleep_for(std::chrono::nanoseconds(
-              std::min<std::uint64_t>(gap - 10'000, kIdleNapNs)));
+          idle_wait(IdleAction::kPark, parker, gap - 10'000);
         } else {
           util::spin_for_ns(std::min<std::uint64_t>(gap, 2'000));
         }
       }
       continue;
     }
-    idle_wait(idle_step(round, /*may_nap=*/true).action);
+    idle_wait(idle_step(round, /*may_park=*/true, spin).action, parker,
+              util::Parker::kForever);
   }
 }
 

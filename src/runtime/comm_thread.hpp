@@ -16,10 +16,13 @@
 ///      charges the send cost and models the network);
 ///   2. Transport::poll delivers every due inbound message to the
 ///      destination worker's inbox (charging the receive cost);
-///   3. when nothing was ready: sleep toward the transport's next modeled
-///      arrival, at most one idle nap at a time, or, with nothing queued,
-///      walk the idle ladder shared with the workers (runtime/idle.hpp).
-///      The thread sleeps with a 1 ns timer slack.
+///   3. when nothing was ready: park on Process::comm_parker() until the
+///      transport's next due time (a modeled arrival, a retransmit probe,
+///      a delayed ack), or, with nothing due, walk the idle ladder shared
+///      with the workers (runtime/idle.hpp), whose park has no timeout.
+///      A worker's egress push and every transport change to
+///      next_due_ns() (Machine::wake_comm) unpark it. The thread sleeps
+///      with a 1 ns timer slack.
 
 #include <cstdint>
 

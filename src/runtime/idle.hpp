@@ -4,37 +4,53 @@
 /// \brief The idle ladder: how a runtime thread with nothing to do backs
 /// off, shared by Worker::scheduler_loop and CommThread::run.
 ///
-/// Indexed by the count of consecutive idle rounds (any work resets it):
+/// Indexed by the count of consecutive idle rounds (any work resets it).
+/// When every runtime thread has a CPU of its own:
 ///
 ///   rounds [0, 256)     spin   cpu_relax()
 ///   rounds [256, 272)   yield  std::this_thread::yield()
-///   rounds 272 and on   nap    sleep kIdleNapNs (20 us)
+///   rounds 272 and on   park   on the thread's util::Parker
+///
+/// When runtime threads outnumber the CPUs in the affinity mask
+/// (Machine::idle_spin() is false), the spin rounds are skipped: 16
+/// yields, then park. A spinning thread there holds a CPU the thread with
+/// work needs; a yield hands it over.
+///
+/// Parking ends when whoever gives the thread work unparks it (see
+/// Worker::enqueue, Machine::wake_comm). A worker parks for at most
+/// kIdleNapNs, because its idle hooks have deadlines the runtime cannot
+/// see; the comm thread parks until its transport's next due time, or
+/// with no timeout when nothing is due. Runtime threads run with a 1 ns
+/// timer slack (util::tighten_timer_slack), so a timed park lasts about
+/// as long as asked.
 ///
 /// A worker runs every idle hook it holds on every 8th spin round and on
-/// every yield and nap round, so a due request or a buffered item waits at
-/// most one nap. The cadence is the same for every hook: TramLib's and
+/// every yield and park round, so a due request or a buffered item waits
+/// at most one nap. The cadence is the same for every hook: TramLib's and
 /// RoutedDomain's flush-on-idle, SsspApp's delta-stepping threshold
-/// advance, and open-loop request generators. A non-SMP worker is also its
-/// process's comm pump, so it yields where an SMP thread would nap.
-///
-/// Runtime threads sleep with a 1 ns timer slack
-/// (util::tighten_timer_slack), so a nap lasts about as long as asked.
+/// advance, and open-loop request generators. A non-SMP worker is also
+/// its process's comm pump, so it yields where an SMP thread would park.
 ///
 /// idle_step() is a pure function of the round, testable without a clock;
 /// idle_wait() carries a step out.
 
 #include <cstdint>
 
+namespace tram::util {
+class Parker;
+}
+
 namespace tram::rt {
 
 inline constexpr std::uint32_t kIdleSpinRounds = 256;
 inline constexpr std::uint32_t kIdleYieldRounds = 16;
+/// Longest park of an idle SMP worker: how often its idle hooks run.
 inline constexpr std::uint64_t kIdleNapNs = 20'000;
 /// Spin rounds run the idle hooks only this often: a hook may read the
 /// clock, and the spin phase is meant to be cheap.
 inline constexpr std::uint32_t kIdleHookEvery = 8;
 
-enum class IdleAction : std::uint8_t { kSpin, kYield, kNap };
+enum class IdleAction : std::uint8_t { kSpin, kYield, kPark };
 
 struct IdleStep {
   IdleAction action;
@@ -43,18 +59,23 @@ struct IdleStep {
 };
 
 /// The step for idle round `round` (0 = first idle round after work).
-/// may_nap is false for a non-SMP worker.
-constexpr IdleStep idle_step(std::uint32_t round, bool may_nap) noexcept {
-  if (round < kIdleSpinRounds) {
+/// may_park is false for a non-SMP worker; spin is Machine::idle_spin().
+constexpr IdleStep idle_step(std::uint32_t round, bool may_park,
+                             bool spin) noexcept {
+  const std::uint32_t spin_rounds = spin ? kIdleSpinRounds : 0;
+  if (round < spin_rounds) {
     return {IdleAction::kSpin, round % kIdleHookEvery == 0};
   }
-  if (round < kIdleSpinRounds + kIdleYieldRounds || !may_nap) {
+  if (round < spin_rounds + kIdleYieldRounds || !may_park) {
     return {IdleAction::kYield, true};
   }
-  return {IdleAction::kNap, true};
+  return {IdleAction::kPark, true};
 }
 
-/// Carry out one idle action.
-void idle_wait(IdleAction action) noexcept;
+/// Carry out one idle action. A park waits on `parker` for at most
+/// park_ns (util::Parker::kForever: until unparked) and, when it sleeps,
+/// records one `park` span (trace::kPark; a0 = 1 if an unpark ended it).
+void idle_wait(IdleAction action, util::Parker& parker,
+               std::uint64_t park_ns) noexcept;
 
 }  // namespace tram::rt

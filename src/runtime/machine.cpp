@@ -50,6 +50,12 @@ Machine::Machine(util::Topology topo, RuntimeConfig cfg)
   }
   start_barrier_ = std::make_unique<std::barrier<>>(topo_.workers() + 1);
   worker_barrier_ = std::make_unique<std::barrier<>>(topo_.workers());
+  // Spinning pays only while no runtime thread waits for a CPU: LLVM's
+  // OpenMP runtime makes the same choice and yields when its threads
+  // outnumber the processors.
+  const int runtime_threads =
+      topo_.workers() + (cfg_.dedicated_comm ? topo_.procs() : 0);
+  idle_spin_ = runtime_threads <= util::available_cpus();
 }
 
 Machine::~Machine() = default;
@@ -236,6 +242,12 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   std::uint64_t t_end = 0;
   quiescence_wait(t_end);
   stop_.store(true, std::memory_order_release);
+  // A comm thread with nothing due parks with no timeout: wake every
+  // runtime thread so it sees stop_.
+  for (auto& proc : procs_) {
+    proc->comm_parker().unpark();
+    for (auto& w : proc->workers_) w->parker_.unpark();
+  }
   for (auto& t : threads) t.join();
   if (sampler) sampler->stop();
 

@@ -123,6 +123,18 @@ class Machine {
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
   }
+  /// Unpark process p's comm thread (no-op outside SMP mode). A transport
+  /// calls this from any thread each time it moves next_due_ns(p): a
+  /// fabric arrival, an armed reliability deadline, a held packet.
+  void wake_comm(ProcId p) noexcept {
+    if (cfg_.dedicated_comm) {
+      procs_[static_cast<std::size_t>(p)]->comm_parker().unpark();
+    }
+  }
+  /// Whether idle runtime threads spin before they yield (runtime/idle.hpp):
+  /// true when every runtime thread (workers plus comm threads) has a CPU
+  /// of the affinity mask to itself. Fixed at construction.
+  bool idle_spin() const noexcept { return idle_spin_; }
 
   /// Sum of pending counters over all workers.
   std::uint64_t total_pending() const;
@@ -157,6 +169,7 @@ class Machine {
   std::atomic<bool> stop_{false};
   std::atomic<int> mains_done_{0};
   bool running_ = false;
+  bool idle_spin_ = true;
 
   std::unique_ptr<std::barrier<>> start_barrier_;  // workers + main thread
   std::unique_ptr<std::barrier<>> worker_barrier_; // workers only

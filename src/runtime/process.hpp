@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "runtime/message.hpp"
+#include "util/parker.hpp"
 #include "util/spsc_ring.hpp"
 #include "util/types.hpp"
 
@@ -76,6 +77,10 @@ class Process {
     return *egress_[static_cast<std::size_t>(r)];
   }
 
+  /// Where this process's comm thread sleeps when idle (SMP mode). Worker
+  /// egress pushes and Machine::wake_comm unpark it.
+  util::Parker& comm_parker() noexcept { return comm_parker_; }
+
   /// Round-robin choice of a local worker for process-addressed messages.
   WorkerId pick_delivery_worker();
 
@@ -89,6 +94,8 @@ class Process {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<util::SpscRing<Message>>> egress_;
   std::atomic<std::uint32_t> rr_{0};
+  /// Its own cache line: every worker's egress push writes it.
+  alignas(64) util::Parker comm_parker_;
   SharedStore shared_;
 };
 

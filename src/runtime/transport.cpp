@@ -62,7 +62,11 @@ void ModeledFabricTransport::send(ProcId src_proc, Message&& m) {
   p.hops = m.hops;
   p.payload = std::move(m.payload);
   p.extras = std::move(m.extras);
+  const ProcId dst = p.dst_proc;
   fabric_.send(std::move(p));
+  // The arrival lands in dst's ingress queue, which its comm thread only
+  // drains when awake.
+  machine_.wake_comm(dst);
 }
 
 std::size_t ModeledFabricTransport::poll(Process& proc) {

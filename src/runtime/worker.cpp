@@ -24,6 +24,7 @@ void Worker::enqueue(Message&& m) {
   } else {
     inbox_.push(std::move(m));
   }
+  parker_.unpark();
 }
 
 namespace {
@@ -47,13 +48,7 @@ void Worker::send(Message&& m) {
     return;
   }
   if (machine_.config().dedicated_comm) {
-    // Hand off to the comm thread; spin on backpressure (the ring drains at
-    // the comm thread's processing rate — this wait is the SMP serialization
-    // the paper measures).
-    auto& ring = proc_.egress(rank_);
-    while (!ring.try_push(std::move(m))) {
-      util::cpu_relax();
-    }
+    push_egress(std::move(m));
   } else {
     // Non-SMP: this worker does its own communication, paying the
     // per-message processing cost itself.
@@ -72,13 +67,21 @@ void Worker::send_to_proc(ProcId dst, Message&& m) {
   m.dst_proc_hint = dst;
   machine_.note_sent();
   if (machine_.config().dedicated_comm) {
-    auto& ring = proc_.egress(rank_);
-    while (!ring.try_push(std::move(m))) {
-      util::cpu_relax();
-    }
+    push_egress(std::move(m));
   } else {
     machine_.transport().send(proc_.id(), std::move(m));
   }
+}
+
+void Worker::push_egress(Message&& m) {
+  // Spin on backpressure: the ring drains at the comm thread's processing
+  // rate, and this wait is the SMP serialization the paper measures. A
+  // full ring means the comm thread is awake: every push unparks it.
+  auto& ring = proc_.egress(rank_);
+  while (!ring.try_push(std::move(m))) {
+    util::cpu_relax();
+  }
+  proc_.comm_parker().unpark();
 }
 
 void Worker::dispatch(Message&& m) {
@@ -135,6 +138,7 @@ void Worker::pump_comm_inline() {
 
 void Worker::scheduler_loop() {
   const bool smp = machine_.config().dedicated_comm;
+  const bool spin = machine_.idle_spin();
   std::uint32_t idle_round = 0;
   while (!machine_.stopping()) {
     if (!smp) pump_comm_inline();
@@ -145,9 +149,9 @@ void Worker::scheduler_loop() {
     }
     // Idle: let the application flush / advance deferred work, then back
     // off along the idle ladder so oversubscribed runs do not thrash.
-    const IdleStep step = idle_step(idle_round++, /*may_nap=*/smp);
+    const IdleStep step = idle_step(idle_round++, /*may_park=*/smp, spin);
     if (step.run_hooks) run_idle_hooks();
-    idle_wait(step.action);
+    idle_wait(step.action, parker_, kIdleNapNs);
   }
 }
 

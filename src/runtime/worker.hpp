@@ -21,6 +21,7 @@
 
 #include "runtime/message.hpp"
 #include "util/mpsc_queue.hpp"
+#include "util/parker.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -53,7 +54,7 @@ class Worker {
   void send_to_proc(ProcId dst, Message&& m);
 
   /// Deliver a message into this worker's inbox (called by peers within the
-  /// process and by the comm thread). Thread-safe.
+  /// process and by the comm thread) and unpark the worker. Thread-safe.
   void enqueue(Message&& m);
 
   /// Handle up to config.progress_batch pending messages. Returns the
@@ -69,9 +70,11 @@ class Worker {
 
   /// Register a callback run while this worker finds its inbox empty: on
   /// the first idle round and every 8th one while spinning, then on every
-  /// yield and nap round (see runtime/idle.hpp), so an idle worker runs
-  /// its hooks at least once per nap. TramLib and RoutedDomain register
-  /// flush-on-idle here, SsspApp its delta-stepping threshold advance.
+  /// yield and park round (see runtime/idle.hpp). An idle SMP worker parks
+  /// for at most kIdleNapNs, so it runs its hooks at least once per nap; a
+  /// message a hook sends to its own worker unparks it at once. TramLib
+  /// and RoutedDomain register flush-on-idle here, SsspApp its
+  /// delta-stepping threshold advance.
   void add_idle_hook(std::function<void(Worker&)> hook) {
     idle_hooks_.push_back(std::move(hook));
   }
@@ -116,6 +119,8 @@ class Worker {
   void run_idle_hooks();
   /// Non-SMP mode: pump this process's communication from the worker.
   void pump_comm_inline();
+  /// SMP mode: hand a remote message to the comm thread and unpark it.
+  void push_egress(Message&& m);
 
   Machine& machine_;
   Process& proc_;
@@ -124,6 +129,9 @@ class Worker {
 
   util::MpscQueue<Message> inbox_;
   util::MpscQueue<Message> expedited_inbox_;
+  /// Where the idle worker sleeps; enqueue() and Machine::run's stop
+  /// unpark it. Its own cache line: every producer writes it.
+  alignas(64) util::Parker parker_;
   /// Debug guard: id of the thread driving this worker (set by Machine::run)
   /// so send/progress can assert they run on the owning thread.
   std::atomic<std::size_t> owner_thread_{0};

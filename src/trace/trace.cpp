@@ -179,6 +179,7 @@ const char* event_name(std::uint16_t id) noexcept {
     case kWorkerBusy: return "worker busy";
     case kCommPump: return "comm pump";
     case kQdRound: return "qd round";
+    case kPark: return "park";
     case kShip: return "ship";
     case kRebucket: return "rebucket";
     case kScatterSorted: return "scatter sorted";

@@ -7,10 +7,11 @@
 /// The simulated fabric and comm threads need to *consume* modeled time (an
 /// alpha of a few microseconds, a per-message processing cost of hundreds of
 /// nanoseconds); those delays are burned with a spin on the clock. Waits the
-/// runtime does not model (idle naps, sleeping toward a future arrival)
-/// use sleep_for(), which on Linux wakes late by the thread's timer slack
-/// (50 us by default) unless tighten_timer_slack() shrank it. All
-/// wall-clock timing in benchmarks goes through now_ns().
+/// runtime does not model (an idle worker's park, a comm thread parked
+/// toward a future arrival) are util::Parker parks with a timeout, which
+/// on Linux end late by the thread's timer slack (50 us by default) unless
+/// tighten_timer_slack() shrank it. All wall-clock timing in benchmarks
+/// goes through now_ns().
 
 #include <cstdint>
 

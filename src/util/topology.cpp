@@ -2,6 +2,11 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace tram::util {
 
@@ -20,6 +25,19 @@ std::string Topology::to_string() const {
   os << nodes_ << "n x " << procs_per_node_ << "p x " << workers_per_proc_
      << "w";
   return os.str();
+}
+
+int available_cpus() noexcept {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+#endif
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc > 0 ? static_cast<int>(hc) : 1;
 }
 
 }  // namespace tram::util

@@ -79,4 +79,9 @@ class Topology {
   int workers_per_proc_ = 1;
 };
 
+/// CPUs this process may run on: the count in its affinity mask
+/// (sched_getaffinity), or std::thread::hardware_concurrency() off Linux
+/// or when the mask cannot be read. At least 1.
+int available_cpus() noexcept;
+
 }  // namespace tram::util

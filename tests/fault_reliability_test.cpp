@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -331,6 +332,53 @@ TEST(FaultReliability, SameSeedReplaysSameResults) {
   EXPECT_GE(fs2.dup_drops, 1u);
   EXPECT_EQ(fs1.retransmits, 0u);  // nothing dropped, rto out of reach
   EXPECT_EQ(fs2.retransmits, 0u);
+}
+
+// ---- SMP over the inline transport: acks armed on a foreign thread ----
+
+/// A one-way SMP transfer over the inline transport. InlineTransport runs
+/// the receiver's on_inbound on the sender's comm thread, so that thread
+/// arms the receiver's delayed ack, while the receiver's own comm thread,
+/// with nothing queued and nothing due, is parked with no timeout. The
+/// receiver sends no data back, so only that comm thread's standalone
+/// acks settle the transfer: if arming the deadline failed to unpark it,
+/// the data would wait for the 2 s pinned RTO (rto_fires > 0).
+TEST(FaultReliability, InlineSmpAckArmedOnSenderThreadWakesReceiverPump) {
+  const util::Topology topo(2, 1, 2);  // 2 procs x 2 workers, SMP
+  fault::FaultConfig f;
+  f.dup_rate = 0.2;
+  f.seed = 31;
+  f.rto_ns = 2'000'000'000;
+  f.ack_delay_ns = 100'000;
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::inline_testing();
+  cfg.fault = f;
+  rt::Machine machine(topo, cfg);
+  constexpr int kPerSender = 3000;
+  std::vector<std::atomic<int>> seen(2 * kPerSender);
+  const EndpointId ep =
+      machine.register_endpoint([&](rt::Worker&, rt::Message&& msg) {
+        seen[static_cast<std::size_t>(rt::decode_payload<int>(msg)[0])]++;
+      });
+  machine.run([&](rt::Worker& w) {
+    if (topo.proc_of_worker(w.id()) != 0) return;
+    const int rank = topo.local_rank(w.id());
+    for (int i = 0; i < kPerSender; ++i) {
+      rt::Message msg;
+      msg.endpoint = ep;
+      msg.dst_worker = topo.worker_at(1, rank);
+      msg.src_worker = w.id();
+      msg.payload = rt::encode_payload<int>(rank * kPerSender + i);
+      w.send(std::move(msg));
+    }
+  });
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i].load(), 1) << "message " << i;
+  }
+  const core::FaultStats fs = machine.fault_stats();
+  EXPECT_GE(fs.dup_drops, 1u);
+  EXPECT_GE(fs.acks_sent, 1u);
+  EXPECT_EQ(fs.rto_fires, 0u);
+  EXPECT_EQ(fs.retransmits, 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
 #include "util/spinlock.hpp"
+#include "util/topology.hpp"
 
 namespace {
 
@@ -299,9 +300,11 @@ TEST(Machine, ProgressInterleavesWithCompute) {
   EXPECT_EQ(seen.load(), 1000);
 }
 
-/// The idle ladder, round by round through 64 rounds past the last yield:
-/// 256 spin rounds running the hooks every 8th, 16 yield rounds, then
-/// naps (SMP) or more yields (non-SMP), every one running the hooks.
+/// The idle ladder, round by round through 65 rounds past the last yield.
+/// With spinning: 256 spin rounds running the hooks every 8th, 16 yield
+/// rounds, then parks (SMP) or more yields (non-SMP). Oversubscribed (no
+/// spin): 16 yields, then parks (SMP) or more yields (non-SMP). Every
+/// yield and park round runs the hooks.
 TEST(IdleLadder, StepForEveryRound) {
   using rt::IdleAction;
   struct Stretch {
@@ -309,29 +312,131 @@ TEST(IdleLadder, StepForEveryRound) {
     IdleAction action;
     std::uint32_t hooks_every;
   };
-  const std::vector<Stretch> smp = {{256, IdleAction::kSpin, 8},
-                                    {16, IdleAction::kYield, 1},
-                                    {65, IdleAction::kNap, 1}};
-  const std::vector<Stretch> non_smp = {{256, IdleAction::kSpin, 8},
-                                        {16 + 65, IdleAction::kYield, 1}};
+  struct Table {
+    bool may_park;
+    bool spin;
+    std::vector<Stretch> stretches;
+    std::uint32_t hook_rounds;
+  };
+  const std::vector<Table> tables = {
+      {true, true,
+       {{256, IdleAction::kSpin, 8},
+        {16, IdleAction::kYield, 1},
+        {65, IdleAction::kPark, 1}},
+       32 + 16 + 65},
+      {false, true,
+       {{256, IdleAction::kSpin, 8}, {16 + 65, IdleAction::kYield, 1}},
+       32 + 16 + 65},
+      {true, false,
+       {{16, IdleAction::kYield, 1}, {256 + 65, IdleAction::kPark, 1}},
+       337},
+      {false, false, {{337, IdleAction::kYield, 1}}, 337},
+  };
   ASSERT_EQ(rt::kIdleSpinRounds + rt::kIdleYieldRounds + 64, 336u);
   EXPECT_EQ(rt::kIdleNapNs, 20'000u);
-  for (const bool may_nap : {true, false}) {
+  for (const Table& t : tables) {
     std::uint32_t round = 0;
     std::uint32_t hook_rounds = 0;
-    for (const Stretch& s : may_nap ? smp : non_smp) {
+    for (const Stretch& s : t.stretches) {
       for (std::uint32_t i = 0; i < s.rounds; ++i, ++round) {
-        const rt::IdleStep step = rt::idle_step(round, may_nap);
-        EXPECT_EQ(step.action, s.action)
-            << "round " << round << " may_nap " << may_nap;
+        const rt::IdleStep step = rt::idle_step(round, t.may_park, t.spin);
+        EXPECT_EQ(step.action, s.action) << "round " << round << " may_park "
+                                         << t.may_park << " spin " << t.spin;
         EXPECT_EQ(step.run_hooks, i % s.hooks_every == 0)
-            << "round " << round << " may_nap " << may_nap;
+            << "round " << round << " may_park " << t.may_park << " spin "
+            << t.spin;
         hook_rounds += step.run_hooks ? 1 : 0;
       }
     }
     EXPECT_EQ(round, 337u);
-    EXPECT_EQ(hook_rounds, 32u + 16u + 65u);
+    EXPECT_EQ(hook_rounds, t.hook_rounds);
   }
+}
+
+/// The Machine spins its idle threads exactly when every runtime thread
+/// (workers, plus one comm thread per process in SMP mode) has a CPU of
+/// the affinity mask: one topology sized from the mask on each side.
+TEST(IdleLadder, SpinsOnlyWhenRuntimeThreadsFitTheCpus) {
+  const int cpus = util::available_cpus();
+  ASSERT_GE(cpus, 1);
+  RuntimeConfig non_smp = testing_cfg();
+  non_smp.dedicated_comm = false;
+  EXPECT_TRUE(Machine(Topology(cpus, 1, 1), non_smp).idle_spin());
+  EXPECT_FALSE(Machine(Topology(cpus + 1, 1, 1), non_smp).idle_spin());
+  if (cpus >= 2) {
+    EXPECT_TRUE(Machine(Topology(1, 1, cpus - 1), testing_cfg()).idle_spin());
+  }
+  EXPECT_FALSE(Machine(Topology(1, 1, cpus), testing_cfg()).idle_spin());
+}
+
+/// Oversubscribed SMP ping-pong over the modeled fabric: idle threads
+/// yield instead of spinning, and a comm thread with nothing due parks
+/// with no timeout. Each worker sends its ball from an idle hook only
+/// after 32 idle rounds (16 yields, then parks), by which time both comm
+/// threads have parked too, so only unparks move traffic: a lost wake-up
+/// (an egress push or a fabric arrival that leaves its comm thread
+/// asleep) hangs the run. Every ping and pong must arrive exactly once.
+TEST(IdleLadder, OversubscribedPingPongDeliversEveryMessageOnce) {
+  const int cpus = util::available_cpus();
+  const Topology topo(2, 1, cpus);  // 2 * cpus workers + 2 comm threads
+  Machine m(topo, testing_cfg());
+  ASSERT_FALSE(m.idle_spin());
+  constexpr int kRounds = 64;
+  constexpr int kIdleRoundsBeforeSend = 32;
+  const int pairs = cpus;  // worker w < pairs pings worker w + pairs
+  const auto workers = static_cast<std::size_t>(topo.workers());
+  // Per (pinging worker, round): pings seen by the partner, pongs seen by
+  // the pinging worker.
+  std::vector<std::atomic<int>> pings(static_cast<std::size_t>(pairs) *
+                                      kRounds);
+  std::vector<std::atomic<int>> pongs(pings.size());
+  // Per worker: the round of the ball it holds (-1: none), and its idle
+  // hook rounds since it got the ball (its own thread only).
+  std::vector<std::atomic<int>> holding(workers);
+  std::vector<int> idle_rounds(workers, 0);
+  for (auto& h : holding) h.store(-1);
+  auto slot = [](int pinger, int round) {
+    return static_cast<std::size_t>(pinger) * kRounds +
+           static_cast<std::size_t>(round);
+  };
+  const EndpointId ep = m.register_endpoint([&](Worker& w, Message&& msg) {
+    const int round = rt::decode_payload<int>(msg)[0];
+    const auto self = static_cast<std::size_t>(w.id());
+    if (w.id() >= pairs) {
+      pings[slot(w.id() - pairs, round)]++;
+      holding[self].store(round);  // return it as the pong
+    } else {
+      pongs[slot(w.id(), round)]++;
+      if (round + 1 < kRounds) holding[self].store(round + 1);
+    }
+    idle_rounds[self] = 0;
+  });
+  for (WorkerId id = 0; id < topo.workers(); ++id) {
+    const auto self = static_cast<std::size_t>(id);
+    m.worker(id).add_idle_hook([&, self](Worker& w) {
+      const int round = holding[self].load();
+      if (round < 0 || ++idle_rounds[self] < kIdleRoundsBeforeSend) return;
+      Message msg;
+      msg.endpoint = ep;
+      msg.dst_worker = w.id() < pairs ? w.id() + pairs : w.id() - pairs;
+      msg.src_worker = w.id();
+      msg.payload = rt::encode_payload<int>(round);
+      w.send(std::move(msg));
+      holding[self].store(-1);  // the reply lands on this thread, later
+    });
+    m.worker(id).add_pending_counter(
+        [&, self] { return holding[self].load() < 0 ? 0u : 1u; });
+  }
+  const auto res = m.run([&](Worker& w) {
+    if (w.id() < pairs) holding[static_cast<std::size_t>(w.id())].store(0);
+  });
+  for (std::size_t i = 0; i < pings.size(); ++i) {
+    ASSERT_EQ(pings[i].load(), 1) << "ping slot " << i;
+    ASSERT_EQ(pongs[i].load(), 1) << "pong slot " << i;
+  }
+  EXPECT_EQ(res.runtime_messages, 2u * pings.size());
+  EXPECT_EQ(res.fabric_messages, 2u * pings.size());
+  m.clear_worker_hooks();
 }
 
 /// Worker threads sleep with a 1 ns timer slack, so a nap lasts about as

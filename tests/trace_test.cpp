@@ -214,6 +214,67 @@ TEST_F(TraceTest, TracedMachineRunWritesLoadableChromeJson) {
   trace::print_phase_summary(stdout);
 }
 
+/// An idle hook that sends to its own worker: enqueue() unparks the
+/// worker, so the park that follows the hook in the same idle round
+/// returns at once and the handler runs next. Read from worker 0's ring,
+/// in recording order: the worker parked before the send (so a park span
+/// could appear), and no `park` span lies between the send and the
+/// handler.
+TEST_F(TraceTest, HookSendToOwnWorkerSkipsThePark) {
+  constexpr std::uint16_t kSent = 900;
+  constexpr std::uint16_t kHandled = 901;
+  trace::set_enabled(true);
+  rt::Machine machine(util::Topology(2, 1, 1), rt::RuntimeConfig::testing());
+  std::atomic<bool> handled{false};
+  const EndpointId ep =
+      machine.register_endpoint([&](rt::Worker&, rt::Message&&) {
+        trace::instant(trace::Cat::kRuntime, kHandled);
+        handled.store(true);
+      });
+  int hook_calls = 0;  // worker 0's thread only
+  machine.worker(0).add_idle_hook([&](rt::Worker& w) {
+    // 64 hook rounds reach past the spin and yield rounds into the parks.
+    if (++hook_calls != 64) return;
+    trace::instant(trace::Cat::kRuntime, kSent);
+    rt::Message msg;
+    msg.endpoint = ep;
+    msg.dst_worker = w.id();
+    msg.src_worker = w.id();
+    w.send(std::move(msg));
+  });
+  machine.worker(0).add_pending_counter(
+      [&] { return handled.load() ? 0u : 1u; });
+  machine.run([](rt::Worker&) {});
+  trace::set_enabled(false);
+
+  const trace::RingSnapshot* ring = nullptr;
+  const auto rings = trace::snapshot_rings();
+  for (const auto& r : rings) {
+    if (r.name == "worker 0") ring = &r;
+  }
+  ASSERT_NE(ring, nullptr);
+  ASSERT_EQ(ring->dropped, 0u);
+  int stage = 0;  // 0: before the send, 1: between, 2: after the handler
+  int parks_before = 0;
+  int parks_between = 0;
+  for (const trace::Event& e : ring->events) {
+    if (e.id == kSent) {
+      ASSERT_EQ(stage, 0);
+      stage = 1;
+    } else if (e.id == kHandled) {
+      ASSERT_EQ(stage, 1);
+      stage = 2;
+    } else if (e.id == trace::kPark) {
+      EXPECT_EQ(e.kind, trace::Kind::kComplete);
+      if (stage == 0) ++parks_before;
+      if (stage == 1) ++parks_between;
+    }
+  }
+  EXPECT_EQ(stage, 2);
+  EXPECT_GE(parks_before, 1);
+  EXPECT_EQ(parks_between, 0);
+}
+
 TEST_F(TraceTest, RecordedSequencesDeterministicUnderDebugScheduler) {
   // Two scheduled contenders bump a DebugSync atomic and trace every
   // observed value. The schedule is a pure function of the seed, so the
