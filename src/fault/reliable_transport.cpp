@@ -187,7 +187,6 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
 
   Channel& fwd = ch(src_proc, dst);
   bool tx = false;
-  bool armed = false;
   std::uint32_t inflight_now = 0;
   {
     // The sequence number is assigned, the header stamped (the slab is
@@ -210,7 +209,6 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
       fwd.unacked.push_back(std::move(e));
       if (fwd.probe_deadline_ns == 0) {
         fwd.probe_deadline_ns = now + rto_for(fwd);
-        armed = true;
       }
       tx = true;
     } else {
@@ -218,7 +216,6 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
     }
   }
   unacked_total_.fetch_add(1, std::memory_order_acq_rel);
-  if (armed) machine_.wake_comm(src_proc);
   if (!tx) {
     paced_msgs_.fetch_add(1, std::memory_order_relaxed);
     return;

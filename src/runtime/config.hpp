@@ -4,8 +4,9 @@
 /// \brief Runtime tuning knobs (transport, faults, comm-thread costs, QD).
 ///
 /// The idle policy is not a knob: workers and comm threads share one
-/// fixed spin -> yield -> park ladder (runtime/idle.hpp), and the Machine
-/// skips the spin rounds when its runtime threads outnumber the CPUs.
+/// fixed spin -> yield -> park ladder (runtime/idle.hpp), and an SMP
+/// Machine skips the spin rounds when its runtime threads outnumber the
+/// CPUs.
 
 #include <cstdint>
 

@@ -11,10 +11,11 @@
 ///   rounds [256, 272)   yield  std::this_thread::yield()
 ///   rounds 272 and on   park   on the thread's util::Parker
 ///
-/// When runtime threads outnumber the CPUs in the affinity mask
-/// (Machine::idle_spin() is false), the spin rounds are skipped: 16
-/// yields, then park. A spinning thread there holds a CPU the thread with
-/// work needs; a yield hands it over.
+/// When an SMP machine's runtime threads outnumber the CPUs in the
+/// affinity mask (Machine::idle_spin() is false), the spin rounds are
+/// skipped: 16 yields, then park. A spinning thread there holds a CPU the
+/// thread with work needs; a yield hands it over. Non-SMP workers always
+/// spin first.
 ///
 /// Parking ends when whoever gives the thread work unparks it (see
 /// Worker::enqueue, Machine::wake_comm). A worker parks for at most
@@ -59,7 +60,8 @@ struct IdleStep {
 };
 
 /// The step for idle round `round` (0 = first idle round after work).
-/// may_park is false for a non-SMP worker; spin is Machine::idle_spin().
+/// may_park is false for a non-SMP worker, spin is Machine::idle_spin()
+/// (always true when may_park is false).
 constexpr IdleStep idle_step(std::uint32_t round, bool may_park,
                              bool spin) noexcept {
   const std::uint32_t spin_rounds = spin ? kIdleSpinRounds : 0;

@@ -52,10 +52,10 @@ Machine::Machine(util::Topology topo, RuntimeConfig cfg)
   worker_barrier_ = std::make_unique<std::barrier<>>(topo_.workers());
   // Spinning pays only while no runtime thread waits for a CPU: LLVM's
   // OpenMP runtime makes the same choice and yields when its threads
-  // outnumber the processors.
-  const int runtime_threads =
-      topo_.workers() + (cfg_.dedicated_comm ? topo_.procs() : 0);
-  idle_spin_ = runtime_threads <= util::available_cpus();
+  // outnumber the processors. Non-SMP workers never park; their ladder
+  // keeps its spin phase.
+  idle_spin_ = !cfg_.dedicated_comm ||
+               topo_.workers() + topo_.procs() <= util::available_cpus();
 }
 
 Machine::~Machine() = default;

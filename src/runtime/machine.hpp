@@ -132,8 +132,9 @@ class Machine {
     }
   }
   /// Whether idle runtime threads spin before they yield (runtime/idle.hpp):
-  /// true when every runtime thread (workers plus comm threads) has a CPU
-  /// of the affinity mask to itself. Fixed at construction.
+  /// in SMP mode, true when every runtime thread (workers plus comm
+  /// threads) has a CPU of the affinity mask to itself; always true in
+  /// non-SMP mode, whose workers never park. Fixed at construction.
   bool idle_spin() const noexcept { return idle_spin_; }
 
   /// Sum of pending counters over all workers.

@@ -29,6 +29,12 @@
 ///
 /// Off Linux there is no futex: park_for() sleeps at most 20 us, which
 /// callers' re-polling makes safe.
+///
+/// Parker is the one util/ primitive outside the Sync seam (sync.hpp): its
+/// point is a blocking futex wait, which DebugScheduler cannot model (a
+/// thread that holds the token and sleeps in the kernel stalls every other
+/// managed thread). util_parker_test's producer stress test, run under
+/// TSan in CI, checks the EMPTY / NOTIFIED / PARKED orders instead.
 
 #include <atomic>
 #include <cstdint>

@@ -46,7 +46,11 @@ TEST(Parker, UnparkFromAnotherThreadEndsAParkWithNoTimeout) {
 
 /// 4 producers each push 100k items, unparking the consumer after every
 /// push; the consumer drains, then parks for up to 10 s. A park that
-/// times out while items wait in the queue is a lost wake-up.
+/// began after every producer had finished and times out while items wait
+/// in the queue is a lost wake-up. While producers run, a timed-out park
+/// proves nothing: a producer's late FUTEX_WAKE may end a later park
+/// early (Wake::kTimedOut covers spurious wake-ups), so there a lost
+/// wake-up shows as a 10 s stall and total == kTotal is the check.
 TEST(Parker, NoLostWakeupUnderProducerStress) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 100'000;
@@ -70,13 +74,13 @@ TEST(Parker, NoLostWakeupUnderProducerStress) {
   for (;;) {
     while (q.try_pop()) ++total;
     if (total == kTotal) break;
-    if (parker.park_for(10'000'000'000) == Wake::kTimedOut) {
-      // Read before the queue: once every producer is done, every push
-      // is visible.
-      const bool all_done = finished.load() == kProducers;
+    // Read before the park: every push and unpark of a finished producer
+    // happened before it.
+    const bool all_done = finished.load() == kProducers;
+    if (parker.park_for(10'000'000'000) == Wake::kTimedOut && all_done) {
       if (!q.empty_approx()) {
         ++lost;
-      } else if (all_done) {
+      } else {
         break;  // nothing more will arrive: total is short
       }
     }
