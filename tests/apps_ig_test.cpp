@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
 #include "apps/index_gather.hpp"
+#include "util/topology.hpp"
 
 namespace {
 
@@ -85,14 +85,18 @@ TEST(IndexGather, LatencyOrderingPpBelowWw) {
   // items wait less. (None-vs-aggregated ordering is deliberately NOT
   // asserted: the paper notes aggregation can also *improve* latency by
   // unblocking the sender.)
-  if (std::thread::hardware_concurrency() < 4) {
+  const util::Topology topo(2, 2, 4);
+  const int threads = topo.workers() + topo.procs();
+  const int cpus = util::available_cpus();
+  if (threads > cpus) {
     GTEST_SKIP() << "wall-clock latency ordering needs real parallelism "
-                    "(workers + comm threads oversubscribe this host)";
+                    "(workers + comm threads oversubscribe this host): "
+                 << threads << " runtime threads, " << cpus << " CPUs";
   }
   rt::RuntimeConfig cfg;  // real delta-like costs
   cfg.qd_settle_ns = 100'000;
   auto run_with = [&](core::Scheme s) {
-    rt::Machine m(util::Topology(2, 2, 4), cfg);
+    rt::Machine m(topo, cfg);
     apps::IgParams p;
     p.requests_per_worker = 30'000;
     p.table_entries_per_worker = 1024;
