@@ -192,36 +192,6 @@ struct FaultOptions {
   }
 };
 
-/// One configuration's result in a bench sweep, as serialized by
-/// JsonReporter — the machine-readable perf trajectory next to the
-/// human-readable table.
-struct JsonRow {
-  std::string scheme;    // aggregation scheme ("WPs", "Mesh2D", ...)
-  std::string topology;  // machine shape ("4n x 2p x 8w")
-  std::string mesh;      // virtual mesh extents ("8x8"; "-" for direct)
-  double ns_per_item = 0.0;
-  std::uint64_t messages = 0;   // fabric-level (aggregated) messages
-  std::uint64_t bytes = 0;      // fabric-level bytes
-  std::uint64_t forwarded = 0;  // messages re-shipped by intermediates
-  std::uint64_t sorted = 0;     // pre-sorted last-hop (fast path) messages
-  std::uint64_t subviews = 0;   // final-hop segments handed on zero-copy
-  /// Forwarded bytes memcpy'd into intermediate slot buffers (0 on the
-  /// wpp==1 zero-copy path) vs. staged as refcounted sub-views.
-  std::uint64_t fwd_copy_bytes = 0;
-  std::uint64_t fwd_subview_bytes = 0;
-  /// Worst-case bytes pinned in staged forward runs on any one worker
-  /// (the sub-view retention high-water; 0 for direct schemes).
-  std::uint64_t max_staged_fwd_bytes = 0;
-  std::uint64_t max_buffers = 0;  // live source buffers, worst worker
-  /// Fault/reliability counters (src/fault/); all zero when the run was
-  /// fault-free.
-  core::FaultStats faults;
-  /// Extra bench-specific fields, pre-rendered as JSON ("\"k\": v, ...");
-  /// spliced into the row object verbatim when nonempty.
-  std::string extra_json;
-  bool verified = true;
-};
-
 /// The counter slice shared by every routed app bench: the app point
 /// structs (HistoPoint / SsspPoint / PholdPoint / ShufflePoint) inherit
 /// it and add their app-specific fields, so a new app cannot fork the
@@ -269,31 +239,29 @@ struct RoutedPointCounters {
   }
 };
 
+/// One configuration's result in a bench sweep, as serialized by
+/// JsonReporter — the machine-readable perf trajectory next to the
+/// human-readable table.
+struct JsonRow {
+  std::string scheme;    // aggregation scheme ("WPs", "Mesh2D", ...)
+  std::string topology;  // machine shape ("4n x 2p x 8w")
+  std::string mesh;      // virtual mesh extents ("8x8"; "-" for direct)
+  double ns_per_item = 0.0;
+  RoutedPointCounters counters;
+  /// Extra bench-specific fields, pre-rendered as JSON ("\"k\": v, ...");
+  /// spliced into the row object verbatim when nonempty.
+  std::string extra_json;
+  bool verified = true;
+};
+
 /// Build the JSON row every routed bench emits per (scheme, scale) cell.
 inline JsonRow make_routed_row(const std::string& scheme,
                                const std::string& topology,
                                const std::string& mesh,
                                const RoutedPointCounters& c,
                                double ns_per_item, bool verified) {
-  JsonRow row;
-  row.scheme = scheme;
-  row.topology = topology;
-  row.mesh = mesh;
-  row.ns_per_item = ns_per_item;
-  row.messages = c.fabric_messages;
-  row.bytes = c.fabric_bytes;
-  row.forwarded = c.forwarded_messages;
-  row.sorted = c.sorted_messages;
-  row.subviews = c.subview_deliveries;
-  row.fwd_copy_bytes = c.fwd_copy_bytes;
-  row.fwd_subview_bytes = c.fwd_subview_bytes;
-  row.max_staged_fwd_bytes = c.max_staged_fwd_bytes;
-  row.max_buffers = c.max_reserved_buffers;
-  row.faults = c.faults;
-  row.verified = verified;
-  return row;
+  return JsonRow{scheme, topology, mesh, ns_per_item, c, {}, verified};
 }
-
 
 /// Accumulates JsonRows and writes them as one JSON document:
 ///   {"bench": <name>, "results": [ {...}, ... ]}
@@ -313,6 +281,7 @@ class JsonReporter {
                  bench_.c_str());
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const JsonRow& r = rows_[i];
+      const RoutedPointCounters& c = r.counters;
       std::fprintf(f,
                    "%s\n    {\"scheme\": \"%s\", \"topology\": \"%s\", "
                    "\"mesh\": \"%s\", \"ns_per_item\": %.2f, "
@@ -335,34 +304,34 @@ class JsonReporter {
                    "%s%s\"verified\": %s}",
                    i == 0 ? "" : ",", r.scheme.c_str(), r.topology.c_str(),
                    r.mesh.c_str(), r.ns_per_item,
-                   static_cast<unsigned long long>(r.messages),
-                   static_cast<unsigned long long>(r.bytes),
-                   static_cast<unsigned long long>(r.forwarded),
-                   static_cast<unsigned long long>(r.sorted),
-                   static_cast<unsigned long long>(r.subviews),
-                   static_cast<unsigned long long>(r.fwd_copy_bytes),
-                   static_cast<unsigned long long>(r.fwd_subview_bytes),
-                   static_cast<unsigned long long>(r.max_staged_fwd_bytes),
-                   static_cast<unsigned long long>(r.max_buffers),
+                   static_cast<unsigned long long>(c.fabric_messages),
+                   static_cast<unsigned long long>(c.fabric_bytes),
+                   static_cast<unsigned long long>(c.forwarded_messages),
+                   static_cast<unsigned long long>(c.sorted_messages),
+                   static_cast<unsigned long long>(c.subview_deliveries),
+                   static_cast<unsigned long long>(c.fwd_copy_bytes),
+                   static_cast<unsigned long long>(c.fwd_subview_bytes),
+                   static_cast<unsigned long long>(c.max_staged_fwd_bytes),
+                   static_cast<unsigned long long>(c.max_reserved_buffers),
                    static_cast<unsigned long long>(
-                       r.faults.faults_injected_drop),
+                       c.faults.faults_injected_drop),
                    static_cast<unsigned long long>(
-                       r.faults.faults_injected_dup),
+                       c.faults.faults_injected_dup),
                    static_cast<unsigned long long>(
-                       r.faults.faults_injected_delay),
-                   static_cast<unsigned long long>(r.faults.retransmits),
-                   static_cast<unsigned long long>(r.faults.dup_drops),
-                   static_cast<unsigned long long>(r.faults.acks_sent),
+                       c.faults.faults_injected_delay),
+                   static_cast<unsigned long long>(c.faults.retransmits),
+                   static_cast<unsigned long long>(c.faults.dup_drops),
+                   static_cast<unsigned long long>(c.faults.acks_sent),
                    static_cast<unsigned long long>(
-                       r.faults.fast_retransmits),
-                   static_cast<unsigned long long>(r.faults.rto_fires),
-                   static_cast<unsigned long long>(r.faults.rtx_bytes),
-                   static_cast<unsigned long long>(r.faults.paced_msgs),
+                       c.faults.fast_retransmits),
+                   static_cast<unsigned long long>(c.faults.rto_fires),
+                   static_cast<unsigned long long>(c.faults.rtx_bytes),
+                   static_cast<unsigned long long>(c.faults.paced_msgs),
                    static_cast<unsigned long long>(
-                       r.faults.max_inflight_msgs),
-                   static_cast<unsigned long long>(r.faults.link_busy_ns),
+                       c.faults.max_inflight_msgs),
+                   static_cast<unsigned long long>(c.faults.link_busy_ns),
                    static_cast<unsigned long long>(
-                       r.faults.max_link_queue_ns),
+                       c.faults.max_link_queue_ns),
                    r.extra_json.c_str(), r.extra_json.empty() ? "" : ", ",
                    r.verified ? "true" : "false");
     }

@@ -129,9 +129,6 @@ class TramDomain {
     for (const auto& h : handles_) total.merge(h->stats_);
     return total;
   }
-  const WorkerTramStats& worker_stats(WorkerId w) const {
-    return handles_[static_cast<std::size_t>(w)]->stats_;
-  }
 
   /// Actual bytes reserved in aggregation buffers, machine-wide (compare
   /// with the section III-C formulas). Counts each destination buffer a
@@ -261,24 +258,11 @@ class TramDomain {
           self_->send(std::move(m));
           return;
         }
-        case Scheme::WW: {
-          auto& buf = bufs_[static_cast<std::size_t>(dest)];
-          buffer_push(buf, e);
-          if (buf.size() >= d.cfg_.buffer_items) {
-            ship_direct(dest, buf, /*from_flush=*/false);
-          }
-          break;
-        }
+        case Scheme::WW:
         case Scheme::WPs:
-        case Scheme::WsP: {
-          const ProcId dp = d.topo_.proc_of_worker(dest);
-          auto& buf = bufs_[static_cast<std::size_t>(dp)];
-          buffer_push(buf, e);
-          if (buf.size() >= d.cfg_.buffer_items) {
-            ship_proc(dp, buf, /*from_flush=*/false);
-          }
+        case Scheme::WsP:
+          push(bulk_, e);
           break;
-        }
         case Scheme::PP: {
           const ProcId dp = d.topo_.proc_of_worker(dest);
           auto* pp = d.pp_states_[self_proc_].get();
@@ -302,78 +286,31 @@ class TramDomain {
     /// delivered well ahead of bulk insert() traffic. Falls back to
     /// insert() when priority buffering is not configured.
     void insert_priority(WorkerId dest, const Item& item) {
-      auto& d = *domain_;
-      const std::uint32_t g_hi = d.cfg_.priority_buffer_items;
-      if (g_hi == 0 || d.cfg_.scheme == Scheme::None) {
+      if (pri_.bufs.empty()) {
         insert(dest, item);
         return;
       }
       ++stats_.items_inserted;
       ++stats_.priority_items;
-      const Entry e{dest, item};
-      if (d.cfg_.scheme == Scheme::WW) {
-        auto& buf = pri_bufs_[static_cast<std::size_t>(dest)];
-        pri_push(buf, e, g_hi);
-        if (buf.size() >= g_hi) ship_priority_direct(dest, buf);
-      } else {
-        const ProcId dp = d.topo_.proc_of_worker(dest);
-        auto& buf = pri_bufs_[static_cast<std::size_t>(dp)];
-        pri_push(buf, e, g_hi);
-        if (buf.size() >= g_hi) ship_priority_proc(dp, buf);
-      }
+      push(pri_, Entry{dest, item});
     }
 
     /// Ship every partially filled buffer ("flush accumulated items").
     void flush_all() {
-      auto& d = *domain_;
       // Priority buffers first: urgent stragglers leave before bulk.
-      if (!pri_bufs_.empty()) {
-        if (d.cfg_.scheme == Scheme::WW) {
-          for (WorkerId dest = 0;
-               dest < static_cast<WorkerId>(pri_bufs_.size()); ++dest) {
-            auto& buf = pri_bufs_[static_cast<std::size_t>(dest)];
-            if (!buf.empty()) ship_priority_direct(dest, buf);
-          }
-        } else {
-          for (ProcId dp = 0; dp < static_cast<ProcId>(pri_bufs_.size());
-               ++dp) {
-            auto& buf = pri_bufs_[static_cast<std::size_t>(dp)];
-            if (!buf.empty()) ship_priority_proc(dp, buf);
-          }
+      for (Lane* lane : {&pri_, &bulk_}) {
+        for (std::size_t k = 0; k < lane->bufs.size(); ++k) {
+          if (!lane->bufs[k].empty()) ship(*lane, k, /*from_flush=*/true);
         }
       }
-      switch (d.cfg_.scheme) {
-        case Scheme::None:
-          return;
-        case Scheme::WW:
-          for (WorkerId dest = 0; dest < static_cast<WorkerId>(bufs_.size());
-               ++dest) {
-            auto& buf = bufs_[static_cast<std::size_t>(dest)];
-            if (!buf.empty()) ship_direct(dest, buf, /*from_flush=*/true);
-          }
-          break;
-        case Scheme::WPs:
-        case Scheme::WsP:
-          for (ProcId dp = 0; dp < static_cast<ProcId>(bufs_.size()); ++dp) {
-            auto& buf = bufs_[static_cast<std::size_t>(dp)];
-            if (!buf.empty()) ship_proc(dp, buf, /*from_flush=*/true);
-          }
-          break;
-        case Scheme::PP: {
-          auto* pp = d.pp_states_[self_proc_].get();
-          for (ProcId dp = 0; dp < static_cast<ProcId>(pp->buffers.size());
-               ++dp) {
-            auto partial = pp->buffers[static_cast<std::size_t>(dp)]->flush();
-            if (partial && !partial->empty()) {
-              ship_pp(dp, std::move(*partial), /*from_flush=*/true);
-            }
-          }
-          break;
+      auto& d = *domain_;
+      if (d.cfg_.scheme != Scheme::PP) return;
+      auto* pp = d.pp_states_[self_proc_].get();
+      for (ProcId dp = 0; dp < d.topo_.procs(); ++dp) {
+        auto partial = pp->buffers[static_cast<std::size_t>(dp)]->flush();
+        if (partial && !partial->empty()) {
+          ship_pp(dp, std::move(*partial), /*from_flush=*/true);
         }
-        case Scheme::Mesh2D:
-        case Scheme::Mesh3D:
-          assert(false && "unreachable: TramDomain rejects routed schemes");
-          break;
       }
     }
 
@@ -386,110 +323,75 @@ class TramDomain {
    private:
     friend class TramDomain;
 
+    /// One set of worker-local aggregation buffers, indexed by
+    /// destination worker under WW and by destination process otherwise.
+    /// bulk_ serves WW, WPs and WsP at g items; pri_ serves insert_priority
+    /// at cfg.priority_buffer_items, always expedited.
+    struct Lane {
+      std::vector<EntryBuffer<Entry>> bufs;
+      std::uint32_t cap = 0;
+      bool pri = false;
+    };
+
     Handle(TramDomain& d, rt::Worker& self)
         : domain_(&d),
           self_(&self),
           self_proc_(d.topo_.proc_of_worker(self.id())) {
-      switch (d.cfg_.scheme) {
-        case Scheme::WW:
-          bufs_.resize(static_cast<std::size_t>(d.topo_.workers()));
-          break;
-        case Scheme::WPs:
-        case Scheme::WsP:
-          bufs_.resize(static_cast<std::size_t>(d.topo_.procs()));
-          if (d.cfg_.scheme == Scheme::WsP) {
-            // The ship sorts the slab in place behind this header.
-            for (auto& buf : bufs_) {
-              buf.set_header_bytes(sizeof(SegmentHeader));
-            }
+      const TramConfig& cfg = d.cfg_;
+      const auto dests = static_cast<std::size_t>(
+          cfg.scheme == Scheme::WW ? d.topo_.workers() : d.topo_.procs());
+      if (cfg.scheme == Scheme::WW || cfg.scheme == Scheme::WPs ||
+          cfg.scheme == Scheme::WsP) {
+        bulk_ = Lane{std::vector<EntryBuffer<Entry>>(dests),
+                     cfg.buffer_items, false};
+        if (cfg.scheme == Scheme::WsP) {
+          // The ship sorts the slab in place behind this header.
+          for (auto& buf : bulk_.bufs) {
+            buf.set_header_bytes(sizeof(SegmentHeader));
           }
-          break;
-        default:
-          break;
+        }
       }
-      if (d.cfg_.priority_buffer_items > 0 &&
-          d.cfg_.scheme != Scheme::None) {
+      if (cfg.priority_buffer_items > 0 && cfg.scheme != Scheme::None) {
         // Priority buffers are always worker-local (even under PP: sharing
-        // would reintroduce the very latency the priority path removes),
-        // at the scheme's destination granularity.
-        pri_bufs_.resize(d.cfg_.scheme == Scheme::WW
-                             ? static_cast<std::size_t>(d.topo_.workers())
-                             : static_cast<std::size_t>(d.topo_.procs()));
+        // would reintroduce the very latency the priority path removes).
+        pri_ = Lane{std::vector<EntryBuffer<Entry>>(dests),
+                    cfg.priority_buffer_items, true};
       }
     }
 
-    void pri_push(EntryBuffer<Entry>& buf, const Entry& e,
-                  std::uint32_t g_hi) {
-      buf.push(e, g_hi);
+    /// Buffer an entry toward its destination in `lane`; ship at cap.
+    /// Priority buffers stay out of the reserved-buffer footprint, which
+    /// charges the bulk buffers the section III-C formulas model.
+    void push(Lane& lane, const Entry& e) {
+      const auto k = static_cast<std::size_t>(
+          domain_->cfg_.scheme == Scheme::WW
+              ? e.dest
+              : domain_->topo_.proc_of_worker(e.dest));
+      auto& buf = lane.bufs[k];
+      if (!lane.pri && !buf.ever_acquired()) ++reserved_buffers_;
+      buf.push(e, lane.cap);
       pending_.fetch_add(1, std::memory_order_release);
+      if (buf.size() >= lane.cap) ship(lane, k, /*from_flush=*/false);
     }
 
-    /// Priority ship, WW granularity: straight to the destination worker,
-    /// always expedited.
-    void ship_priority_direct(WorkerId dest, EntryBuffer<Entry>& buf) {
+    /// Ship buffer k of `lane`, handing its slab off as the payload. WW
+    /// sends it straight to destination worker k. WsP bulk permutes its
+    /// slab into rank-grouped order (core/grouping.hpp) behind the
+    /// SegmentHeader reserved at construction. Everything else goes to
+    /// destination process k unsorted, for the receiver to group;
+    /// priority batches are small, so WsP skips its source sort there.
+    void ship(Lane& lane, std::size_t k, bool from_flush) {
       auto& d = *domain_;
+      auto& buf = lane.bufs[k];
       const std::size_t n = buf.size();
-      rt::Message m;
-      m.endpoint = d.ep_direct_;
-      m.dst_worker = dest;
-      m.src_worker = self_->id();
-      m.expedited = true;
-      m.payload = buf.take();
-      account_ship(n, /*from_flush=*/false);
-      ++stats_.priority_msgs;
-      self_->send(std::move(m));
-      pending_.fetch_sub(n, std::memory_order_release);
-    }
-
-    /// Priority ship, process granularity: expedited grouped message (the
-    /// receiver groups; priority batches are small, so the grouping cost
-    /// is negligible even for WsP, which skips its source sort here).
-    void ship_priority_proc(ProcId dp, EntryBuffer<Entry>& buf) {
-      auto& d = *domain_;
-      const std::size_t n = buf.size();
-      rt::Message m;
-      m.endpoint = d.ep_grouped_;
-      m.src_worker = self_->id();
-      m.expedited = true;
-      m.payload = buf.take();
-      account_ship(n, /*from_flush=*/false);
-      ++stats_.priority_msgs;
-      self_->send_to_proc(dp, std::move(m));
-      pending_.fetch_sub(n, std::memory_order_release);
-    }
-
-    void buffer_push(EntryBuffer<Entry>& buf, const Entry& e) {
-      if (!buf.ever_acquired()) ++reserved_buffers_;
-      buf.push(e, domain_->cfg_.buffer_items);
-      pending_.fetch_add(1, std::memory_order_release);
-    }
-
-    /// WW ship: the filled slab goes straight to the destination worker.
-    void ship_direct(WorkerId dest, EntryBuffer<Entry>& buf,
-                     bool from_flush) {
-      auto& d = *domain_;
-      const std::size_t n = buf.size();
-      rt::Message m;
-      m.endpoint = d.ep_direct_;
-      m.dst_worker = dest;
-      m.src_worker = self_->id();
-      m.expedited = d.cfg_.expedited;
-      m.payload = buf.take();
-      account_ship(n, from_flush);
-      self_->send(std::move(m));
-      pending_.fetch_sub(n, std::memory_order_release);
-    }
-
-    /// WPs/WsP ship: message to the destination process. WsP permutes its
-    /// own slab into rank-grouped order (core/grouping.hpp) behind the
-    /// SegmentHeader reserved at construction; both ship the slab as-is.
-    void ship_proc(ProcId dp, EntryBuffer<Entry>& buf, bool from_flush) {
-      auto& d = *domain_;
-      const std::size_t n = buf.size();
+      const bool direct = d.cfg_.scheme == Scheme::WW;
       rt::Message m;
       m.src_worker = self_->id();
-      m.expedited = d.cfg_.expedited;
-      if (d.cfg_.scheme == Scheme::WsP) {
+      m.expedited = lane.pri || d.cfg_.expedited;
+      if (direct) {
+        m.endpoint = d.ep_direct_;
+        m.dst_worker = static_cast<WorkerId>(k);
+      } else if (d.cfg_.scheme == Scheme::WsP && !lane.pri) {
         SegmentHeader header;
         permute_sort_segments(
             buf.data(), n, d.topo_.workers_per_proc(),
@@ -501,7 +403,12 @@ class TramDomain {
       }
       m.payload = buf.take();
       account_ship(n, from_flush);
-      self_->send_to_proc(dp, std::move(m));
+      if (lane.pri) ++stats_.priority_msgs;
+      if (direct) {
+        self_->send(std::move(m));
+      } else {
+        self_->send_to_proc(static_cast<ProcId>(k), std::move(m));
+      }
       pending_.fetch_sub(n, std::memory_order_release);
     }
 
@@ -599,8 +506,7 @@ class TramDomain {
       const int t = d.topo_.workers_per_proc();
       const ProcId proc = d.topo_.proc_of_worker(w.id());
       const std::span<const std::byte> bytes = msg.payload.span();
-      SegmentHeader header;
-      std::memcpy(&header, bytes.data(), sizeof header);
+      const SegmentHeader header = parse_segments(bytes, sizeof(Entry), t);
       auto entries = rt::decode_payload<Entry>(bytes.subspan(sizeof header));
       const LocalWorkerId own = d.topo_.local_rank(w.id());
       std::size_t offset = 0;
@@ -629,8 +535,8 @@ class TramDomain {
     TramDomain* domain_;
     rt::Worker* self_;
     ProcId self_proc_;
-    std::vector<EntryBuffer<Entry>> bufs_;
-    std::vector<EntryBuffer<Entry>> pri_bufs_;
+    Lane bulk_;
+    Lane pri_;
     std::atomic<std::uint64_t> pending_{0};
     WorkerTramStats stats_;
     std::uint64_t reserved_buffers_ = 0;

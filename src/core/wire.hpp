@@ -19,7 +19,7 @@
 ///
 /// WsP messages prepend a SegmentHeader: per-local-worker counts, so the
 /// receiver scatters pre-grouped segments in O(t) instead of scanning g
-/// items.
+/// items. parse_segments validates it against the entries that follow.
 ///
 /// Routed (mesh) messages prepend a RoutedHeader instead: the mesh
 /// dimension the message travelled along, its hop ordinal, and a flags
@@ -153,6 +153,38 @@ inline RoutedWire parse_routed_header(std::span<const std::byte> bytes,
     std::abort();
   }
   return w;
+}
+
+/// Parse and validate the SegmentHeader of a pre-sorted batch (WsP, or a
+/// sorted routed last hop into a multi-worker process). `bytes` starts at
+/// the header and runs to the end of the payload, entries of entry_size
+/// bytes following the header. The counts of the first `ranks` local ranks
+/// must cover those entries exactly: more would read past the payload,
+/// fewer would drop its tail silently. Either, like a payload too short
+/// for the header, is wire corruption — abort in every build mode.
+inline SegmentHeader parse_segments(std::span<const std::byte> bytes,
+                                    std::size_t entry_size, int ranks) {
+  SegmentHeader h;
+  if (bytes.size() < sizeof h) {
+    std::fprintf(stderr,
+                 "segmented message truncated (%zu bytes, segment header "
+                 "expected)\n",
+                 bytes.size());
+    std::abort();
+  }
+  std::memcpy(&h, bytes.data(), sizeof h);
+  std::uint64_t covered = 0;
+  for (int r = 0; r < ranks; ++r) covered += h.counts[r];
+  const std::size_t entry_bytes = bytes.size() - sizeof h;
+  if (covered * entry_size != entry_bytes) {
+    std::fprintf(stderr,
+                 "segment counts cover %llu entries, payload carries %zu "
+                 "bytes of %zu-byte entries\n",
+                 static_cast<unsigned long long>(covered), entry_bytes,
+                 entry_size);
+    std::abort();
+  }
+  return h;
 }
 
 /// A worker-local aggregation buffer that encodes directly into pool

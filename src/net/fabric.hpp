@@ -106,8 +106,6 @@ class Fabric {
   std::atomic<std::uint64_t> link_busy_ns_{0};
   std::atomic<std::uint64_t> link_queue_ns_max_{0};
 
-  friend class FabricReceipt;
-
  public:
   /// Receivers must call this after popping a packet from ingress() so
   /// in_flight() stays accurate.

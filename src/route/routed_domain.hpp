@@ -59,12 +59,14 @@
 /// fabric message totals and core::FaultStats.
 ///
 /// Urgent items (insert_priority, cfg.priority_buffer_items > 0) ride a
-/// parallel set of small per-dimension slots shipped expedited with the
-/// RoutedHeader::kPriority bit set: intermediates re-bucket them into
-/// their own priority slots and flush them ahead of bulk, so priority
-/// traffic overtakes bulk at every hop of the route — the property the
-/// latency-sensitive irregular apps (SSSP threshold updates) depend on.
+/// second lane of the same per-dimension slots, sized to the small
+/// priority buffer and shipped expedited with the RoutedHeader::kPriority
+/// bit set: intermediates re-bucket them into their own priority lane and
+/// flush it ahead of bulk, so priority traffic overtakes bulk at every hop
+/// of the route — the property the latency-sensitive irregular apps (SSSP
+/// threshold updates) depend on.
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdio>
@@ -148,9 +150,6 @@ class RoutedDomain {
     core::WorkerTramStats total;
     for (const auto& h : handles_) total.merge(h->stats_);
     return total;
-  }
-  const core::WorkerTramStats& worker_stats(WorkerId w) const {
-    return handles_[static_cast<std::size_t>(w)]->stats_;
   }
 
   /// Largest number of distinct aggregation buffers any single worker ever
@@ -272,12 +271,11 @@ class RoutedDomain {
     /// arrive after up to mesh().ndims() hops.
     void insert(WorkerId dest, const Item& item) {
       ++stats_.items_inserted;
-      push_entry(row_[proc_of(dest)], Entry{dest, item}, /*hop=*/1,
-                 /*pri=*/false);
+      push_entry(bulk_, Entry{dest, item});
     }
 
     /// Aggregate an urgent item (the paper's future-work prioritization,
-    /// over the mesh). Rides a second set of per-dimension buffer slots
+    /// over the mesh). Rides a second lane of per-dimension buffer slots
     /// sized cfg.priority_buffer_items: small buffers fill (and ship)
     /// quickly, the messages are expedited, and the RoutedHeader carries
     /// a priority bit so every intermediate re-buckets the entries into
@@ -285,15 +283,13 @@ class RoutedDomain {
     /// items overtake bulk traffic at every hop, not just the first.
     /// Falls back to insert() when priority buffering is not configured.
     void insert_priority(WorkerId dest, const Item& item) {
-      auto& d = *domain_;
-      if (d.cfg_.priority_buffer_items == 0) {
+      if (pri_.slots.empty()) {
         insert(dest, item);
         return;
       }
       ++stats_.items_inserted;
       ++stats_.priority_items;
-      push_entry(row_[proc_of(dest)], Entry{dest, item}, /*hop=*/1,
-                 /*pri=*/true);
+      push_entry(pri_, Entry{dest, item});
     }
 
     /// Ship every partially filled buffer ("flush accumulated items").
@@ -302,17 +298,12 @@ class RoutedDomain {
     /// first so urgent stragglers leave ahead of bulk at this hop too.
     void flush_all() {
       const std::uint64_t shipped0 = stats_.msgs_shipped;
-      for (int slot = 0; slot < static_cast<int>(pri_bufs_.size());
-           ++slot) {
-        const auto s = static_cast<std::size_t>(slot);
-        if (!pri_bufs_[s].empty() || pri_slot_staged_[s] != 0) {
-          ship_slot(slot, /*from_flush=*/true, /*pri=*/true);
-        }
-      }
-      for (int slot = 0; slot < static_cast<int>(bufs_.size()); ++slot) {
-        const auto s = static_cast<std::size_t>(slot);
-        if (!bufs_[s].empty() || slot_staged_[s] != 0) {
-          ship_slot(slot, /*from_flush=*/true, /*pri=*/false);
+      for (Lane* lane : {&pri_, &bulk_}) {
+        for (std::size_t s = 0; s < lane->slots.size(); ++s) {
+          const Slot& slot = lane->slots[s];
+          if (!slot.buf.empty() || slot.staged != 0) {
+            ship_slot(*lane, static_cast<int>(s), /*from_flush=*/true);
+          }
         }
       }
       if (stats_.msgs_shipped > shipped0) {
@@ -330,40 +321,59 @@ class RoutedDomain {
    private:
     friend class RoutedDomain;
 
+    /// A forwarded run staged for a slot's next ship: a refcounted
+    /// sub-view of the slab the entries already live in (inbound extent
+    /// or re-bucket scratch). Ships as an extra payload extent.
+    struct PendingRun {
+      util::PayloadRef bytes;
+      std::uint32_t count = 0;
+    };
+    /// One buffer per mesh coordinate per dimension, indexed by the
+    /// Router's slot number.
+    struct Slot {
+      core::EntryBuffer<Entry> buf;
+      /// Pending hop ordinal: max over the entries currently in the slot
+      /// of the hop their next ship will be.
+      std::uint8_t hop = 0;
+      std::vector<PendingRun> runs;
+      /// Items staged in runs (kept alongside so the ship threshold check
+      /// is O(1)).
+      std::uint32_t staged = 0;
+    };
+    /// Bulk or priority traffic: the same slot layout, so one Route record
+    /// indexes both, with the lane's own capacity. Priority slots ship
+    /// expedited with the RoutedHeader::kPriority bit set.
+    struct Lane {
+      std::vector<Slot> slots;
+      std::uint32_t cap = 1;
+      bool pri = false;
+    };
+
     Handle(RoutedDomain& d, rt::Worker& self)
         : domain_(&d),
           self_(&self),
           self_proc_(d.topo_.proc_of_worker(self.id())),
           wpp_(d.topo_.workers_per_proc()),
           row_(d.router_.row(d.topo_.proc_of_worker(self.id()))) {
-      bufs_.resize(static_cast<std::size_t>(d.router_.slots()));
+      const auto nslots = static_cast<std::size_t>(d.router_.slots());
+      bulk_ = Lane{std::vector<Slot>(nslots),
+                   std::max<std::uint32_t>(1, d.cfg_.buffer_items), false};
+      if (d.cfg_.priority_buffer_items > 0) {
+        pri_ = Lane{std::vector<Slot>(nslots), d.cfg_.priority_buffer_items,
+                    true};
+      }
       // A final-dimension slot with several local workers ships in-place
       // permuted behind the wide sorted header, so its slab reserves the
       // wide header up front; everything else carries the 8-byte header.
-      for (int slot = 0; slot < d.router_.slots(); ++slot) {
-        bufs_[static_cast<std::size_t>(slot)].set_header_bytes(
-            sorted_slot(slot) ? sizeof(core::RoutedSortedHeader)
-                              : sizeof(core::RoutedHeader));
-      }
-      slot_hop_.assign(bufs_.size(), 0);
-      slot_runs_.resize(bufs_.size());
-      slot_staged_.assign(bufs_.size(), 0);
-      slot_counted_.assign(bufs_.size(), false);
-      if (d.cfg_.priority_buffer_items > 0) {
-        // Priority slots mirror the bulk slot layout (one per mesh
-        // coordinate per dimension) so the same Route record indexes
-        // both: urgent entries re-aggregate per dimension exactly like
-        // bulk, just through smaller, expedited buffers.
-        pri_bufs_.resize(bufs_.size());
-        for (int slot = 0; slot < d.router_.slots(); ++slot) {
-          pri_bufs_[static_cast<std::size_t>(slot)].set_header_bytes(
-              sorted_slot(slot) ? sizeof(core::RoutedSortedHeader)
-                                : sizeof(core::RoutedHeader));
+      for (Lane* lane : {&bulk_, &pri_}) {
+        for (std::size_t s = 0; s < lane->slots.size(); ++s) {
+          lane->slots[s].buf.set_header_bytes(
+              sorted_slot(static_cast<int>(s))
+                  ? sizeof(core::RoutedSortedHeader)
+                  : sizeof(core::RoutedHeader));
         }
-        pri_slot_hop_.assign(pri_bufs_.size(), 0);
-        pri_slot_runs_.resize(pri_bufs_.size());
-        pri_slot_staged_.assign(pri_bufs_.size(), 0);
       }
+      slot_counted_.assign(nslots, false);
     }
 
     /// A slot whose ship is the in-place permuted sorted form (final
@@ -383,24 +393,17 @@ class RoutedDomain {
       return wpp_ == 1 ? 0 : w % wpp_;
     }
 
-    /// Bucket an entry into its route's buffer (priority entries into the
-    /// parallel priority slot); ship on fill. `hop` is the ordinal this
-    /// entry's *next* ship will be (1 off the source, inbound hop + 1 off
-    /// an intermediate).
-    void push_entry(const Router::Route& r, const Entry& e,
-                    std::uint8_t hop, bool pri) {
-      auto& d = *domain_;
-      const std::uint32_t cap =
-          pri ? d.cfg_.priority_buffer_items : d.cfg_.buffer_items;
-      const auto s = static_cast<std::size_t>(r.slot);
-      auto& buf = (pri ? pri_bufs_ : bufs_)[s];
-      note_slot_used(s, pri);
-      buf.push(e, cap);
-      auto& hops = pri ? pri_slot_hop_ : slot_hop_;
-      if (hop > hops[s]) hops[s] = hop;
+    /// Bucket a source entry into its route's slot of `lane`; ship on
+    /// fill. Its next ship is hop 1.
+    void push_entry(Lane& lane, const Entry& e) {
+      const int slot = row_[proc_of(e.dest)].slot;
+      Slot& sl = lane.slots[static_cast<std::size_t>(slot)];
+      note_slot_used(lane, static_cast<std::size_t>(slot));
+      sl.buf.push(e, lane.cap);
+      if (sl.hop == 0) sl.hop = 1;
       pending_.fetch_add(1, std::memory_order_release);
-      if (buf.size() + staged_of(s, pri) >= cap) {
-        ship_slot(r.slot, /*from_flush=*/false, pri);
+      if (sl.buf.size() + sl.staged >= lane.cap) {
+        ship_slot(lane, slot, /*from_flush=*/false);
       }
     }
 
@@ -408,8 +411,8 @@ class RoutedDomain {
     /// TramDomain: the bound being measured is the bulk footprint the
     /// section III-C formulas charge). Counted on first use whether the
     /// slot first sees a pushed entry or a staged sub-view run.
-    void note_slot_used(std::size_t s, bool pri) {
-      if (pri || slot_counted_[s]) return;
+    void note_slot_used(const Lane& lane, std::size_t s) {
+      if (lane.pri || slot_counted_[s]) return;
       slot_counted_[s] = true;
       ++reserved_buffers_;
       // Every increment IS a new high-water mark (the count never drops
@@ -418,27 +421,18 @@ class RoutedDomain {
                      reserved_buffers_, static_cast<std::uint32_t>(s));
     }
 
-    std::uint32_t staged_of(std::size_t s, bool pri) const noexcept {
-      return (pri ? pri_slot_staged_ : slot_staged_)[s];
-    }
-
     /// Stage a forwarded run on a slot as a refcounted sub-view (of the
     /// inbound slab or of the re-bucket scratch): zero bytes move now;
     /// the run ships as an extra payload extent of the slot's next
     /// message. Only for non-sorted_slot() slots — a permuted sorted
     /// ship has no extent channel.
-    void stage_run(int slot, util::PayloadRef run, std::uint32_t n,
-                   std::uint8_t hop, bool pri) {
-      auto& d = *domain_;
+    void stage_run(Lane& lane, int slot, util::PayloadRef run,
+                   std::uint32_t n, std::uint8_t hop) {
       assert(!sorted_slot(slot));
-      const std::uint32_t cap_cfg =
-          pri ? d.cfg_.priority_buffer_items : d.cfg_.buffer_items;
-      const std::uint32_t cap = cap_cfg == 0 ? 1 : cap_cfg;
+      const std::uint32_t cap = lane.cap;
       const auto s = static_cast<std::size_t>(slot);
-      auto& buf = (pri ? pri_bufs_ : bufs_)[s];
-      auto& staged = (pri ? pri_slot_staged_ : slot_staged_)[s];
-      auto& hops = pri ? pri_slot_hop_ : slot_hop_;
-      note_slot_used(s, pri);
+      Slot& sl = lane.slots[s];
+      note_slot_used(lane, s);
       pending_.fetch_add(n, std::memory_order_release);
       // Stage at most cap entries per pending run, shipping on every
       // fill. An inbound extent usually fits one fill, but the
@@ -449,27 +443,27 @@ class RoutedDomain {
       std::uint32_t off = 0;
       while (n > 0) {
         const std::uint32_t k = n < cap ? n : cap;
-        (pri ? pri_slot_runs_ : slot_runs_)[s].push_back(PendingRun{
+        sl.runs.push_back(PendingRun{
             run.subref(std::size_t{off} * sizeof(Entry),
                        std::size_t{k} * sizeof(Entry)),
             k});
-        staged += k;
+        sl.staged += k;
         // Retention bound: chunks are at most one fill (cap), and a slot
         // ships as soon as buffered + staged reaches cap, so the staged
         // backlog can never exceed two fills. A violation means a ship
         // was skipped and sub-view slabs are accumulating silently.
-        assert(staged <= 2 * cap &&
+        assert(sl.staged <= 2 * cap &&
                "staged forward runs exceed the two-fill retention bound");
         staged_bytes_ += std::uint64_t{k} * sizeof(Entry);
         if (staged_bytes_ > staged_bytes_hwm_) {
           staged_bytes_hwm_ = staged_bytes_;
           stats_.max_staged_fwd_bytes = staged_bytes_;
         }
-        if (hop > hops[s]) hops[s] = hop;
+        if (hop > sl.hop) sl.hop = hop;
         off += k;
         n -= k;
-        if (buf.size() + staged >= cap) {
-          ship_slot(slot, /*from_flush=*/false, pri);
+        if (sl.buf.size() + sl.staged >= cap) {
+          ship_slot(lane, slot, /*from_flush=*/false);
         }
       }
     }
@@ -479,26 +473,22 @@ class RoutedDomain {
     /// serves sorted_slot() slots (the in-place permuted ship owns its
     /// whole slab); every byte through here lands in
     /// routed_forward_copy_bytes at the caller.
-    void append_run(int slot, const Entry* src, std::uint32_t n,
-                    std::uint8_t hop, bool pri) {
-      auto& d = *domain_;
-      const std::uint32_t cap_cfg =
-          pri ? d.cfg_.priority_buffer_items : d.cfg_.buffer_items;
-      const std::uint32_t cap = cap_cfg == 0 ? 1 : cap_cfg;
+    void append_run(Lane& lane, int slot, const Entry* src, std::uint32_t n,
+                    std::uint8_t hop) {
+      const std::uint32_t cap = lane.cap;
       const auto s = static_cast<std::size_t>(slot);
-      auto& buf = (pri ? pri_bufs_ : bufs_)[s];
-      auto& hops = pri ? pri_slot_hop_ : slot_hop_;
-      note_slot_used(s, pri);
+      Slot& sl = lane.slots[s];
+      note_slot_used(lane, s);
       pending_.fetch_add(n, std::memory_order_release);
       while (n > 0) {
-        const std::uint32_t room = cap - buf.size();
+        const std::uint32_t room = cap - sl.buf.size();
         const std::uint32_t k = n < room ? n : room;
         // Re-raise after every ship: ship_slot resets the slot's hop.
-        if (hop > hops[s]) hops[s] = hop;
-        buf.append(src, k, cap);
+        if (hop > sl.hop) sl.hop = hop;
+        sl.buf.append(src, k, cap);
         src += k;
         n -= k;
-        if (buf.size() >= cap) ship_slot(slot, /*from_flush=*/false, pri);
+        if (sl.buf.size() >= cap) ship_slot(lane, slot, /*from_flush=*/false);
       }
     }
 
@@ -511,15 +501,14 @@ class RoutedDomain {
     /// when only staged runs exist, extent 0 degenerates to a pooled
     /// 8-byte header block. In all cases the handles move — ship copies
     /// nothing.
-    void ship_slot(int slot, bool from_flush, bool pri) {
+    void ship_slot(Lane& lane, int slot, bool from_flush) {
       auto& d = *domain_;
       const auto s = static_cast<std::size_t>(slot);
-      auto& buf = (pri ? pri_bufs_ : bufs_)[s];
-      auto& runs = (pri ? pri_slot_runs_ : slot_runs_)[s];
-      auto& staged = (pri ? pri_slot_staged_ : slot_staged_)[s];
-      const std::size_t n = buf.size() + staged;
+      Slot& sl = lane.slots[s];
+      const std::size_t n = sl.buf.size() + sl.staged;
       if (n == 0) return;
-      const std::uint8_t hop = (pri ? pri_slot_hop_ : slot_hop_)[s];
+      const bool pri = lane.pri;
+      const std::uint8_t hop = sl.hop;
       const bool sorted = d.router_.ships_final(slot);
 
       core::RoutedHeader hdr;
@@ -543,31 +532,31 @@ class RoutedDomain {
         // it by moving the handle; the wide header space was reserved at
         // construction. Forward runs are never staged here (see
         // stage_run), so the slab is the whole message.
-        assert(runs.empty() && staged == 0);
+        assert(sl.runs.empty() && sl.staged == 0);
         core::RoutedSortedHeader shdr;
         shdr.base = hdr;
         core::permute_sort_segments(
-            buf.data(), n, wpp_,
+            sl.buf.data(), n, wpp_,
             [this](WorkerId dw) { return rank_of(dw); }, shdr.segments);
-        std::memcpy(buf.header(), &shdr, sizeof shdr);
-        m.payload = buf.take();
+        std::memcpy(sl.buf.header(), &shdr, sizeof shdr);
+        m.payload = sl.buf.take();
       } else {
-        if (buf.empty()) {
+        if (sl.buf.empty()) {
           // Nothing but staged runs: a header-only extent 0 carries the
           // routing metadata (cheaper than copying the first run behind
           // a header, and the slot's idle slab — if any — stays put).
           m.payload = util::PayloadPool::global().acquire(sizeof hdr);
           std::memcpy(m.payload.data(), &hdr, sizeof hdr);
         } else {
-          std::memcpy(buf.header(), &hdr, sizeof hdr);
-          m.payload = buf.take();
+          std::memcpy(sl.buf.header(), &hdr, sizeof hdr);
+          m.payload = sl.buf.take();
         }
-        if (!runs.empty()) {
-          m.extras.reserve(runs.size());
-          for (auto& r : runs) m.extras.push_back(std::move(r.bytes));
-          runs.clear();
-          staged_bytes_ -= std::uint64_t{staged} * sizeof(Entry);
-          staged = 0;
+        if (!sl.runs.empty()) {
+          m.extras.reserve(sl.runs.size());
+          for (auto& r : sl.runs) m.extras.push_back(std::move(r.bytes));
+          sl.runs.clear();
+          staged_bytes_ -= std::uint64_t{sl.staged} * sizeof(Entry);
+          sl.staged = 0;
         }
       }
 
@@ -578,7 +567,7 @@ class RoutedDomain {
       if (hop > 1) ++stats_.routed_forward_msgs;
       if (from_flush) ++stats_.flush_msgs;
       stats_.occupancy_at_ship.add(static_cast<double>(n));
-      (pri ? pri_slot_hop_ : slot_hop_)[s] = 0;
+      sl.hop = 0;
       // a1 packs the slot with what kind of ship this was: bit 16 pri,
       // 17 flush, 18 sorted fast path; hop in bits 24+.
       trace::instant(trace::Cat::kRoute, trace::kShip, n,
@@ -636,21 +625,14 @@ class RoutedDomain {
     void scatter_sorted(rt::Worker& w, const rt::Message& msg,
                         std::span<const Entry> entries, bool pri) {
       auto& d = *domain_;
-      core::SegmentHeader seg;
-      std::memcpy(&seg, msg.payload.data() + sizeof(core::RoutedHeader),
-                  sizeof seg);
+      const core::SegmentHeader seg = core::parse_segments(
+          msg.payload.span().subspan(sizeof(core::RoutedHeader)),
+          sizeof(Entry), wpp_);
       const LocalWorkerId own = rank_of(w.id());
       std::size_t offset = 0;
       for (int r = 0; r < wpp_; ++r) {
         const std::uint32_t count = seg.counts[r];
         if (count == 0) continue;
-        if (offset + count > entries.size()) {
-          std::fprintf(stderr,
-                       "sorted routed message: segment counts overflow "
-                       "the payload (%zu entries)\n",
-                       entries.size());
-          std::abort();
-        }
         const auto segment = entries.subspan(offset, count);
         const std::size_t seg_bytes_off =
             sizeof(core::RoutedSortedHeader) + offset * sizeof(Entry);
@@ -669,16 +651,6 @@ class RoutedDomain {
                                        count * sizeof(Entry));
         ++stats_.regroup_msgs;
         w.send(std::move(m));
-      }
-      // Counts summing short of the payload would silently drop the tail
-      // — the mirror image of the overflow aborted above, and the same
-      // wire-corruption class.
-      if (offset != entries.size()) {
-        std::fprintf(stderr,
-                     "sorted routed message: segment counts cover %zu of "
-                     "%zu entries\n",
-                     offset, entries.size());
-        std::abort();
       }
     }
 
@@ -699,11 +671,12 @@ class RoutedDomain {
                           std::span<const Entry> entries) {
       auto& d = *domain_;
       const core::RoutedHeader& hdr = wire.hdr;
-      const bool pri = hdr.priority();
+      Lane& lane = hdr.priority() ? pri_ : bulk_;
+      const bool pri = lane.pri;
       const LocalWorkerId own = rank_of(w.id());
       const auto next_ord = static_cast<std::uint8_t>(hdr.hop + 1);
       const std::size_t nbuckets =
-          static_cast<std::size_t>(wpp_) + bufs_.size();
+          static_cast<std::size_t>(wpp_) + lane.slots.size();
       constexpr std::uint32_t kMixed = UINT32_MAX;
 
       extents_.clear();
@@ -787,12 +760,12 @@ class RoutedDomain {
           stats_.routed_forwarded_items += count;
           if (sorted_slot(slot)) {
             stats_.routed_forward_copy_bytes += n * sizeof(Entry);
-            append_run(slot, ext.entries.data(), count, next_ord, pri);
+            append_run(lane, slot, ext.entries.data(), count, next_ord);
           } else {
             stats_.routed_forward_subview_bytes += n * sizeof(Entry);
-            stage_run(slot,
+            stage_run(lane, slot,
                       ext.slab->subref(ext.base_off, n * sizeof(Entry)),
-                      count, next_ord, pri);
+                      count, next_ord);
           }
         }
       }
@@ -843,14 +816,10 @@ class RoutedDomain {
       for (std::size_t b = static_cast<std::size_t>(wpp_); b < nbuckets;
            ++b) {
         if (bucket_counts_[b] == 0) continue;
-        note_slot_used(b - static_cast<std::size_t>(wpp_), pri);
+        note_slot_used(lane, b - static_cast<std::size_t>(wpp_));
         stats_.routed_forwarded_items += bucket_counts_[b];
       }
-      const std::uint32_t cap_cfg =
-          pri ? d.cfg_.priority_buffer_items : d.cfg_.buffer_items;
-      const std::uint32_t cap = cap_cfg == 0 ? 1 : cap_cfg;
-      auto& fbufs = pri ? pri_bufs_ : bufs_;
-      auto& hops = pri ? pri_slot_hop_ : slot_hop_;
+      const std::uint32_t cap = lane.cap;
       for (const auto& ext : extents_) {
         if (ext.only != kMixed) continue;
         const std::size_t n = ext.entries.size();
@@ -862,12 +831,12 @@ class RoutedDomain {
             continue;
           }
           const auto s = static_cast<std::size_t>(b - wpp_);
-          auto& buf = fbufs[s];
-          buf.push(e, cap);
+          Slot& sl = lane.slots[s];
+          sl.buf.push(e, cap);
           // Re-raise after every ship: ship_slot resets the slot's hop.
-          if (next_ord > hops[s]) hops[s] = next_ord;
-          if (buf.size() + staged_of(s, pri) >= cap) {
-            ship_slot(static_cast<int>(s), /*from_flush=*/false, pri);
+          if (next_ord > sl.hop) sl.hop = next_ord;
+          if (sl.buf.size() + sl.staged >= cap) {
+            ship_slot(lane, static_cast<int>(s), /*from_flush=*/false);
           }
         }
       }
@@ -924,28 +893,10 @@ class RoutedDomain {
     /// This process's row of the Router's precomputed table: the
     /// per-entry routing decision is row_[dst_proc], one indexed load.
     const Router::Route* row_;
-    std::vector<core::EntryBuffer<Entry>> bufs_;
-    /// Priority slots, mirroring bufs_'s layout; sized only when
-    /// cfg.priority_buffer_items > 0 (insert_priority falls back to the
-    /// bulk path otherwise).
-    std::vector<core::EntryBuffer<Entry>> pri_bufs_;
-    /// Per-slot pending hop ordinal: max over the entries currently in the
-    /// slot's buffer of the hop their next ship will be.
-    std::vector<std::uint8_t> slot_hop_;
-    std::vector<std::uint8_t> pri_slot_hop_;
-    /// A forwarded run staged for a slot's next ship: a refcounted
-    /// sub-view of the slab the entries already live in (inbound extent
-    /// or re-bucket scratch). Ships as an extra payload extent.
-    struct PendingRun {
-      util::PayloadRef bytes;
-      std::uint32_t count = 0;
-    };
-    std::vector<std::vector<PendingRun>> slot_runs_;
-    std::vector<std::vector<PendingRun>> pri_slot_runs_;
-    /// Items staged in slot_runs_ per slot (kept alongside so the ship
-    /// threshold check is O(1)).
-    std::vector<std::uint32_t> slot_staged_;
-    std::vector<std::uint32_t> pri_slot_staged_;
+    Lane bulk_;
+    /// Sized only when cfg.priority_buffer_items > 0 (insert_priority
+    /// falls back to the bulk lane otherwise).
+    Lane pri_;
     /// One sticky flag per bulk slot for the reserved_buffers_ metric
     /// (replaces EntryBuffer::ever_acquired, which a staging-only slot
     /// would never set).

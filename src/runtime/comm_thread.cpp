@@ -17,29 +17,23 @@ CommThread::CommThread(Machine& machine, Process& proc)
     : machine_(machine), proc_(proc), transport_(machine.transport()) {}
 
 std::size_t CommThread::pump_egress() {
-  const auto& cfg = machine_.config();
   const int nworkers = proc_.worker_count();
   std::size_t forwarded = 0;
   for (LocalWorkerId r = 0; r < nworkers; ++r) {
     auto& ring = proc_.egress(r);
     // Bounded batch per worker per iteration keeps one chatty worker from
     // starving its siblings.
-    for (std::uint32_t i = 0; i < cfg.progress_batch; ++i) {
+    for (std::uint32_t i = 0; i < kProgressBatch; ++i) {
       auto m = ring.try_pop();
       if (!m) break;
       transport_.send(proc_.id(), std::move(*m));
-      ++sent_;
       ++forwarded;
     }
   }
   return forwarded;
 }
 
-std::size_t CommThread::pump_ingress() {
-  const std::size_t delivered = transport_.poll(proc_);
-  delivered_ += delivered;
-  return delivered;
-}
+std::size_t CommThread::pump_ingress() { return transport_.poll(proc_); }
 
 void CommThread::run() {
   util::tighten_timer_slack();

@@ -40,10 +40,6 @@ class CommThread {
   /// been forwarded.
   void run();
 
-  /// Messages this comm thread forwarded to the transport / delivered.
-  std::uint64_t sent_count() const noexcept { return sent_; }
-  std::uint64_t delivered_count() const noexcept { return delivered_; }
-
  private:
   /// Drain egress rings; returns number of messages forwarded.
   std::size_t pump_egress();
@@ -53,8 +49,6 @@ class CommThread {
   Machine& machine_;
   Process& proc_;
   Transport& transport_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
 };
 
 }  // namespace tram::rt

@@ -58,18 +58,9 @@ struct RuntimeConfig {
   /// Capacity of each worker -> comm-thread egress ring.
   std::uint32_t egress_ring_capacity = 2048;
 
-  /// Max messages a worker handles per progress() call before returning to
-  /// the application (bounds latency of interleaved compute/progress loops).
-  std::uint32_t progress_batch = 64;
-
   /// Quiescence detection: the condition must hold this long (two samples)
   /// before the machine declares termination.
   std::uint64_t qd_settle_ns = 200'000;
-
-  /// Counter-sampler cadence while tracing is enabled (trace::enabled()):
-  /// how often the sampler thread snapshots pool occupancy, send backlog,
-  /// in-flight messages, and reliability counters into counter events.
-  std::uint64_t trace_sample_ns = 200'000;
 
   /// Returns a config with a zero-cost interconnect and zero comm-thread
   /// per-message costs: deterministic unit-test mode.

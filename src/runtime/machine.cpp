@@ -14,6 +14,13 @@
 
 namespace tram::rt {
 
+namespace {
+/// Counter-sampler cadence while tracing is enabled (trace::enabled()):
+/// how often the sampler thread snapshots pool occupancy, send backlog,
+/// in-flight messages, and reliability counters into counter events.
+constexpr std::uint64_t kTraceSampleNs = 200'000;
+}  // namespace
+
 Machine::Machine(util::Topology topo, RuntimeConfig cfg)
     : topo_(topo), cfg_(cfg), fabric_(topo, cfg.cost) {
   if (!cfg_.dedicated_comm && topo_.workers_per_proc() != 1) {
@@ -177,7 +184,6 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   for (auto& proc : procs_) {
     for (auto& w : proc->workers_) {
       w->reseed(seed);
-      w->handled_.store(0, std::memory_order_relaxed);
     }
   }
 
@@ -186,7 +192,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   // traced machines).
   std::unique_ptr<trace::CounterSampler> sampler;
   if (trace::enabled()) {
-    sampler = std::make_unique<trace::CounterSampler>(cfg_.trace_sample_ns);
+    sampler = std::make_unique<trace::CounterSampler>(kTraceSampleNs);
     sampler->add("backlog msgs", [this] {
       const std::uint64_t h = total_handled();
       const std::uint64_t s = total_sent();

@@ -87,7 +87,6 @@ void Worker::push_egress(Message&& m) {
 void Worker::dispatch(Message&& m) {
   const EndpointId ep = m.endpoint;
   machine_.endpoints().get(ep)(*this, std::move(m));
-  handled_.fetch_add(1, std::memory_order_relaxed);
   machine_.note_handled();
 }
 
@@ -98,7 +97,6 @@ std::size_t Worker::progress() {
                  id_);
     std::abort();
   }
-  const std::uint32_t batch = machine_.config().progress_batch;
   // Span timestamp only when a batch is plausibly non-empty: idle workers
   // spin through here, and an unconditional clock read per spin is the
   // kind of traced-run overhead the fig_routed_histogram A/B row bounds.
@@ -109,13 +107,13 @@ std::size_t Worker::progress() {
   }
   std::size_t n = 0;
   // Expedited messages first (Charm++ expedited entry methods).
-  while (n < batch) {
+  while (n < kProgressBatch) {
     auto m = expedited_inbox_.try_pop();
     if (!m) break;
     dispatch(std::move(*m));
     ++n;
   }
-  while (n < batch) {
+  while (n < kProgressBatch) {
     auto m = inbox_.try_pop();
     if (!m) break;
     dispatch(std::move(*m));

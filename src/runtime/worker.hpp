@@ -30,6 +30,12 @@ namespace tram::rt {
 class Machine;
 class Process;
 
+/// Max messages a worker handles per progress() call before returning to
+/// the application (bounds latency of interleaved compute/progress loops),
+/// and max messages a comm thread forwards from one worker's egress ring
+/// per pump (one chatty worker cannot starve its siblings).
+inline constexpr std::uint32_t kProgressBatch = 64;
+
 class Worker {
  public:
   Worker(Machine& machine, Process& proc, WorkerId id, LocalWorkerId rank);
@@ -57,7 +63,7 @@ class Worker {
   /// process and by the comm thread) and unpark the worker. Thread-safe.
   void enqueue(Message&& m);
 
-  /// Handle up to config.progress_batch pending messages. Returns the
+  /// Handle up to kProgressBatch pending messages. Returns the
   /// number handled. Call from compute loops that also generate messages so
   /// that receives interleave with sends (message-driven execution).
   std::size_t progress();
@@ -98,11 +104,6 @@ class Worker {
     rng_ = util::Xoshiro256::for_stream(seed, static_cast<std::uint64_t>(id_));
   }
 
-  /// Messages handled by this worker since the run started.
-  std::uint64_t handled_count() const noexcept {
-    return handled_.load(std::memory_order_relaxed);
-  }
-
   /// Remove all idle hooks / pending counters (between benchmark configs).
   void clear_hooks() {
     idle_hooks_.clear();
@@ -139,7 +140,6 @@ class Worker {
   std::vector<std::function<void(Worker&)>> idle_hooks_;
   std::vector<std::function<std::uint64_t()>> pending_counters_;
   util::Xoshiro256 rng_;
-  std::atomic<std::uint64_t> handled_{0};
 };
 
 }  // namespace tram::rt

@@ -188,6 +188,12 @@ TEST(Priority, FlushShipsPriorityPartialsFirst) {
   });
   EXPECT_EQ(seen.load(), 2);
   EXPECT_EQ(order_first.load(), 1);
+  // Both partials left through flush_all, the urgent one as a priority
+  // message (RoutedPriority.FlushShipsPriorityPartialsFirst pins the same
+  // counts for the mesh).
+  const auto stats = tram.aggregate_stats();
+  EXPECT_EQ(stats.flush_msgs, 2u);
+  EXPECT_EQ(stats.priority_msgs, 1u);
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/grouping.hpp"
 #include "core/tram.hpp"
+#include "core/wire.hpp"
 #include "runtime/machine.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
@@ -417,6 +420,43 @@ TEST(Grouping, PermuteSortSegmentsGroupsByRank) {
       }
     }
   }
+}
+
+/// parse_segments, the one validation of a pre-sorted batch (the WsP
+/// scatter and the routed sorted last hop): a payload too short for its
+/// SegmentHeader, and counts that overflow or fall short of the entries
+/// that follow, are wire corruption and must abort.
+TEST(SegmentWireDeathTest, TruncatedOverflowingOrShortAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  using Entry = core::WireEntry<std::uint64_t>;
+  constexpr int kRanks = 4;
+  std::vector<std::byte> buf(sizeof(core::SegmentHeader) +
+                             3 * sizeof(Entry));
+  core::SegmentHeader h;
+  h.counts[0] = 1;
+  h.counts[2] = 2;  // covers the three entries exactly
+  std::memcpy(buf.data(), &h, sizeof h);
+  const std::span<const std::byte> bytes(buf);
+  const core::SegmentHeader ok =
+      core::parse_segments(bytes, sizeof(Entry), kRanks);
+  EXPECT_EQ(ok.counts[0], 1u);
+  EXPECT_EQ(ok.counts[2], 2u);
+
+  // Truncated: the payload ends inside the SegmentHeader.
+  EXPECT_DEATH(core::parse_segments(bytes.first(sizeof h - 8),
+                                    sizeof(Entry), kRanks),
+               "truncated");
+  // Overflowing: the counts claim three entries, two follow.
+  EXPECT_DEATH(core::parse_segments(bytes.first(sizeof h + 2 * sizeof(Entry)),
+                                    sizeof(Entry), kRanks),
+               "segment counts cover 3 entries");
+  // Short: the counts cover two of the three entries; a count past the
+  // last local rank covers nothing.
+  h.counts[2] = 1;
+  h.counts[kRanks] = 1;
+  std::memcpy(buf.data(), &h, sizeof h);
+  EXPECT_DEATH(core::parse_segments(bytes, sizeof(Entry), kRanks),
+               "segment counts cover 2 entries");
 }
 
 }  // namespace

@@ -195,6 +195,36 @@ TEST(RoutedPriority, MixedExchangeExactlyOnceNonSmp) {
   run_priority_exchange(core::Scheme::Mesh3D, topo, inline_cfg);
 }
 
+/// flush_all ships the partial priority slot before the partial bulk
+/// one, and counts both as flush messages — the same counts
+/// Priority.FlushShipsPriorityPartialsFirst pins for TramDomain.
+TEST(RoutedPriority, FlushShipsPriorityPartialsFirst) {
+  auto rt_cfg = rt::RuntimeConfig::inline_testing();
+  rt_cfg.dedicated_comm = false;
+  // Two single-worker processes: a one-hop route into one inbox, where
+  // expedited dispatch order is deterministic.
+  rt::Machine machine(util::Topology(2, 1, 1), rt_cfg);
+  core::TramConfig cfg;
+  cfg.scheme = core::Scheme::Mesh2D;
+  cfg.buffer_items = 1024;
+  cfg.priority_buffer_items = 1024;  // nothing ships before flush
+  std::vector<std::uint64_t> order;  // written only by worker 1
+  route::RoutedDomain<std::uint64_t> domain(
+      machine, cfg,
+      [&](rt::Worker&, const std::uint64_t& v) { order.push_back(v); });
+  machine.run([&](rt::Worker& w) {
+    if (w.id() != 0) return;
+    auto& h = domain.on(w);
+    h.insert(1, 0);           // bulk, buffered
+    h.insert_priority(1, 1);  // urgent, buffered
+    h.flush_all();            // priority slot must ship first
+  });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 0}));
+  const auto stats = domain.aggregate_stats();
+  EXPECT_EQ(stats.flush_msgs, 2u);
+  EXPECT_EQ(stats.priority_msgs, 1u);
+}
+
 TEST(RoutedPriority, FallsBackWhenDisabled) {
   auto rt_cfg = rt::RuntimeConfig::inline_testing();
   rt_cfg.dedicated_comm = false;
