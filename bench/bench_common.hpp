@@ -207,13 +207,6 @@ struct RoutedPointCounters {
   std::uint64_t sorted_messages = 0;
   /// Final-hop segments handed on as refcounted sub-views (0 direct).
   std::uint64_t subview_deliveries = 0;
-  /// Forwarded bytes copied into intermediate slot buffers vs. staged as
-  /// sub-views of the inbound/scratch slab (both 0 for direct schemes;
-  /// copy is 0 with one worker per process — the zero-copy claim).
-  std::uint64_t fwd_copy_bytes = 0;
-  std::uint64_t fwd_subview_bytes = 0;
-  /// Worst-case staged-forward retention on any one worker (bytes).
-  std::uint64_t max_staged_fwd_bytes = 0;
   std::uint64_t fabric_messages = 0;
   std::uint64_t fabric_bytes = 0;
   /// Live source-side buffers on the worst worker (O(N) direct,
@@ -229,9 +222,6 @@ struct RoutedPointCounters {
     forwarded_messages = run.forwarded_messages;
     sorted_messages = tram.routed_sorted_msgs;
     subview_deliveries = tram.routed_subview_deliveries;
-    fwd_copy_bytes = tram.routed_forward_copy_bytes;
-    fwd_subview_bytes = tram.routed_forward_subview_bytes;
-    max_staged_fwd_bytes = tram.max_staged_fwd_bytes;
     fabric_messages = run.fabric_messages;
     fabric_bytes = run.fabric_bytes;
     max_reserved_buffers = max_reserved;
@@ -288,9 +278,6 @@ class JsonReporter {
                    "\"messages\": %llu, \"bytes\": %llu, "
                    "\"forwarded\": %llu, \"sorted\": %llu, "
                    "\"subviews\": %llu, "
-                   "\"fwd_copy_bytes\": %llu, "
-                   "\"fwd_subview_bytes\": %llu, "
-                   "\"max_staged_fwd_bytes\": %llu, "
                    "\"max_buffers\": %llu, "
                    "\"faults_injected_drop\": %llu, "
                    "\"faults_injected_dup\": %llu, "
@@ -309,9 +296,6 @@ class JsonReporter {
                    static_cast<unsigned long long>(c.forwarded_messages),
                    static_cast<unsigned long long>(c.sorted_messages),
                    static_cast<unsigned long long>(c.subview_deliveries),
-                   static_cast<unsigned long long>(c.fwd_copy_bytes),
-                   static_cast<unsigned long long>(c.fwd_subview_bytes),
-                   static_cast<unsigned long long>(c.max_staged_fwd_bytes),
                    static_cast<unsigned long long>(c.max_reserved_buffers),
                    static_cast<unsigned long long>(
                        c.faults.faults_injected_drop),

@@ -63,22 +63,11 @@ struct WorkerTramStats {
   /// as refcounted views of a slab (own-rank spans delivered in place plus
   /// sub-view regroup messages) — zero-copy scatter adoption.
   std::uint64_t routed_subview_deliveries = 0;
-  /// Routed schemes: forwarded bytes memcpy'd into a next-hop slot buffer
-  /// at an intermediate. After the zero-copy forward path this is nonzero
-  /// only for SMP final-dimension slots (whose ship permutes its own slab,
-  /// so staged views cannot ride along); with one worker per process it is
-  /// exactly 0 — the regression-checkable zero-copy claim.
+  /// Always 0: nothing sets these two any more, because an intermediate
+  /// copies each forwarded entry exactly once, into its next-hop slot, and
+  /// stages nothing. They stay only because bench/e2e reports them as
+  /// route.fwd_copy_bytes and route.max_staged_fwd_bytes.
   std::uint64_t routed_forward_copy_bytes = 0;
-  /// Routed schemes: forwarded bytes staged as refcounted sub-views of an
-  /// inbound or scratch slab instead of being copied into a slot buffer.
-  std::uint64_t routed_forward_subview_bytes = 0;
-  /// Routed schemes: bytes counting-sorted into the re-bucket scratch slab
-  /// (the residual one-copy path, taken only when an inbound extent mixes
-  /// buckets; single-destination extents bypass it entirely).
-  std::uint64_t routed_rebucket_copy_bytes = 0;
-  /// Routed schemes: largest number of bytes this worker ever had pinned
-  /// in staged forward runs (sub-views awaiting their slot's next ship).
-  /// A high-water mark, so merge() takes the max, not the sum.
   std::uint64_t max_staged_fwd_bytes = 0;
   /// Items per shipped message, observed at ship time.
   util::RunningStats occupancy_at_ship;
@@ -97,12 +86,6 @@ struct WorkerTramStats {
     routed_forwarded_items += o.routed_forwarded_items;
     routed_sorted_msgs += o.routed_sorted_msgs;
     routed_subview_deliveries += o.routed_subview_deliveries;
-    routed_forward_copy_bytes += o.routed_forward_copy_bytes;
-    routed_forward_subview_bytes += o.routed_forward_subview_bytes;
-    routed_rebucket_copy_bytes += o.routed_rebucket_copy_bytes;
-    if (o.max_staged_fwd_bytes > max_staged_fwd_bytes) {
-      max_staged_fwd_bytes = o.max_staged_fwd_bytes;
-    }
     occupancy_at_ship.merge(o.occupancy_at_ship);
   }
 };

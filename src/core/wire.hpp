@@ -249,25 +249,6 @@ class EntryBuffer {
     data()[count_++] = e;
   }
 
-  /// Bulk-append a contiguous run of entries (the batched re-bucket path:
-  /// one memcpy replaces n push calls). The caller must have room —
-  /// append at most cap_items - size() — and ships at cap_items exactly
-  /// as with push().
-  void append(const Entry* src, std::uint32_t n, std::uint32_t cap_items) {
-    if (n == 0) return;
-    if (ref_.capacity() == 0) {
-      const std::size_t items = cap_items == 0 ? 1 : cap_items;
-      ref_ = util::PayloadPool::global().acquire(header_bytes_ +
-                                                 items * sizeof(Entry));
-      ever_acquired_ = true;
-    }
-    assert(header_bytes_ + (std::size_t{count_} + n) * sizeof(Entry) <=
-               ref_.capacity() &&
-           "EntryBuffer overfilled: run exceeds remaining capacity");
-    std::memcpy(data() + count_, src, std::size_t{n} * sizeof(Entry));
-    count_ += n;
-  }
-
   /// Hand the buffer off as a message payload sized to the actual
   /// occupancy (header included), resetting this buffer.
   util::PayloadRef take() {

@@ -159,21 +159,11 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
 
   // Frame into a fresh slab: header + payload bytes. The one copy this
   // protocol costs per message — the retransmit queue then holds the
-  // framed slab by reference, so re-sends are copy-free. Multi-extent
-  // messages are flattened here: extents are bare entry arrays that are
-  // wire-equivalent concatenated, and a retransmit must not depend on
-  // sub-view slabs whose owners have moved on.
+  // framed slab by reference, so re-sends are copy-free.
   util::PayloadRef framed =
-      util::PayloadPool::global().acquire(sizeof h + m.payload_bytes());
-  std::size_t off = sizeof h;
+      util::PayloadPool::global().acquire(sizeof h + m.payload.size());
   if (!m.payload.empty()) {
-    std::memcpy(framed.data() + off, m.payload.data(), m.payload.size());
-    off += m.payload.size();
-  }
-  for (const auto& e : m.extras) {
-    if (e.empty()) continue;
-    std::memcpy(framed.data() + off, e.data(), e.size());
-    off += e.size();
+    std::memcpy(framed.data() + sizeof h, m.payload.data(), m.payload.size());
   }
 
   rt::Message out;

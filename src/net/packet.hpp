@@ -6,12 +6,11 @@
 /// A Packet is what a comm thread hands to the Fabric: an opaque payload
 /// plus routing metadata. The runtime layers its own Message envelope inside
 /// the payload; the fabric only reads the routing fields. The payload is the
-/// same pooled, refcounted buffer the originating Message carried — crossing
+/// one pooled, refcounted slab the originating Message carried — crossing
 /// the Message/Packet boundary moves a handle, never bytes.
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "util/payload_pool.hpp"
 #include "util/types.hpp"
@@ -41,16 +40,10 @@ struct Packet {
   /// Time the packet was handed to the fabric (for fabric-level stats).
   std::uint64_t send_ns = 0;
   util::PayloadRef payload;
-  /// Additional payload extents (see rt::Message::extras): logically
-  /// concatenated after `payload`. The fabric treats them as wire bytes; a
-  /// real NIC would gather-send the iovec.
-  std::vector<util::PayloadRef> extras;
 
   std::size_t wire_bytes() const noexcept {
     // Payload plus a fixed header charge, mirroring a real transport.
-    std::size_t n = payload.size() + kHeaderBytes;
-    for (const auto& e : extras) n += e.size();
-    return n;
+    return payload.size() + kHeaderBytes;
   }
   static constexpr std::size_t kHeaderBytes = 32;
 };

@@ -14,22 +14,15 @@
 ///             a last-hop buffer ships pre-sorted by destination local
 ///             rank under RoutedHeader::kSortedMagic — sorted *in place*
 ///             by permutation, never copied into a fresh slab)
-///          -> re-aggregate (intermediate classifies the batch once; a
-///             single-destination extent forwards as a refcounted
-///             sub-view of the inbound slab with zero copies, a mixed
-///             extent counting-sorts once into scratch and forwards
-///             runs as sub-views of the scratch slab)
-///          -> ship (slot slab is extent 0; staged forward runs ride as
-///             extra payload extents, rt::Message::extras — gather-send)
-///          -> ... -> deliver (final process scatters refcounted
+///          -> re-aggregate (intermediate classifies the batch once and
+///             copies each forwarded entry once, straight into the
+///             buffer of its next-hop slot)
+///          -> ship -> ... -> deliver (final process scatters refcounted
 ///             sub-views per rank instead of copying)
 ///
-/// Forwarded bytes are therefore copied once (mixed extent: into
-/// scratch) or not at all (single-destination extent); the only
-/// remaining forward memcpy into a slot buffer is the SMP
-/// final-dimension slot, whose ship permutes its own slab and so cannot
-/// carry foreign extents. stats_.routed_forward_{copy,subview}_bytes
-/// make the split measurable.
+/// Every slot ships at cap entries, so a routed message carries at most
+/// one buffer's worth of entries (the paper's g) as one slab, and a
+/// forwarded entry is copied exactly once per hop.
 ///
 /// Every wire record carries its final destination worker
 /// (WireEntry::dest), so intermediates never rewrite entries — they only
@@ -164,19 +157,6 @@ class RoutedDomain {
     return m;
   }
 
-  /// Largest number of bytes any single worker ever had pinned in staged
-  /// forward runs (sub-views awaiting their slot's next ship). Bounded by
-  /// construction — a slot ships as soon as buffered + staged items reach
-  /// the slot capacity, asserted at two fills per slot — and surfaced
-  /// here so the retention policy is a measurable number, not a hope.
-  std::uint64_t max_staged_forward_bytes() const {
-    std::uint64_t m = 0;
-    for (const auto& h : handles_) {
-      if (h->staged_bytes_hwm_ > m) m = h->staged_bytes_hwm_;
-    }
-    return m;
-  }
-
   /// Actual bytes reserved in aggregation buffers, machine-wide (same
   /// charge model as TramDomain::allocated_buffer_bytes).
   std::uint64_t allocated_buffer_bytes() const {
@@ -191,12 +171,7 @@ class RoutedDomain {
 
   /// Zero all counters between benchmark trials (machine must be idle).
   void reset_stats() {
-    for (auto& h : handles_) {
-      h->stats_ = core::WorkerTramStats{};
-      // Re-arm the staged-forward high-water so each trial reports its
-      // own retention peak (idle machine => staged_bytes_ is 0).
-      h->staged_bytes_hwm_ = h->staged_bytes_;
-    }
+    for (auto& h : handles_) h->stats_ = core::WorkerTramStats{};
   }
 
  private:
@@ -300,10 +275,7 @@ class RoutedDomain {
       const std::uint64_t shipped0 = stats_.msgs_shipped;
       for (Lane* lane : {&pri_, &bulk_}) {
         for (std::size_t s = 0; s < lane->slots.size(); ++s) {
-          const Slot& slot = lane->slots[s];
-          if (!slot.buf.empty() || slot.staged != 0) {
-            ship_slot(*lane, static_cast<int>(s), /*from_flush=*/true);
-          }
+          ship_slot(*lane, static_cast<int>(s), /*from_flush=*/true);
         }
       }
       if (stats_.msgs_shipped > shipped0) {
@@ -321,13 +293,6 @@ class RoutedDomain {
    private:
     friend class RoutedDomain;
 
-    /// A forwarded run staged for a slot's next ship: a refcounted
-    /// sub-view of the slab the entries already live in (inbound extent
-    /// or re-bucket scratch). Ships as an extra payload extent.
-    struct PendingRun {
-      util::PayloadRef bytes;
-      std::uint32_t count = 0;
-    };
     /// One buffer per mesh coordinate per dimension, indexed by the
     /// Router's slot number.
     struct Slot {
@@ -335,10 +300,6 @@ class RoutedDomain {
       /// Pending hop ordinal: max over the entries currently in the slot
       /// of the hop their next ship will be.
       std::uint8_t hop = 0;
-      std::vector<PendingRun> runs;
-      /// Items staged in runs (kept alongside so the ship threshold check
-      /// is O(1)).
-      std::uint32_t staged = 0;
     };
     /// Bulk or priority traffic: the same slot layout, so one Route record
     /// indexes both, with the lane's own capacity. Priority slots ship
@@ -373,13 +334,11 @@ class RoutedDomain {
                   : sizeof(core::RoutedHeader));
         }
       }
-      slot_counted_.assign(nslots, false);
     }
 
     /// A slot whose ship is the in-place permuted sorted form (final
-    /// dimension, nontrivial local grouping). Such a slot's outgoing slab
-    /// is rank-permuted at ship time, so forward runs cannot be staged on
-    /// it as extents — they are the one remaining copy-in path.
+    /// dimension, nontrivial local grouping): its slab reserves the wide
+    /// sorted header and is rank-permuted at ship time.
     bool sorted_slot(int slot) const noexcept {
       return domain_->router_.ships_final(slot) && wpp_ > 1;
     }
@@ -402,18 +361,17 @@ class RoutedDomain {
       sl.buf.push(e, lane.cap);
       if (sl.hop == 0) sl.hop = 1;
       pending_.fetch_add(1, std::memory_order_release);
-      if (sl.buf.size() + sl.staged >= lane.cap) {
+      if (sl.buf.size() >= lane.cap) {
         ship_slot(lane, slot, /*from_flush=*/false);
       }
     }
 
     /// Priority slots stay out of the live-buffer metric (mirrors
     /// TramDomain: the bound being measured is the bulk footprint the
-    /// section III-C formulas charge). Counted on first use whether the
-    /// slot first sees a pushed entry or a staged sub-view run.
+    /// section III-C formulas charge). Called before the slot's first
+    /// push, so a slot that has never acquired a slab is new.
     void note_slot_used(const Lane& lane, std::size_t s) {
-      if (lane.pri || slot_counted_[s]) return;
-      slot_counted_[s] = true;
+      if (lane.pri || lane.slots[s].buf.ever_acquired()) return;
       ++reserved_buffers_;
       // Every increment IS a new high-water mark (the count never drops
       // within a run) — the trace shows when the footprint grew.
@@ -421,91 +379,15 @@ class RoutedDomain {
                      reserved_buffers_, static_cast<std::uint32_t>(s));
     }
 
-    /// Stage a forwarded run on a slot as a refcounted sub-view (of the
-    /// inbound slab or of the re-bucket scratch): zero bytes move now;
-    /// the run ships as an extra payload extent of the slot's next
-    /// message. Only for non-sorted_slot() slots — a permuted sorted
-    /// ship has no extent channel.
-    void stage_run(Lane& lane, int slot, util::PayloadRef run,
-                   std::uint32_t n, std::uint8_t hop) {
-      assert(!sorted_slot(slot));
-      const std::uint32_t cap = lane.cap;
-      const auto s = static_cast<std::size_t>(slot);
-      Slot& sl = lane.slots[s];
-      note_slot_used(lane, s);
-      pending_.fetch_add(n, std::memory_order_release);
-      // Stage at most cap entries per pending run, shipping on every
-      // fill. An inbound extent usually fits one fill, but the
-      // reliability layer flattens a multi-extent ship into one framed
-      // slab, so a re-framed extent can span several fills — chunking
-      // (free: the chunks are sub-views of the same slab) keeps the
-      // retention bound below independent of the transport stack.
-      std::uint32_t off = 0;
-      while (n > 0) {
-        const std::uint32_t k = n < cap ? n : cap;
-        sl.runs.push_back(PendingRun{
-            run.subref(std::size_t{off} * sizeof(Entry),
-                       std::size_t{k} * sizeof(Entry)),
-            k});
-        sl.staged += k;
-        // Retention bound: chunks are at most one fill (cap), and a slot
-        // ships as soon as buffered + staged reaches cap, so the staged
-        // backlog can never exceed two fills. A violation means a ship
-        // was skipped and sub-view slabs are accumulating silently.
-        assert(sl.staged <= 2 * cap &&
-               "staged forward runs exceed the two-fill retention bound");
-        staged_bytes_ += std::uint64_t{k} * sizeof(Entry);
-        if (staged_bytes_ > staged_bytes_hwm_) {
-          staged_bytes_hwm_ = staged_bytes_;
-          stats_.max_staged_fwd_bytes = staged_bytes_;
-        }
-        if (hop > sl.hop) sl.hop = hop;
-        off += k;
-        n -= k;
-        if (sl.buf.size() + sl.staged >= cap) {
-          ship_slot(lane, slot, /*from_flush=*/false);
-        }
-      }
-    }
-
-    /// Append a contiguous run into a slot's buffer by copy, shipping
-    /// every time it fills. After the zero-copy forward path this only
-    /// serves sorted_slot() slots (the in-place permuted ship owns its
-    /// whole slab); every byte through here lands in
-    /// routed_forward_copy_bytes at the caller.
-    void append_run(Lane& lane, int slot, const Entry* src, std::uint32_t n,
-                    std::uint8_t hop) {
-      const std::uint32_t cap = lane.cap;
-      const auto s = static_cast<std::size_t>(slot);
-      Slot& sl = lane.slots[s];
-      note_slot_used(lane, s);
-      pending_.fetch_add(n, std::memory_order_release);
-      while (n > 0) {
-        const std::uint32_t room = cap - sl.buf.size();
-        const std::uint32_t k = n < room ? n : room;
-        // Re-raise after every ship: ship_slot resets the slot's hop.
-        if (hop > sl.hop) sl.hop = hop;
-        sl.buf.append(src, k, cap);
-        src += k;
-        n -= k;
-        if (sl.buf.size() >= cap) ship_slot(lane, slot, /*from_flush=*/false);
-      }
-    }
-
-    /// Ship a slot's buffer (plus any staged forward runs) to its
-    /// next-hop process. A sorted_slot() ships its own slab in-place
-    /// permuted by destination local rank behind a RoutedSortedHeader —
-    /// the permutation replaces the former counting-sort-into-fresh-slab
-    /// copy. Every other slot ships its slab in place behind the plain
-    /// RoutedHeader with staged runs attached as extra payload extents;
-    /// when only staged runs exist, extent 0 degenerates to a pooled
-    /// 8-byte header block. In all cases the handles move — ship copies
-    /// nothing.
+    /// Ship a slot's buffer to its next-hop process by moving its slab
+    /// handle — ship copies nothing. A sorted_slot() permutes its own slab
+    /// by destination local rank behind a RoutedSortedHeader first; every
+    /// other slot ships behind the plain RoutedHeader.
     void ship_slot(Lane& lane, int slot, bool from_flush) {
       auto& d = *domain_;
       const auto s = static_cast<std::size_t>(slot);
       Slot& sl = lane.slots[s];
-      const std::size_t n = sl.buf.size() + sl.staged;
+      const std::size_t n = sl.buf.size();
       if (n == 0) return;
       const bool pri = lane.pri;
       const std::uint8_t hop = sl.hop;
@@ -527,38 +409,19 @@ class RoutedDomain {
       m.expedited = pri || d.cfg_.expedited;
       m.hops = static_cast<std::uint8_t>(hop - 1);
 
-      if (sorted && wpp_ > 1) {
-        // Permute the slot's own slab into rank-grouped order and ship
-        // it by moving the handle; the wide header space was reserved at
-        // construction. Forward runs are never staged here (see
-        // stage_run), so the slab is the whole message.
-        assert(sl.runs.empty() && sl.staged == 0);
+      if (sorted_slot(slot)) {
+        // Permute the slot's own slab into rank-grouped order; the wide
+        // header space was reserved at construction.
         core::RoutedSortedHeader shdr;
         shdr.base = hdr;
         core::permute_sort_segments(
             sl.buf.data(), n, wpp_,
             [this](WorkerId dw) { return rank_of(dw); }, shdr.segments);
         std::memcpy(sl.buf.header(), &shdr, sizeof shdr);
-        m.payload = sl.buf.take();
       } else {
-        if (sl.buf.empty()) {
-          // Nothing but staged runs: a header-only extent 0 carries the
-          // routing metadata (cheaper than copying the first run behind
-          // a header, and the slot's idle slab — if any — stays put).
-          m.payload = util::PayloadPool::global().acquire(sizeof hdr);
-          std::memcpy(m.payload.data(), &hdr, sizeof hdr);
-        } else {
-          std::memcpy(sl.buf.header(), &hdr, sizeof hdr);
-          m.payload = sl.buf.take();
-        }
-        if (!sl.runs.empty()) {
-          m.extras.reserve(sl.runs.size());
-          for (auto& r : sl.runs) m.extras.push_back(std::move(r.bytes));
-          sl.runs.clear();
-          staged_bytes_ -= std::uint64_t{sl.staged} * sizeof(Entry);
-          sl.staged = 0;
-        }
+        std::memcpy(sl.buf.header(), &hdr, sizeof hdr);
       }
+      m.payload = sl.buf.take();
 
       ++stats_.msgs_shipped;
       ++stats_.routed_hop_msgs;
@@ -581,11 +444,9 @@ class RoutedDomain {
       pending_.fetch_sub(n, std::memory_order_release);
     }
 
-    /// A routed batch arrived at this process. Each payload extent is an
-    /// independent entry array under the shared header: a pre-sorted
-    /// last-hop batch scatters as refcounted sub-views; an unsorted hop
-    /// extent is classified once and its runs delivered / re-staged as
-    /// sub-views (or counting-sorted into scratch when it mixes buckets).
+    /// A routed batch arrived at this process: a pre-sorted last-hop
+    /// batch scatters as refcounted sub-views; an unsorted hop batch is
+    /// classified once and re-bucketed.
     void on_routed(rt::Worker& w, const rt::Message& msg) {
       const std::span<const std::byte> bytes = msg.payload.span();
       const core::RoutedWire wire = core::parse_routed_header(bytes, wpp_);
@@ -593,18 +454,11 @@ class RoutedDomain {
           rt::decode_payload<Entry>(bytes.subspan(wire.header_bytes));
       if (wire.sorted) {
         if (wpp_ == 1) {
-          // Trivial grouping: every extent is our segment, whole.
+          // Trivial grouping: the whole batch is our segment.
           ++stats_.routed_subview_deliveries;
           deliver_batch(w, entries);
-          for (const auto& ex : msg.extras) {
-            ++stats_.routed_subview_deliveries;
-            deliver_batch(w, rt::decode_payload<Entry>(ex.span()));
-          }
           return;
         }
-        // The in-place permuted SMP ship owns its whole slab; it never
-        // carries extents (stage_run refuses sorted slots).
-        assert(msg.extras.empty());
         scatter_sorted(w, msg, entries, wire.hdr.priority());
         trace::instant(trace::Cat::kRoute, trace::kScatterSorted,
                        entries.size());
@@ -654,18 +508,15 @@ class RoutedDomain {
       }
     }
 
-    /// Unsorted hop message: classify every entry of every extent by
-    /// (final local rank | next-hop slot) in ONE pass, then move whole
-    /// runs. A single-bucket extent — a relay stream whose batch shares
-    /// one next hop — never copies: it is delivered in place or
-    /// re-staged as a sub-view of the *inbound* slab and rides the next
-    /// ship as an extra payload extent. Mixed extents pay exactly one
-    /// copy, the rebucket scatter, aimed directly at its final resting
-    /// place (next-hop slot buffers for forwards, a regroup scratch for
-    /// other-rank finals). Processing the extents together keeps the
-    /// per-batch amortization: an intermediate hop can receive several
-    /// extents per message, and rebucketing each separately would pay
-    /// the classify/scratch fixed costs per extent.
+    /// Unsorted hop message: classify every entry by (final local rank |
+    /// next-hop slot) in ONE pass, then move each entry once. A batch
+    /// whose entries are all finals for one local rank never copies: it
+    /// is delivered in place or regrouped as one sub-view of the inbound
+    /// slab. Otherwise every entry pays exactly one copy, aimed at its
+    /// final resting place: forwards push straight into their next-hop
+    /// slot's buffer (which ships one slab at cap entries), and finals
+    /// scatter into a scratch slab sized to just them, grouped by local
+    /// rank, so each other rank's regroup ships as a refcounted sub-view.
     void rebucket_message(rt::Worker& w, const core::RoutedWire& wire,
                           const rt::Message& msg,
                           std::span<const Entry> entries) {
@@ -677,124 +528,61 @@ class RoutedDomain {
       const auto next_ord = static_cast<std::uint8_t>(hdr.hop + 1);
       const std::size_t nbuckets =
           static_cast<std::size_t>(wpp_) + lane.slots.size();
-      constexpr std::uint32_t kMixed = UINT32_MAX;
+      const std::size_t total = entries.size();
+      if (total == 0) return;
 
-      extents_.clear();
-      if (!entries.empty()) {
-        extents_.push_back(
-            ExtentView{entries, &msg.payload, wire.header_bytes, 0, 0});
-      }
-      for (const auto& ex : msg.extras) {
-        const auto es = rt::decode_payload<Entry>(ex.span());
-        if (!es.empty()) extents_.push_back(ExtentView{es, &ex, 0, 0, 0});
-      }
-      if (extents_.empty()) return;
-      std::size_t total = 0;
-      for (const auto& ext : extents_) total += ext.entries.size();
-
-      // Pass 1 over every extent at once: shared bucket counts, the
-      // per-entry bucket index, and per-extent single-bucket detection —
-      // finals bucket to their local rank, forwards to wpp_ + next-hop
-      // slot (one table load each).
+      // Pass 1: bucket counts and the per-entry bucket index — finals
+      // bucket to their local rank, forwards to wpp_ + next-hop slot (one
+      // table load each).
       bucket_counts_.assign(nbuckets, 0);
-      bucket_cursor_.resize(total);  // per-entry bucket, across extents
-      std::size_t ci = 0;
-      for (auto& ext : extents_) {
-        ext.cursor_off = ci;
-        std::uint32_t first = kMixed;
-        bool mixed = false;
-        for (const Entry& e : ext.entries) {
-          const ProcId dst_proc = proc_of(e.dest);
-          std::uint32_t b;
-          if (dst_proc == self_proc_) {
-            b = static_cast<std::uint32_t>(rank_of(e.dest));
-          } else {
-            const Router::Route& r = row_[dst_proc];
-            // Dimension-ordered: the hop that carried this entry here
-            // matched its coordinate in hdr.dim, so the next mismatch is
-            // strictly higher — a cycle would mean wire corruption.
-            assert(r.dim > static_cast<std::int16_t>(hdr.dim) &&
-                   "routed entry does not advance dimension order");
-            b = static_cast<std::uint32_t>(wpp_) +
-                static_cast<std::uint32_t>(r.slot);
-          }
-          bucket_cursor_[ci++] = b;
-          bucket_counts_[b]++;
-          if (first == kMixed) {
-            first = b;
-          } else if (b != first) {
-            mixed = true;
-          }
-        }
-        ext.only = mixed ? kMixed : first;
-      }
-
-      // Single-bucket extents move whole, as sub-views of the inbound
-      // slab they arrived in; their counts leave the shared totals so
-      // the scratch below covers exactly the mixed remainder.
-      std::size_t mixed_total = total;
-      for (const auto& ext : extents_) {
-        if (ext.only == kMixed) continue;
-        const std::size_t n = ext.entries.size();
-        const auto count = static_cast<std::uint32_t>(n);
-        mixed_total -= n;
-        bucket_counts_[ext.only] -= count;
-        const std::size_t only = ext.only;
-        if (only < static_cast<std::size_t>(wpp_)) {
-          ++stats_.routed_subview_deliveries;
-          if (static_cast<LocalWorkerId>(only) == own) {
-            deliver_batch(w, ext.entries);
-          } else {
-            rt::Message m;
-            m.endpoint = d.ep_final_;
-            m.dst_worker =
-                d.topo_.worker_at(self_proc_, static_cast<int>(only));
-            m.src_worker = w.id();
-            m.expedited = pri || d.cfg_.expedited;
-            m.payload = ext.slab->subref(ext.base_off, n * sizeof(Entry));
-            ++stats_.regroup_msgs;
-            w.send(std::move(m));
-          }
+      bucket_cursor_.resize(total);
+      for (std::size_t i = 0; i < total; ++i) {
+        const Entry& e = entries[i];
+        const ProcId dst_proc = proc_of(e.dest);
+        std::uint32_t b;
+        if (dst_proc == self_proc_) {
+          b = static_cast<std::uint32_t>(rank_of(e.dest));
         } else {
-          const int slot = static_cast<int>(only) - wpp_;
-          stats_.routed_forwarded_items += count;
-          if (sorted_slot(slot)) {
-            stats_.routed_forward_copy_bytes += n * sizeof(Entry);
-            append_run(lane, slot, ext.entries.data(), count, next_ord);
-          } else {
-            stats_.routed_forward_subview_bytes += n * sizeof(Entry);
-            stage_run(lane, slot,
-                      ext.slab->subref(ext.base_off, n * sizeof(Entry)),
-                      count, next_ord);
-          }
+          const Router::Route& r = row_[dst_proc];
+          // Dimension-ordered: the hop that carried this entry here
+          // matched its coordinate in hdr.dim, so the next mismatch is
+          // strictly higher — a cycle would mean wire corruption.
+          assert(r.dim > static_cast<std::int16_t>(hdr.dim) &&
+                 "routed entry does not advance dimension order");
+          b = static_cast<std::uint32_t>(wpp_) +
+              static_cast<std::uint32_t>(r.slot);
         }
+        bucket_cursor_[i] = b;
+        bucket_counts_[b]++;
       }
-      if (mixed_total == 0) return;
-      stats_.routed_rebucket_copy_bytes +=
-          std::uint64_t{mixed_total} * sizeof(Entry);
 
-      // Pass 2. Mixed entries pay exactly one copy — the rebucket
-      // scatter — and its destination is chosen so no second copy ever
-      // follows: forwards scatter STRAIGHT into their next-hop slot's
-      // buffer (the scatter doubles as the append, and the slot still
-      // ships one contiguous extent by moving its slab); finals bound
-      // for other local ranks scatter into a scratch slab sized to just
-      // them, so each regroup ships as a refcounted sub-view. An earlier
-      // iteration scattered everything into scratch and staged forward
-      // runs as sub-view extras — zero additional copies on paper, but
-      // the per-extent handle churn and fragmented downstream extents
-      // cost more than the one memcpy it saved. Sub-view forwarding
-      // stays for single-bucket extents (above), where it genuinely
-      // replaces a copy with a handle move.
+      // Every entry final for one local rank: the batch moves whole.
+      const std::uint32_t only = bucket_cursor_[0];
+      if (only < static_cast<std::uint32_t>(wpp_) &&
+          bucket_counts_[only] == total) {
+        ++stats_.routed_subview_deliveries;
+        if (static_cast<LocalWorkerId>(only) == own) {
+          deliver_batch(w, entries);
+          return;
+        }
+        rt::Message m;
+        m.endpoint = d.ep_final_;
+        m.dst_worker = d.topo_.worker_at(self_proc_, static_cast<int>(only));
+        m.src_worker = w.id();
+        m.expedited = pri || d.cfg_.expedited;
+        m.payload =
+            msg.payload.subref(wire.header_bytes, total * sizeof(Entry));
+        ++stats_.regroup_msgs;
+        w.send(std::move(m));
+        return;
+      }
+
+      // Pass 2: the one copy per entry.
+      bucket_starts_.resize(static_cast<std::size_t>(wpp_));
       std::uint32_t finals_total = 0;
       for (std::size_t b = 0; b < static_cast<std::size_t>(wpp_); ++b) {
+        bucket_starts_[b] = finals_total;
         finals_total += bucket_counts_[b];
-      }
-      bucket_starts_.resize(static_cast<std::size_t>(wpp_));
-      std::uint32_t acc = 0;
-      for (std::size_t b = 0; b < static_cast<std::size_t>(wpp_); ++b) {
-        bucket_starts_[b] = acc;
-        acc += bucket_counts_[b];
       }
       util::PayloadRef scratch;
       Entry* fin = nullptr;
@@ -808,11 +596,8 @@ class RoutedDomain {
       // buffer accounting, the forwarded-items stat, and the pending_
       // credit (one bulk add instead of an atomic per entry; ship_slot
       // debits as slots drain during the scatter).
-      const std::uint64_t fwd_mixed =
-          std::uint64_t{mixed_total} - finals_total;
-      if (fwd_mixed != 0) {
-        pending_.fetch_add(fwd_mixed, std::memory_order_release);
-      }
+      const std::uint64_t fwd = std::uint64_t{total} - finals_total;
+      if (fwd != 0) pending_.fetch_add(fwd, std::memory_order_release);
       for (std::size_t b = static_cast<std::size_t>(wpp_); b < nbuckets;
            ++b) {
         if (bucket_counts_[b] == 0) continue;
@@ -820,24 +605,20 @@ class RoutedDomain {
         stats_.routed_forwarded_items += bucket_counts_[b];
       }
       const std::uint32_t cap = lane.cap;
-      for (const auto& ext : extents_) {
-        if (ext.only != kMixed) continue;
-        const std::size_t n = ext.entries.size();
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::uint32_t b = bucket_cursor_[ext.cursor_off + i];
-          const Entry& e = ext.entries[i];
-          if (b < static_cast<std::uint32_t>(wpp_)) {
-            fin[bucket_starts_[b]++] = e;
-            continue;
-          }
-          const auto s = static_cast<std::size_t>(b - wpp_);
-          Slot& sl = lane.slots[s];
-          sl.buf.push(e, cap);
-          // Re-raise after every ship: ship_slot resets the slot's hop.
-          if (next_ord > sl.hop) sl.hop = next_ord;
-          if (sl.buf.size() + sl.staged >= cap) {
-            ship_slot(lane, static_cast<int>(s), /*from_flush=*/false);
-          }
+      for (std::size_t i = 0; i < total; ++i) {
+        const std::uint32_t b = bucket_cursor_[i];
+        const Entry& e = entries[i];
+        if (b < static_cast<std::uint32_t>(wpp_)) {
+          fin[bucket_starts_[b]++] = e;
+          continue;
+        }
+        const auto s = static_cast<std::size_t>(b - wpp_);
+        Slot& sl = lane.slots[s];
+        sl.buf.push(e, cap);
+        // Re-raise after every ship: ship_slot resets the slot's hop.
+        if (next_ord > sl.hop) sl.hop = next_ord;
+        if (sl.buf.size() >= cap) {
+          ship_slot(lane, static_cast<int>(s), /*from_flush=*/false);
         }
       }
 
@@ -897,31 +678,9 @@ class RoutedDomain {
     /// Sized only when cfg.priority_buffer_items > 0 (insert_priority
     /// falls back to the bulk lane otherwise).
     Lane pri_;
-    /// One sticky flag per bulk slot for the reserved_buffers_ metric
-    /// (replaces EntryBuffer::ever_acquired, which a staging-only slot
-    /// would never set).
-    std::vector<bool> slot_counted_;
-    /// Bytes currently pinned by staged forward runs, and the worst case
-    /// ever seen — the retention high-water mark max_staged_forward_bytes
-    /// reports (max_reserved_buffers-style visibility for the sub-view
-    /// backlog, which would otherwise grow silently).
-    std::uint64_t staged_bytes_ = 0;
-    std::uint64_t staged_bytes_hwm_ = 0;
-    /// One inbound payload extent under rebucket_message: its decoded
-    /// entries, the slab they live in (for sub-view staging), the byte
-    /// offset of the entries within that slab, this extent's start in
-    /// bucket_cursor_, and its sole bucket (UINT32_MAX when mixed).
-    struct ExtentView {
-      std::span<const Entry> entries;
-      const util::PayloadRef* slab;
-      std::size_t base_off;
-      std::size_t cursor_off;
-      std::uint32_t only;
-    };
     /// rebucket_message scratch, reused across inbound batches (safe:
     /// handlers never nest — both transports enqueue rather than call
     /// through, so a ship inside a handler cannot re-enter it).
-    std::vector<ExtentView> extents_;
     std::vector<std::uint32_t> bucket_counts_;
     std::vector<std::uint32_t> bucket_starts_;
     std::vector<std::uint32_t> bucket_cursor_;

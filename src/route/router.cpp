@@ -9,19 +9,25 @@ Router::Router(VirtualMesh mesh) : mesh_(mesh) {
     offset += mesh_.dim_size(k);
   }
 
-  // Flatten next_hop + slot into the per-(source, destination) table the
-  // hot paths index (next_hop remains the reference; route_test checks
-  // the two agree on every pair).
+  // The per-(source, destination) table the hot paths index: correct
+  // the lowest mismatched dimension first, in the slot of the target
+  // coordinate; a destination in this process takes the local slot.
   const auto n = static_cast<std::size_t>(mesh_.procs());
   table_.resize(n * n);
   for (ProcId here = 0; here < mesh_.procs(); ++here) {
     for (ProcId dst = 0; dst < mesh_.procs(); ++dst) {
-      const Hop h = next_hop(here, dst);
       Route& r = table_[static_cast<std::size_t>(here) * n +
                         static_cast<std::size_t>(dst)];
-      r.slot = slot(h);
-      r.dim = static_cast<std::int16_t>(h.local ? mesh_.ndims() : h.dim);
-      r.proc = h.proc;
+      const int k = mesh_.first_mismatch(here, dst);
+      r.dim = static_cast<std::int16_t>(k);
+      if (k == mesh_.ndims()) {
+        r.slot = local_slot();
+        r.proc = here;
+      } else {
+        const int c = mesh_.coord(dst, k);
+        r.slot = offsets_[static_cast<std::size_t>(k)] + c;
+        r.proc = mesh_.with_coord(here, k, c);
+      }
     }
   }
 

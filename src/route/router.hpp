@@ -24,11 +24,11 @@
 ///
 /// The constructor flattens the whole decision into a procs x procs table
 /// of Route records, so the per-entry cost on the hot insert/re-bucket
-/// paths is one indexed load instead of a dimension walk of divisions
-/// (next_hop stays as the loop-based reference the table is checked
-/// against). The table is quadratic in the process count — fine at the
-/// simulated scales this runtime targets, and each worker handle only
-/// touches its own row.
+/// paths is one indexed load instead of a dimension walk of divisions.
+/// The table is the only routing decision; route_test checks every entry
+/// against the mesh invariants it must meet. It is quadratic in the
+/// process count — fine at the simulated scales this runtime targets, and
+/// each worker handle only touches its own row.
 
 #include <cassert>
 #include <cstdint>
@@ -41,19 +41,10 @@ namespace tram::route {
 
 class Router {
  public:
-  /// One routing decision. When local is true the destination process is
-  /// `here` itself and dim/coord are meaningless.
-  struct Hop {
-    bool local = false;
-    int dim = 0;     ///< dimension this hop corrects
-    int coord = 0;   ///< target coordinate along dim
-    ProcId proc = 0; ///< next-hop process
-  };
-
-  /// One precomputed routing decision (what next_hop + slot compute,
-  /// flattened): the aggregation slot at the looked-up source, the
-  /// dimension this hop corrects (mesh().ndims() when the destination is
-  /// the process itself), and the next-hop process.
+  /// One precomputed routing decision: the aggregation slot at the
+  /// looked-up source, the dimension this hop corrects (the lowest
+  /// mismatched one, honoring dimension order; mesh().ndims() when the
+  /// destination is the process itself), and the next-hop process.
   struct Route {
     std::int32_t slot = 0;
     std::int16_t dim = 0;
@@ -89,29 +80,6 @@ class Router {
   /// receiver scatters sub-views instead of copying.
   bool ships_final(int slot) const noexcept {
     return final_slot_[static_cast<std::size_t>(slot)] != 0;
-  }
-
-  /// The next hop for an entry at `here` destined to process `dst`,
-  /// honoring dimension order: the lowest mismatched dimension is
-  /// corrected first.
-  Hop next_hop(ProcId here, ProcId dst) const noexcept {
-    const int k = mesh_.first_mismatch(here, dst);
-    Hop h;
-    if (k == mesh_.ndims()) {
-      h.local = true;
-      h.proc = here;
-      return h;
-    }
-    h.dim = k;
-    h.coord = mesh_.coord(dst, k);
-    h.proc = mesh_.with_coord(here, k, h.coord);
-    return h;
-  }
-
-  /// Aggregation-buffer slot for a hop (see layout above).
-  int slot(const Hop& h) const noexcept {
-    if (h.local) return local_slot();
-    return offsets_[static_cast<std::size_t>(h.dim)] + h.coord;
   }
 
   /// Slot count per worker: sum(dims_k) + 1 (slots at a worker's own

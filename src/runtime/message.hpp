@@ -5,11 +5,10 @@
 ///
 /// A Message is the unit of message-driven execution: it names an endpoint
 /// (registered handler) and a destination worker, and carries an opaque
-/// byte payload. Payloads are pooled, refcounted buffers
-/// (util::PayloadRef): within a process messages move by moving the
-/// handle; between processes they ride inside a net::Packet (same payload
-/// handle, so the worker -> comm thread -> fabric -> worker path never
-/// copies or allocates).
+/// byte payload: one pooled, refcounted slab (util::PayloadRef). Within a
+/// process messages move by moving the handle; between processes they
+/// ride inside a net::Packet (same payload handle, so the worker -> comm
+/// thread -> fabric -> worker path never copies or allocates).
 ///
 /// Payloads are arrays of trivially-copyable items; the codec below is a
 /// checked memcpy in (encode) and a checked reinterpret view out (decode).
@@ -20,7 +19,6 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "util/payload_pool.hpp"
 #include "util/types.hpp"
@@ -41,20 +39,6 @@ struct Message {
   /// count hops > 0 sends as forwarded traffic.
   std::uint8_t hops = 0;
   util::PayloadRef payload;
-  /// Additional payload extents, delivered logically concatenated after
-  /// `payload` (gather/iovec semantics, like a NIC gather-send). Normally
-  /// empty; the routed mesh uses extras to forward runs of entries as
-  /// refcounted sub-views of inbound slabs instead of copying them into
-  /// the primary buffer. Extents are bare entry arrays: any per-message
-  /// header lives at the front of `payload` and governs all extents.
-  std::vector<util::PayloadRef> extras;
-
-  /// Total payload bytes across all extents.
-  std::size_t payload_bytes() const noexcept {
-    std::size_t n = payload.size();
-    for (const auto& e : extras) n += e.size();
-    return n;
-  }
 };
 
 /// Serialize a span of trivially-copyable items into a pooled payload.
@@ -102,15 +86,6 @@ std::span<const T> decode_payload(const util::PayloadRef& payload) {
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 std::span<const T> decode_payload(const Message& m) {
-  if (!m.extras.empty()) {
-    // A flat view over a multi-extent message does not exist; consumers
-    // that understand extras (the routed mesh) walk them explicitly.
-    std::fprintf(stderr,
-                 "decode_payload: message has %zu extra extents; flat "
-                 "decode would drop them\n",
-                 m.extras.size());
-    std::abort();
-  }
   return decode_payload<T>(m.payload.span());
 }
 

@@ -46,7 +46,7 @@ void ModeledFabricTransport::send(ProcId src_proc, Message&& m) {
   // burned on the calling thread — the comm thread in SMP mode, the
   // worker itself otherwise.
   const double byte_cost =
-      cfg.comm_per_byte_ns * static_cast<double>(m.payload_bytes());
+      cfg.comm_per_byte_ns * static_cast<double>(m.payload.size());
   util::spin_for_ns(
       static_cast<std::uint64_t>(cfg.comm_per_msg_send_ns + byte_cost));
 
@@ -61,7 +61,6 @@ void ModeledFabricTransport::send(ProcId src_proc, Message&& m) {
   p.expedited = m.expedited;
   p.hops = m.hops;
   p.payload = std::move(m.payload);
-  p.extras = std::move(m.extras);
   const ProcId dst = p.dst_proc;
   fabric_.send(std::move(p));
   // The arrival lands in dst's ingress queue, which its comm thread only
@@ -82,9 +81,8 @@ std::size_t ModeledFabricTransport::poll(Process& proc) {
     // after, so the const_cast move is safe.
     net::Packet p = std::move(const_cast<net::Packet&>(st.heap.top()));
     st.heap.pop();
-    double recv_bytes = static_cast<double>(p.payload.size());
-    for (const auto& e : p.extras) recv_bytes += static_cast<double>(e.size());
-    const double byte_cost = cfg.comm_per_byte_ns * recv_bytes;
+    const double byte_cost =
+        cfg.comm_per_byte_ns * static_cast<double>(p.payload.size());
     util::spin_for_ns(
         static_cast<std::uint64_t>(cfg.comm_per_msg_recv_ns + byte_cost));
     fabric_.note_received(proc.id(), p);
@@ -98,7 +96,6 @@ std::size_t ModeledFabricTransport::poll(Process& proc) {
                        ? proc.pick_delivery_worker()
                        : p.dst_worker;
     m.payload = std::move(p.payload);
-    m.extras = std::move(p.extras);
     deliver_to_process(machine_, proc, std::move(m));
     ++delivered;
     now = util::now_ns();
@@ -146,7 +143,7 @@ void InlineTransport::send(ProcId /*src_proc*/, Message&& m) {
   messages_.fetch_add(1, std::memory_order_relaxed);
   if (m.hops > 0) forwarded_.fetch_add(1, std::memory_order_relaxed);
   // Charge the same fixed header as the fabric so byte counters compare.
-  bytes_.fetch_add(m.payload_bytes() + net::Packet::kHeaderBytes,
+  bytes_.fetch_add(m.payload.size() + net::Packet::kHeaderBytes,
                    std::memory_order_relaxed);
   Process& proc = machine_.process(dst);
   if (m.dst_worker == kInvalidWorker) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/tram.hpp"
@@ -70,11 +71,11 @@ TEST(Router, DimensionOrderedChainsTerminate) {
       int hops = 0;
       int last_dim = -1;
       while (true) {
-        const Router::Hop h = router.next_hop(here, dst);
-        if (h.local) break;
-        EXPECT_GT(h.dim, last_dim);  // dimension order is strict
-        last_dim = h.dim;
-        here = h.proc;
+        const Router::Route& r = router.route(here, dst);
+        if (r.dim == mesh.ndims()) break;
+        EXPECT_GT(r.dim, last_dim);  // dimension order is strict
+        last_dim = r.dim;
+        here = r.proc;
         ASSERT_LE(++hops, mesh.ndims());
       }
       EXPECT_EQ(here, dst);
@@ -83,10 +84,14 @@ TEST(Router, DimensionOrderedChainsTerminate) {
   }
 }
 
-/// The precomputed table must agree with the loop-based next_hop on every
-/// (src, dst) pair, for several mesh shapes — including degenerate
-/// (prime, extent-1) ones. ships_final must imply the hop terminates.
-TEST(Router, TableMatchesNextHopLoop) {
+/// Every (src, dst) entry of the routing table must meet the mesh
+/// invariants of dimension-ordered routing, for several mesh shapes —
+/// including degenerate (prime, extent-1) ones: the hop corrects the
+/// lowest mismatched dimension, changes exactly that coordinate (to the
+/// destination's), takes one hop off the remaining distance, and its slot
+/// maps back to the same dimension and next-hop process. ships_final must
+/// imply the hop terminates.
+TEST(Router, TableMeetsMeshInvariants) {
   struct Shape {
     int procs;
     std::vector<int> dims;
@@ -101,13 +106,22 @@ TEST(Router, TableMatchesNextHopLoop) {
     for (ProcId here = 0; here < shape.procs; ++here) {
       EXPECT_EQ(router.row(here), &router.route(here, 0));
       for (ProcId dst = 0; dst < shape.procs; ++dst) {
-        const Router::Hop h = router.next_hop(here, dst);
         const Router::Route& r = router.route(here, dst);
-        EXPECT_EQ(r.slot, router.slot(h)) << mesh.to_string();
-        EXPECT_EQ(r.proc, h.proc) << mesh.to_string();
-        EXPECT_EQ(static_cast<int>(r.dim),
-                  h.local ? mesh.ndims() : h.dim)
-            << mesh.to_string();
+        const int dim = r.dim;
+        const std::string where = mesh.to_string() + " " +
+                                  std::to_string(here) + "->" +
+                                  std::to_string(dst);
+        EXPECT_EQ(dim, mesh.first_mismatch(here, dst)) << where;
+        for (int k = 0; k < mesh.ndims(); ++k) {
+          EXPECT_EQ(mesh.coord(r.proc, k),
+                    k == dim ? mesh.coord(dst, k) : mesh.coord(here, k))
+              << where << " dim " << k;
+        }
+        EXPECT_EQ(mesh.hops(r.proc, dst),
+                  dim == mesh.ndims() ? 0 : mesh.hops(here, dst) - 1)
+            << where;
+        EXPECT_EQ(router.dim_of_slot(r.slot), dim) << where;
+        EXPECT_EQ(router.ship_target(here, r.slot), r.proc) << where;
         // A final slot's ship terminates: no further hop from the
         // target to the destination.
         if (router.ships_final(r.slot)) {
@@ -179,11 +193,13 @@ TEST(Router, SlotLayoutRoundTrips) {
   for (ProcId here = 0; here < 12; ++here) {
     EXPECT_EQ(router.ship_target(here, router.local_slot()), here);
     for (ProcId dst = 0; dst < 12; ++dst) {
-      const Router::Hop h = router.next_hop(here, dst);
-      if (h.local) continue;
-      const int slot = router.slot(h);
-      EXPECT_EQ(router.dim_of_slot(slot), h.dim);
-      EXPECT_EQ(router.ship_target(here, slot), h.proc);
+      const Router::Route& r = router.route(here, dst);
+      if (r.dim == mesh.ndims()) {
+        EXPECT_EQ(r.slot, router.local_slot());
+        continue;
+      }
+      EXPECT_EQ(router.dim_of_slot(r.slot), r.dim);
+      EXPECT_EQ(router.ship_target(here, r.slot), r.proc);
     }
   }
 }
@@ -222,7 +238,6 @@ struct ExchangeResult {
   core::WorkerTramStats stats;
   rt::Machine::RunResult run;
   std::uint64_t max_reserved = 0;
-  std::uint64_t max_staged = 0;
 };
 
 ExchangeResult run_exchange(core::Scheme scheme, const util::Topology& topo,
@@ -260,7 +275,6 @@ ExchangeResult run_exchange(core::Scheme scheme, const util::Topology& topo,
 
   res.stats = domain.aggregate_stats();
   res.max_reserved = domain.max_reserved_buffers();
-  res.max_staged = domain.max_staged_forward_bytes();
   const std::uint64_t expected_per_worker =
       per_dest * static_cast<std::uint64_t>(W);
   for (int w = 0; w < W; ++w) {
@@ -275,6 +289,9 @@ ExchangeResult run_exchange(core::Scheme scheme, const util::Topology& topo,
   EXPECT_GT(res.stats.routed_sorted_msgs, 0u);
   EXPECT_GT(res.stats.routed_subview_deliveries, 0u);
   EXPECT_LE(res.stats.routed_sorted_msgs, res.stats.routed_hop_msgs);
+  // A routed message is one aggregation buffer: no ship, at a source or
+  // at an intermediate, carries more than g entries.
+  EXPECT_LE(res.stats.occupancy_at_ship.max(), static_cast<double>(g));
   return res;
 }
 
@@ -284,6 +301,12 @@ TEST(RoutedDomain, DeliversExactlyOnceSmpModeledFabric) {
                rt::RuntimeConfig::testing());
   run_exchange(core::Scheme::Mesh3D, util::Topology(2, 2, 2),
                rt::RuntimeConfig::testing());
+  // 8 processes x 2 workers: a 2x2x2 mesh, where items cross up to three
+  // hops, so SMP intermediates forward too.
+  const auto res = run_exchange(core::Scheme::Mesh3D,
+                                util::Topology(4, 2, 2),
+                                rt::RuntimeConfig::testing());
+  EXPECT_GT(res.stats.routed_forwarded_items, 0u);
 }
 
 TEST(RoutedDomain, DeliversExactlyOnceSmpInline) {
@@ -299,46 +322,14 @@ TEST(RoutedDomain, DeliversExactlyOnceNonSmp) {
   auto inline_cfg = rt::RuntimeConfig::inline_testing();
   inline_cfg.dedicated_comm = false;
   const util::Topology topo(8, 1, 1);  // 8 single-worker processes
-  run_exchange(core::Scheme::Mesh2D, topo, fabric);
-  run_exchange(core::Scheme::Mesh3D, topo, fabric);
-  run_exchange(core::Scheme::Mesh2D, topo, inline_cfg);
-  run_exchange(core::Scheme::Mesh3D, topo, inline_cfg);
-}
-
-/// With one worker per process every routed slot ships its slab whole or
-/// stages forwards as refcounted sub-views: an 8-process Mesh3D exchange
-/// (2x2x2 — items cross up to three hops) must forward without copying a
-/// single byte into an intermediate slot buffer.
-TEST(RoutedDomain, ZeroCopyForwardingNonSmpMesh3D) {
-  auto cfg = rt::RuntimeConfig::testing();
-  cfg.dedicated_comm = false;
-  const util::Topology topo(8, 1, 1);
-  const auto res = run_exchange(core::Scheme::Mesh3D, topo, cfg);
-  EXPECT_GT(res.stats.routed_forwarded_items, 0u);
-  EXPECT_EQ(res.stats.routed_forward_copy_bytes, 0u)
-      << "wpp==1 forwards must all ride as sub-views";
-  EXPECT_GT(res.stats.routed_forward_subview_bytes, 0u);
-  // Sub-views pin their source slabs, but retention is bounded: staged
-  // runs are chunked to at most one fill and a slot ships as soon as
-  // buffered+staged reaches a fill, so each slot holds under two fills.
-  // The high-water mark is handle-wide (summed over the worker's
-  // 1 + sum(dims_k - 1) = 4 live slots on a 2x2x2 mesh).
-  EXPECT_GT(res.max_staged, 0u);
-  EXPECT_LE(res.max_staged,
-            4 * 2ull * 16 * sizeof(core::WireEntry<std::uint64_t>));
-}
-
-/// The SMP build of the same exchange may copy at final-dimension slots
-/// (the permuted ship owns its slab) but nowhere else: every non-final
-/// forward still rides as a sub-view, and rebucket's residual counting
-/// sort only runs when an inbound extent mixes buckets.
-TEST(RoutedDomain, SubViewForwardingDominatesSmpMesh3D) {
-  // 8 processes x 2 workers: a 2x2x2 mesh whose middle-dimension forwards
-  // are non-final and must stage as sub-views even in SMP mode.
-  const auto res = run_exchange(core::Scheme::Mesh3D,
-                                util::Topology(4, 2, 2),
-                                rt::RuntimeConfig::testing());
-  EXPECT_GT(res.stats.routed_forward_subview_bytes, 0u);
+  // 2x4 and 2x2x2 meshes: every case forwards through intermediates.
+  for (const auto& cfg : {fabric, inline_cfg}) {
+    for (const auto scheme : {core::Scheme::Mesh2D, core::Scheme::Mesh3D}) {
+      EXPECT_GT(run_exchange(scheme, topo, cfg).stats.routed_forwarded_items,
+                0u)
+          << core::to_string(scheme);
+    }
+  }
 }
 
 TEST(RoutedDomain, ExplicitDimsHonored) {
