@@ -10,9 +10,9 @@
 /// lossy fabric through the reliability layer (src/fault/): every row
 /// must still verify (exactly-once table totals), and the fault counters
 /// land in the JSON. Without fault flags the bench additionally checks
-/// the zero-cost guarantee: an explicitly all-zero FaultConfig leaves the
-/// transport chain undecorated and the WPs ns/item unchanged (within
-/// host noise).
+/// that the default all-zero FaultConfig engaged none of the fault
+/// machinery (FaultConfig.AllZeroLeavesTransportUndecorated checks the
+/// same structurally).
 ///
 /// Runs non-SMP (one worker per process) so the process count is the only
 /// variable. Emits BENCH_routed_histogram.json (override with --json).
@@ -150,36 +150,12 @@ int main(int argc, char** argv) {
     shapes.expect(mesh2d.mean_occupancy > direct.mean_occupancy,
                   "fewer, fatter buffers: routed messages carry more "
                   "items than direct at the largest scale");
-    // Zero-cost guarantee for FaultConfig{} (all zero). Structural half:
-    // the default config installs no decorators and counts nothing.
+    // Zero-cost guarantee for FaultConfig{} (all zero): the default
+    // config installs no decorators and counts nothing.
     const auto& f = cells[last][0].point.faults;
     shapes.expect(f.faults_injected_drop == 0 && f.retransmits == 0 &&
                       f.dup_drops == 0 && f.acks_sent == 0,
                   "fault-free sweep engaged none of the fault machinery");
-    // Timing half: re-run the smallest WPs cell with an explicitly
-    // all-zero FaultConfig — the identical code path, so ns/item may
-    // differ only by host noise (generous band: this box is shared).
-    const int procs0 = proc_counts[0];
-    const util::Topology topo0(procs0, 1, 1);
-    core::TramConfig tram0;
-    tram0.scheme = core::Scheme::WPs;
-    tram0.buffer_items = g;
-    rt::RuntimeConfig explicit_zero = bench::bench_runtime_nonsmp();
-    explicit_zero.fault = fault::FaultConfig{};
-    const auto rerun = bench::run_histogram(
-        topo0, explicit_zero, tram0, updates, static_cast<int>(opt.trials));
-    const double base_ns =
-        cells[0][0].point.seconds * 1e9 /
-        static_cast<double>(updates * static_cast<std::uint64_t>(procs0));
-    const double rerun_ns =
-        rerun.seconds * 1e9 /
-        static_cast<double>(updates * static_cast<std::uint64_t>(procs0));
-    std::printf("\nzero-fault sanity: WPs@%d ns/item %.2f (sweep) vs %.2f "
-                "(explicit FaultConfig{})\n",
-                procs0, base_ns, rerun_ns);
-    shapes.expect(rerun_ns < base_ns * 4.0 && base_ns < rerun_ns * 4.0,
-                  "explicit all-zero FaultConfig leaves WPs ns/item "
-                  "unchanged (within host noise)");
   }
 
   // Tracing overhead A/B: the smallest WPs cell with event recording

@@ -38,11 +38,9 @@ struct FaultConfig {
   /// When 0 the timer adapts to the measured per-channel RTT (Jacobson
   /// srtt/rttvar, exponential backoff on repeat loss); a nonzero value
   /// pins it, so experiments that fix rto_ns replay with an exactly known
-  /// timeout.
+  /// timeout. The receiver's standalone-ack holdoff stays one eighth of
+  /// the derived timeout either way.
   std::uint64_t rto_ns = 0;
-  /// Holdoff before a receiver sends a standalone cumulative ack for
-  /// inbound data no reverse traffic has piggybacked yet. 0 = rto / 8.
-  std::uint64_t ack_delay_ns = 0;
 
   /// AIMD send window, in messages per channel: start at window_init,
   /// grow additively on ack progress up to window_max, halve once per

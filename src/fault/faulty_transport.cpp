@@ -1,6 +1,5 @@
 #include "fault/faulty_transport.hpp"
 
-#include <mutex>
 #include <utility>
 
 #include "fault/reliable_wire.hpp"
@@ -25,20 +24,13 @@ FaultyTransport::FaultyTransport(rt::Machine& machine,
 void FaultyTransport::dispatch(ProcId src, rt::Message&& m,
                                std::uint64_t extra_delay_ns, SrcState& st) {
   if (extra_delay_ns == 0) {
-    // Deliberately lock-free: the inline transport delivers synchronously
-    // and the receiver's ack processing can recurse back into this layer.
     inner_->send(src, std::move(m));
     return;
   }
   // Held messages are released by this source's own poll(); count them
   // in flight first so quiescence detection can never miss the window.
   held_count_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    std::lock_guard<util::Spinlock> g(st.mu);
-    st.held.push(Held{util::now_ns() + extra_delay_ns, std::move(m)});
-  }
-  // The hold may be src's earliest due time; src's pump may be parked.
-  machine_.wake_comm(src);
+  st.held.push(Held{util::now_ns() + extra_delay_ns, std::move(m)});
 }
 
 void FaultyTransport::send(ProcId src_proc, rt::Message&& m) {
@@ -49,24 +41,21 @@ void FaultyTransport::send(ProcId src_proc, rt::Message&& m) {
   const ProcId dst = rt::message_dst_proc(machine_, m);
   std::uint32_t seq = h.seq;
   std::uint32_t attempt = 0;
-  {
-    std::lock_guard<util::Spinlock> g(st.mu);
-    if (h.kind == ReliableHeader::kData) {
-      // The map gains one entry per data message ever sent from this
-      // source; entries for long-acked sequences are dead weight, and the
-      // fault layer cannot see acks to prune precisely. Bound it by
-      // wholesale reset instead: a reset replays attempt ordinals from 0,
-      // which only repeats already-drawn fates — attempts still increment
-      // past any drop streak, so recovery always converges.
-      if (st.attempts.size() >= kMaxAttemptEntries) st.attempts.clear();
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst))
-           << 32) |
-          h.seq;
-      attempt = st.attempts[key]++;
-    } else {
-      seq = st.ack_ordinal++;
-    }
+  if (h.kind == ReliableHeader::kData) {
+    // The map gains one entry per data message ever sent from this
+    // source; entries for long-acked sequences are dead weight, and the
+    // fault layer cannot see acks to prune precisely. Bound it by
+    // wholesale reset instead: a reset replays attempt ordinals from 0,
+    // which only repeats already-drawn fates — attempts still increment
+    // past any drop streak, so recovery always converges.
+    if (st.attempts.size() >= kMaxAttemptEntries) st.attempts.clear();
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst))
+         << 32) |
+        h.seq;
+    attempt = st.attempts[key]++;
+  } else {
+    seq = st.ack_ordinal++;
   }
   const Fate fate = sched_.fate(src_proc, dst, h.kind, seq, attempt);
 
@@ -87,21 +76,14 @@ void FaultyTransport::send(ProcId src_proc, rt::Message&& m) {
 std::size_t FaultyTransport::poll(rt::Process& proc) {
   auto& st = *state_[static_cast<std::size_t>(proc.id())];
   const std::uint64_t now = util::now_ns();
-  std::vector<rt::Message> release;
-  {
-    std::lock_guard<util::Spinlock> g(st.mu);
-    while (!st.held.empty() && st.held.top().due_ns <= now) {
-      // priority_queue::top is const; the element is popped immediately
-      // after, so the const_cast move is safe (same idiom as the packet
-      // reorder heap).
-      release.push_back(std::move(const_cast<Held&>(st.held.top()).m));
-      st.held.pop();
-    }
-  }
-  for (auto& m : release) {
-    // Send outside the lock (see dispatch); the held count drops only
-    // after the message is inside the inner transport, so in_flight()
-    // never momentarily loses sight of it.
+  while (!st.held.empty() && st.held.top().due_ns <= now) {
+    // priority_queue::top is const; the element is popped immediately
+    // after, so the const_cast move is safe (same idiom as the packet
+    // reorder heap).
+    rt::Message m = std::move(const_cast<Held&>(st.held.top()).m);
+    st.held.pop();
+    // The held count drops only after the message is inside the inner
+    // transport, so in_flight() never momentarily loses sight of it.
     inner_->send(proc.id(), std::move(m));
     held_count_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -111,7 +93,6 @@ std::size_t FaultyTransport::poll(rt::Process& proc) {
 std::uint64_t FaultyTransport::next_due_ns(ProcId p) const {
   const auto& st = *state_[static_cast<std::size_t>(p)];
   const std::uint64_t inner_due = inner_->next_due_ns(p);
-  std::lock_guard<util::Spinlock> g(st.mu);
   if (st.held.empty()) return inner_due;
   const std::uint64_t held_due = st.held.top().due_ns;
   return inner_due == 0 || held_due < inner_due ? held_due : inner_due;

@@ -11,18 +11,12 @@
 /// at poll() time (delay). Held messages count toward in_flight() so
 /// quiescence detection never fires under a delayed packet, and the
 /// earliest hold feeds next_due_ns() so idle pump threads sleep exactly
-/// until the release. A new hold unparks the source's pump
-/// (Machine::wake_comm), which may be parked toward a later time.
+/// until the release.
 ///
-/// Threading: poll(p) is only ever invoked from process p's pumping
-/// thread, but send(p, ...) may arrive from ANY thread — the reliability
-/// layer above fast-retransmits and drains its pacing queue from whatever
-/// thread delivered the triggering ack (the peer's thread under the
-/// inline transport). The per-source state (holding heap, attempt
-/// counters) is therefore guarded by a per-source spinlock; inner sends
-/// happen outside it so the inline transport's synchronous delivery
-/// recursion can never self-deadlock. Aggregate counters stay atomic
-/// (read by the QD thread and reporters).
+/// Threading: send(p, ...), poll(p) and next_due_ns(p) all run on p's
+/// pump thread (the rule in runtime/transport.hpp), so the per-source
+/// state (holding heap, attempt counters) has one owner and no lock. The
+/// aggregate counters stay atomic (read by the QD thread and reporters).
 
 #include <atomic>
 #include <cstdint>
@@ -34,7 +28,6 @@
 #include "fault/fault_config.hpp"
 #include "fault/fault_schedule.hpp"
 #include "runtime/transport.hpp"
-#include "util/spinlock.hpp"
 
 namespace tram::fault {
 
@@ -51,8 +44,6 @@ class FaultyTransport final : public rt::Transport {
   std::uint64_t total_bytes() const override;
   std::uint64_t total_forwarded() const override;
   void reset() override;
-
-  const FaultSchedule& schedule() const noexcept { return sched_; }
 
   /// Per-fault injection counters (tram_stats' FaultStats block).
   std::uint64_t drops_injected() const noexcept {
@@ -80,9 +71,8 @@ class FaultyTransport final : public rt::Transport {
   /// (see send()); bounds memory on service-length lossy runs.
   static constexpr std::size_t kMaxAttemptEntries = std::size_t{1} << 20;
 
-  /// Per-source state; senders may be any thread (see file comment).
+  /// Per-source state, owned by that source's pump thread.
   struct SrcState {
-    mutable util::Spinlock mu;
     std::priority_queue<Held, std::vector<Held>, HeldLater> held;
     /// Next attempt ordinal per (dst, seq) data identity — what lets the
     /// schedule give a retransmit a fresh fate.

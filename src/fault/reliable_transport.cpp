@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "runtime/machine.hpp"
@@ -69,10 +68,12 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
   const auto& cost = machine.config().cost;
   const auto modeled = static_cast<std::uint64_t>(
       cost.alpha_remote_ns + cost.inject_ns);
-  rto_ns_ = cfg.rto_ns != 0
-                ? cfg.rto_ns
-                : std::max(kMinRtoNs, 4 * (modeled + cfg.delay_ns));
-  ack_delay_ns_ = cfg.ack_delay_ns != 0 ? cfg.ack_delay_ns : rto_ns_ / 8;
+  const std::uint64_t derived_rto =
+      std::max(kMinRtoNs, 4 * (modeled + cfg.delay_ns));
+  rto_ns_ = cfg.rto_ns != 0 ? cfg.rto_ns : derived_rto;
+  // The ack holdoff follows the cost model, not a pinned timeout: a
+  // pinned rto_ns only fixes when the sender gives up waiting.
+  ack_delay_ns_ = derived_rto / 8;
   window_init_ = cfg.window_init;
   window_max_ = cfg.window_max;
   // An explicit rto_ns pins the timer: experiments that fix it replay
@@ -141,123 +142,76 @@ void ReliableTransport::loss_event(Channel& c, bool timeout) const noexcept {
 
 void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   const ProcId dst = rt::message_dst_proc(machine_, m);
-  const std::uint64_t now = util::now_ns();
+  Channel& fwd = ch(src_proc, dst);
+  Channel& rev = ch(dst, src_proc);
 
+  // Piggyback: what this process has cumulatively received on the reverse
+  // channel, plus the out-of-order bitmap.
   ReliableHeader h;
   h.kind = ReliableHeader::kData;
   h.src_proc = static_cast<std::uint16_t>(src_proc);
-  {
-    // Piggyback: what this process has cumulatively received on the
-    // reverse channel, plus the out-of-order bitmap. The owed standalone
-    // ack is only cancelled further down, once we know the message
-    // transmits now rather than sitting in the pacing queue.
-    Channel& rev = ch(dst, src_proc);
-    std::lock_guard<util::Spinlock> g(rev.mu);
-    h.ack = rev.cum;
-    h.sack = build_sack_bitmap(rev.cum, rev.ooo);
-  }
+  h.seq = fwd.next_seq++;
+  h.ack = rev.cum;
+  h.sack = build_sack_bitmap(rev.cum, rev.ooo);
 
   // Frame into a fresh slab: header + payload bytes. The one copy this
   // protocol costs per message — the retransmit queue then holds the
   // framed slab by reference, so re-sends are copy-free.
   util::PayloadRef framed =
       util::PayloadPool::global().acquire(sizeof h + m.payload.size());
+  std::memcpy(framed.data(), &h, sizeof h);
   if (!m.payload.empty()) {
     std::memcpy(framed.data() + sizeof h, m.payload.data(), m.payload.size());
   }
 
-  rt::Message out;
-  out.endpoint = m.endpoint;
-  out.dst_worker = m.dst_worker;
-  out.src_worker = m.src_worker;
-  out.dst_proc_hint = m.dst_proc_hint;
-  out.expedited = m.expedited;
-  out.hops = m.hops;
-  out.payload = std::move(framed);
-
-  Channel& fwd = ch(src_proc, dst);
-  bool tx = false;
-  std::uint32_t inflight_now = 0;
-  {
-    // The sequence number is assigned, the header stamped (the slab is
-    // still exclusively ours — nothing has reached the wire), and the
-    // retransmit entry queued before the message can reach the wire: an
-    // ack can never arrive for an entry that is not yet tracked.
-    std::lock_guard<util::Spinlock> g(fwd.mu);
-    h.seq = fwd.next_seq++;
-    std::memcpy(out.payload.data(), &h, sizeof h);
-    SendEntry e;
-    e.seq = h.seq;
-    e.bytes = static_cast<std::uint32_t>(out.payload.size());
-    e.msg = out;
-    // Transmit now only if nothing is already paced (seq order on the
-    // wire queue) and the window has room; otherwise pace.
-    if (fwd.paced.empty() && window_admits(fwd)) {
-      e.first_send_ns = now;
-      ++fwd.inflight_msgs;
-      inflight_now = fwd.inflight_msgs;
-      fwd.unacked.push_back(std::move(e));
-      if (fwd.probe_deadline_ns == 0) {
-        fwd.probe_deadline_ns = now + rto_for(fwd);
-      }
-      tx = true;
-    } else {
-      fwd.paced.push_back(std::move(e));
-    }
-  }
+  SendEntry e;
+  e.seq = h.seq;
+  e.bytes = static_cast<std::uint32_t>(framed.size());
+  e.msg.endpoint = m.endpoint;
+  e.msg.dst_worker = m.dst_worker;
+  e.msg.src_worker = m.src_worker;
+  e.msg.dst_proc_hint = m.dst_proc_hint;
+  e.msg.expedited = m.expedited;
+  e.msg.hops = m.hops;
+  e.msg.payload = std::move(framed);
   unacked_total_.fetch_add(1, std::memory_order_acq_rel);
-  if (!tx) {
+  // Transmit now only if nothing is already paced (seq order on the wire
+  // queue) and the window has room; otherwise pace.
+  if (!fwd.paced.empty() || !window_admits(fwd)) {
+    fwd.paced.push_back(std::move(e));
     paced_msgs_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  fetch_max(max_inflight_msgs_, inflight_now);
-  {
-    // This transmit carries the reverse channel's ack — cancel the
-    // standalone one it owed, but only if no data arrived since the
-    // piggyback was read (an inbound delivery may run on another thread,
-    // e.g. a peer's InlineTransport::send). A stale piggyback must leave
-    // the owed ack armed, or the peer waits a full RTO for it.
-    Channel& rev = ch(dst, src_proc);
-    std::lock_guard<util::Spinlock> g(rev.mu);
-    if (rev.owes_ack && rev.cum == h.ack &&
-        build_sack_bitmap(rev.cum, rev.ooo) == h.sack) {
-      rev.owes_ack = false;
-      rev.ack_deadline_ns = 0;
-      owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
-    }
+  // This transmit carries the reverse channel's ack: the standalone one
+  // it owed is redundant.
+  if (rev.owes_ack) {
+    rev.owes_ack = false;
+    rev.ack_deadline_ns = 0;
+    owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  inner_->send(src_proc, std::move(out));
+  transmit(src_proc, fwd, std::move(e));
+}
+
+void ReliableTransport::transmit(ProcId src_proc, Channel& c,
+                                 SendEntry&& e) {
+  const std::uint64_t now = util::now_ns();
+  e.first_send_ns = now;
+  ++c.inflight_msgs;
+  fetch_max(max_inflight_msgs_, c.inflight_msgs);
+  if (c.probe_deadline_ns == 0) c.probe_deadline_ns = now + rto_for(c);
+  rt::Message wire = e.msg;  // shares the framed slab
+  c.unacked.push_back(std::move(e));
+  inner_->send(src_proc, std::move(wire));
 }
 
 void ReliableTransport::drain_paced(ProcId src_proc, Channel& c) {
-  std::vector<rt::Message> to_send;
-  std::uint32_t inflight_now = 0;
-  bool armed = false;
-  const std::uint64_t now = util::now_ns();
-  {
-    std::lock_guard<util::Spinlock> g(c.mu);
-    while (!c.paced.empty() && window_admits(c)) {
-      SendEntry e = std::move(c.paced.front());
-      c.paced.pop_front();
-      e.first_send_ns = now;
-      ++c.inflight_msgs;
-      to_send.push_back(e.msg);  // shares the framed slab
-      c.unacked.push_back(std::move(e));
-    }
-    if (!to_send.empty()) {
-      inflight_now = c.inflight_msgs;
-      if (c.probe_deadline_ns == 0) {
-        c.probe_deadline_ns = now + rto_for(c);
-        armed = true;
-      }
-    }
-  }
-  if (to_send.empty()) return;
-  if (armed) machine_.wake_comm(src_proc);
-  fetch_max(max_inflight_msgs_, inflight_now);
   // Paced entries were stamped at submit time; their piggybacked ack may
   // be slightly stale, which is harmless (acks are monotonic).
-  for (auto& m : to_send) inner_->send(src_proc, std::move(m));
+  while (!c.paced.empty() && window_admits(c)) {
+    SendEntry e = std::move(c.paced.front());
+    c.paced.pop_front();
+    transmit(src_proc, c, std::move(e));
+  }
 }
 
 void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
@@ -265,93 +219,91 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
   Channel& c = ch(data_src, data_dst);
   const std::uint64_t now = util::now_ns();
   std::uint64_t settled = 0;  // newly acked-or-sacked: leaves in_flight()
-  std::vector<rt::Message> rtx;
-  std::uint64_t rtx_bytes = 0;
   std::uint32_t fast_n = 0;
   std::uint32_t sacked_n = 0;
-  std::uint64_t cwnd_now = 0;
-  bool rearmed = false;
-  {
-    std::lock_guard<util::Spinlock> g(c.mu);
-    // 1. Pop everything the cumulative ack covers. SACKed shells were
-    //    settled when their bit arrived; only live entries settle here.
-    std::size_t popped_live = 0;
-    while (!c.unacked.empty() && seq_before(c.unacked.front().seq, ack)) {
-      SendEntry& e = c.unacked.front();
-      if (!e.sacked) {
-        if (e.rtx_count == 0 && e.first_send_ns != 0) {
-          rtt_sample(c, now - e.first_send_ns);  // Karn: fresh sends only
-        }
-        --c.inflight_msgs;
-        ++popped_live;
-        ++settled;
+  // 1. Pop everything the cumulative ack covers. SACKed shells were
+  //    settled when their bit arrived; only live entries settle here.
+  std::size_t popped_live = 0;
+  while (!c.unacked.empty() && seq_before(c.unacked.front().seq, ack)) {
+    SendEntry& e = c.unacked.front();
+    if (!e.sacked) {
+      if (e.rtx_count == 0 && e.first_send_ns != 0) {
+        rtt_sample(c, now - e.first_send_ns);  // Karn: fresh sends only
       }
-      c.unacked.pop_front();
+      --c.inflight_msgs;
+      ++popped_live;
+      ++settled;
     }
-    // 2. Mark SACKed entries: settled for the window and for quiescence,
-    //    payload released early; the shell stays for seq accounting
-    //    until the cumulative ack passes it. unacked is seq-contiguous,
-    //    so the entry for seq s sits at offset s - front.seq.
-    bool newly_sacked = false;
-    if (sack != 0 && !c.unacked.empty()) {
-      const std::uint32_t front = c.unacked.front().seq;
-      for_each_sacked(ack, sack, [&](std::uint32_t s) {
-        const std::uint32_t off = s - front;
-        if (off >= c.unacked.size()) return;
-        SendEntry& e = c.unacked[off];
-        if (e.sacked) return;
-        if (e.rtx_count == 0 && e.first_send_ns != 0) {
-          rtt_sample(c, now - e.first_send_ns);
-        }
-        e.sacked = true;
-        e.msg = rt::Message{};
-        --c.inflight_msgs;
-        ++settled;
-        newly_sacked = true;
-        ++sacked_n;
-      });
-    }
-    // 3. Fast retransmit: an unsacked entry serially below the highest
-    //    SACKed sequence is a hole the fabric demonstrably passed —
-    //    re-ship it now instead of waiting for the timer. Once per entry
-    //    per timeout round (fast_rtxed); the timer is the backstop.
-    if (sack != 0 && !c.unacked.empty()) {
-      const std::uint32_t hi_bit =
-          63u - static_cast<std::uint32_t>(__builtin_clzll(sack));
-      const std::uint32_t hi_seq = sack_bit_seq(ack, hi_bit);
-      for (SendEntry& e : c.unacked) {
-        if (!seq_before(e.seq, hi_seq)) break;
-        if (e.sacked || e.fast_rtxed) continue;
-        e.fast_rtxed = true;
-        ++e.rtx_count;
-        rtx.push_back(e.msg);
-        rtx_bytes += e.bytes;
-        ++fast_n;
+    c.unacked.pop_front();
+  }
+  // 2. Mark SACKed entries: settled for the window and for quiescence,
+  //    payload released early; the shell stays for seq accounting
+  //    until the cumulative ack passes it. unacked is seq-contiguous,
+  //    so the entry for seq s sits at offset s - front.seq.
+  bool newly_sacked = false;
+  if (sack != 0 && !c.unacked.empty()) {
+    const std::uint32_t front = c.unacked.front().seq;
+    for_each_sacked(ack, sack, [&](std::uint32_t s) {
+      const std::uint32_t off = s - front;
+      if (off >= c.unacked.size()) return;
+      SendEntry& e = c.unacked[off];
+      if (e.sacked) return;
+      if (e.rtx_count == 0 && e.first_send_ns != 0) {
+        rtt_sample(c, now - e.first_send_ns);
       }
-      if (fast_n != 0) loss_event(c, /*timeout=*/false);
+      e.sacked = true;
+      e.msg = rt::Message{};
+      --c.inflight_msgs;
+      ++settled;
+      newly_sacked = true;
+      ++sacked_n;
+    });
+  }
+  if (settled != 0) {
+    unacked_total_.fetch_sub(settled, std::memory_order_acq_rel);
+  }
+  // 3. Fast retransmit: an unsacked entry serially below the highest
+  //    SACKed sequence is a hole the fabric demonstrably passed —
+  //    re-ship it now instead of waiting for the timer. Once per entry
+  //    per timeout round (fast_rtxed); the timer is the backstop.
+  if (sack != 0 && !c.unacked.empty()) {
+    const std::uint32_t hi_bit =
+        63u - static_cast<std::uint32_t>(__builtin_clzll(sack));
+    const std::uint32_t hi_seq = sack_bit_seq(ack, hi_bit);
+    std::uint64_t rtx_bytes = 0;
+    for (SendEntry& e : c.unacked) {
+      if (!seq_before(e.seq, hi_seq)) break;
+      if (e.sacked || e.fast_rtxed) continue;
+      e.fast_rtxed = true;
+      ++e.rtx_count;
+      rtx_bytes += e.bytes;
+      ++fast_n;
+      inner_->send(data_src, rt::Message(e.msg));  // shares the slab
     }
-    // 4. Window dynamics on cumulative progress: exit recovery once the
-    //    episode's marker is passed, then grow additively; consecutive-
-    //    timeout backoff resets because the channel is demonstrably
-    //    moving again.
-    if (popped_live != 0) {
-      c.backoff_shift = 0;
-      if (c.in_recovery && !seq_before(ack, c.recovery_end_seq)) {
-        c.in_recovery = false;
-      }
-      if (!c.in_recovery) {
-        c.cwnd = std::min<double>(
-            window_max_,
-            c.cwnd + static_cast<double>(popped_live) / c.cwnd);
-      }
+    if (fast_n != 0) {
+      loss_event(c, /*timeout=*/false);
+      retransmits_.fetch_add(fast_n, std::memory_order_relaxed);
+      fast_retransmits_.fetch_add(fast_n, std::memory_order_relaxed);
+      rtx_bytes_.fetch_add(rtx_bytes, std::memory_order_relaxed);
     }
-    // 5. Re-arm the timer against the (new) oldest outstanding entry.
-    if (settled != 0 || fast_n != 0 || newly_sacked) {
-      c.probe_deadline_ns =
-          c.inflight_msgs != 0 ? now + rto_for(c) : 0;
-      rearmed = c.probe_deadline_ns != 0;
+  }
+  // 4. Window dynamics on cumulative progress: exit recovery once the
+  //    episode's marker is passed, then grow additively; consecutive-
+  //    timeout backoff resets because the channel is demonstrably
+  //    moving again.
+  if (popped_live != 0) {
+    c.backoff_shift = 0;
+    if (c.in_recovery && !seq_before(ack, c.recovery_end_seq)) {
+      c.in_recovery = false;
     }
-    cwnd_now = static_cast<std::uint64_t>(c.cwnd);
+    if (!c.in_recovery) {
+      c.cwnd = std::min<double>(
+          window_max_, c.cwnd + static_cast<double>(popped_live) / c.cwnd);
+    }
+  }
+  // 5. Re-arm the timer against the (new) oldest outstanding entry.
+  if (settled != 0 || fast_n != 0 || newly_sacked) {
+    c.probe_deadline_ns = c.inflight_msgs != 0 ? now + rto_for(c) : 0;
   }
   if (trace::enabled()) {
     const std::uint32_t chan = trace_chan(data_src, data_dst);
@@ -365,19 +317,9 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
     // Both the multiplicative cut (fast retransmit) and the additive
     // growth (cumulative progress) land here — one sample per ack event
     // draws the AIMD sawtooth.
-    if (settled != 0 || fast_n != 0) trace::cwnd_sample(cwnd_now, chan);
-  }
-  if (settled != 0) {
-    unacked_total_.fetch_sub(settled, std::memory_order_acq_rel);
-  }
-  // The re-armed probe may fall earlier than the one data_src's pump is
-  // parked toward.
-  if (rearmed) machine_.wake_comm(data_src);
-  if (fast_n != 0) {
-    retransmits_.fetch_add(fast_n, std::memory_order_relaxed);
-    fast_retransmits_.fetch_add(fast_n, std::memory_order_relaxed);
-    rtx_bytes_.fetch_add(rtx_bytes, std::memory_order_relaxed);
-    for (auto& m : rtx) inner_->send(data_src, std::move(m));
+    if (settled != 0 || fast_n != 0) {
+      trace::cwnd_sample(static_cast<std::uint64_t>(c.cwnd), chan);
+    }
   }
   // Freed window space admits paced traffic.
   drain_paced(data_src, c);
@@ -393,33 +335,22 @@ bool ReliableTransport::on_inbound(rt::Process& proc, rt::Message& m) {
   if (h.kind == ReliableHeader::kAck) return false;  // consumed
 
   Channel& c = ch(src, dst);
-  bool armed = false;
-  bool duplicate = false;
-  {
-    std::lock_guard<util::Spinlock> g(c.mu);
-    // Any data arrival (re-)arms the delayed ack: a duplicate means the
-    // sender may have lost our previous ack, so it must be replaced.
-    if (!c.owes_ack) {
-      c.owes_ack = true;
-      c.ack_deadline_ns = util::now_ns() + ack_delay_ns_;
-      owed_acks_total_.fetch_add(1, std::memory_order_acq_rel);
-      armed = true;
-    }
-    if (seq_before(h.seq, c.cum) || c.ooo.count(h.seq) != 0) {
-      duplicate = true;
-    } else if (h.seq == c.cum) {
-      ++c.cum;
-      while (c.ooo.erase(c.cum) != 0) ++c.cum;
-    } else {
-      c.ooo.insert(h.seq);  // deliver out of order, remember for dedup
-    }
+  // Any data arrival (re-)arms the delayed ack: a duplicate means the
+  // sender may have lost our previous ack, so it must be replaced.
+  if (!c.owes_ack) {
+    c.owes_ack = true;
+    c.ack_deadline_ns = util::now_ns() + ack_delay_ns_;
+    owed_acks_total_.fetch_add(1, std::memory_order_acq_rel);
   }
-  // The ack is owed by this process's pump, which may be parked — and
-  // under the inline transport this runs on the sender's thread.
-  if (armed) machine_.wake_comm(dst);
-  if (duplicate) {
+  if (seq_before(h.seq, c.cum) || c.ooo.count(h.seq) != 0) {
     dup_drops_.fetch_add(1, std::memory_order_relaxed);
     return false;  // consumed before it reaches an endpoint
+  }
+  if (h.seq == c.cum) {
+    ++c.cum;
+    while (c.ooo.erase(c.cum) != 0) ++c.cum;
+  } else {
+    c.ooo.insert(h.seq);  // deliver out of order, remember for dedup
   }
   // Strip the frame: the endpoint sees exactly the payload it was sent.
   m.payload = m.payload.subref(sizeof(ReliableHeader),
@@ -448,7 +379,7 @@ void ReliableTransport::send_standalone_ack(ProcId from, ProcId to,
 std::size_t ReliableTransport::poll(rt::Process& proc) {
   const std::size_t delivered = inner_->poll(proc);
   // Nothing unacked and no ack owed anywhere: the channel scan below
-  // would find no work — two atomic loads instead of O(procs) locks on
+  // would find no work — two atomic loads instead of an O(procs) walk on
   // every idle pump iteration. A stale read only defers the scan to the
   // next poll.
   if (unacked_total_.load(std::memory_order_acquire) == 0 &&
@@ -467,36 +398,28 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
     // Timer-driven retransmit on the outbound channel (p -> d): every
     // live (unsacked) in-window entry goes out again (batch recovery).
     Channel& out = ch(p, d);
-    std::vector<rt::Message> rtx;
-    std::uint64_t rtx_bytes = 0;
-    std::uint64_t cwnd_now = 0;
-    {
-      std::lock_guard<util::Spinlock> g(out.mu);
-      if (out.inflight_msgs != 0 && out.probe_deadline_ns != 0 &&
-          now >= out.probe_deadline_ns) {
-        for (SendEntry& e : out.unacked) {
-          if (e.sacked) continue;
-          ++e.rtx_count;
-          e.fast_rtxed = false;  // eligible again next SACK round
-          rtx.push_back(e.msg);
-          rtx_bytes += e.bytes;
-        }
-        loss_event(out, /*timeout=*/true);
-        out.probe_deadline_ns = now + rto_for(out);
-        cwnd_now = static_cast<std::uint64_t>(out.cwnd);
+    if (out.inflight_msgs != 0 && out.probe_deadline_ns != 0 &&
+        now >= out.probe_deadline_ns) {
+      std::uint64_t n = 0;
+      std::uint64_t rtx_bytes = 0;
+      for (SendEntry& e : out.unacked) {
+        if (e.sacked) continue;
+        ++e.rtx_count;
+        e.fast_rtxed = false;  // eligible again next SACK round
+        ++n;
+        rtx_bytes += e.bytes;
+        inner_->send(p, rt::Message(e.msg));  // shares the slab
       }
-    }
-    if (!rtx.empty()) {
+      loss_event(out, /*timeout=*/true);
+      out.probe_deadline_ns = now + rto_for(out);
       rto_fires_.fetch_add(1, std::memory_order_relaxed);
-      retransmits_.fetch_add(rtx.size(), std::memory_order_relaxed);
+      retransmits_.fetch_add(n, std::memory_order_relaxed);
       rtx_bytes_.fetch_add(rtx_bytes, std::memory_order_relaxed);
       if (trace::enabled()) {
         const std::uint32_t chan = trace_chan(p, d);
-        trace::instant(trace::Cat::kFault, trace::kRtoFire, rtx.size(),
-                       chan);
-        trace::cwnd_sample(cwnd_now, chan);
+        trace::instant(trace::Cat::kFault, trace::kRtoFire, n, chan);
+        trace::cwnd_sample(static_cast<std::uint64_t>(out.cwnd), chan);
       }
-      for (auto& m : rtx) inner_->send(p, std::move(m));
     }
     // Belt and braces for pacing: acks normally drain the queue, but an
     // admission opened outside the ack path must not strand paced
@@ -506,21 +429,12 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
     // Standalone ack owed on the inbound channel (d -> p) once the
     // piggyback window has lapsed.
     Channel& in = ch(d, p);
-    std::uint32_t ack = 0;
-    std::uint64_t sack = 0;
-    bool send_ack = false;
-    {
-      std::lock_guard<util::Spinlock> g(in.mu);
-      if (in.owes_ack && now >= in.ack_deadline_ns) {
-        in.owes_ack = false;
-        in.ack_deadline_ns = 0;
-        owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
-        ack = in.cum;
-        sack = build_sack_bitmap(in.cum, in.ooo);
-        send_ack = true;
-      }
+    if (in.owes_ack && now >= in.ack_deadline_ns) {
+      in.owes_ack = false;
+      in.ack_deadline_ns = 0;
+      owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
+      send_standalone_ack(p, d, in.cum, build_sack_bitmap(in.cum, in.ooo));
     }
-    if (send_ack) send_standalone_ack(p, d, ack, sack);
   }
   return delivered;
 }
@@ -534,16 +448,10 @@ std::uint64_t ReliableTransport::next_due_ns(ProcId p) const {
   const bool stopping = machine_.stopping();
   for (ProcId d = 0; d < procs_; ++d) {
     if (d == p) continue;
-    {
-      const Channel& out = ch(p, d);
-      std::lock_guard<util::Spinlock> g(out.mu);
-      if (out.inflight_msgs != 0) {
-        due = min_due(due, out.probe_deadline_ns);
-      }
-    }
+    const Channel& out = ch(p, d);
+    if (out.inflight_msgs != 0) due = min_due(due, out.probe_deadline_ns);
     if (stopping) continue;
     const Channel& in = ch(d, p);
-    std::lock_guard<util::Spinlock> g(in.mu);
     if (in.owes_ack) due = min_due(due, in.ack_deadline_ns);
   }
   return due;
@@ -572,20 +480,15 @@ std::uint64_t ReliableTransport::total_forwarded() const {
 std::uint64_t ReliableTransport::debug_srtt_ns(ProcId src,
                                                ProcId dst) const {
   const Channel& c = ch(src, dst);
-  std::lock_guard<util::Spinlock> g(c.mu);
   return c.rtt_valid ? c.srtt_ns : 0;
 }
 
 double ReliableTransport::debug_cwnd(ProcId src, ProcId dst) const {
-  const Channel& c = ch(src, dst);
-  std::lock_guard<util::Spinlock> g(c.mu);
-  return c.cwnd;
+  return ch(src, dst).cwnd;
 }
 
 std::size_t ReliableTransport::debug_paced(ProcId src, ProcId dst) const {
-  const Channel& c = ch(src, dst);
-  std::lock_guard<util::Spinlock> g(c.mu);
-  return c.paced.size();
+  return ch(src, dst).paced.size();
 }
 
 void ReliableTransport::reset() {
@@ -593,7 +496,6 @@ void ReliableTransport::reset() {
                         static_cast<std::size_t>(procs_);
   for (std::size_t i = 0; i < n; ++i) {
     Channel& c = ch_[i];
-    std::lock_guard<util::Spinlock> g(c.mu);
     c.next_seq = 0;
     c.unacked.clear();
     c.paced.clear();

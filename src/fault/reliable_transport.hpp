@@ -43,34 +43,34 @@
 ///    sequence numbers but were never sent, so they are not part of it
 ///    (TCP NewReno, RFC 6582).
 ///  - ack: piggybacked on all reverse traffic; when none shows up within
-///    ack_delay the receiver's pump thread sends a standalone kAck that
-///    the peer's interceptor consumes. Duplicates re-arm the ack so a
-///    lost ack is always replaced. A transmit cancels the owed ack only
-///    if its piggybacked (ack, sack) is still current.
+///    the holdoff (one eighth of the cost-model timeout) the receiver's
+///    pump thread sends a standalone kAck that the peer's interceptor
+///    consumes. Duplicates re-arm the ack so a lost ack is always
+///    replaced. A message that transmits at once carries the current
+///    (ack, sack) and cancels the owed standalone ack.
 ///
 /// Quiescence integration: in_flight() adds the count of unacked data
 /// messages — transmitted *and* paced — to the inner transport's, so the
 /// machine can declare quiescence neither while a dropped packet still
-/// needs re-shipping nor while pacing holds data back. All channel state
-/// is spinlocked: under the inline transport deliveries (and thus ack
-/// processing) run on the *sender's* thread, so a channel's two ends can
-/// be touched concurrently. No path ever holds two channel locks —
-/// messages are collected under one lock and transmitted after release.
-/// For the same reason, arming or moving a probe or ack deadline unparks
-/// the owning process's pump (Machine::wake_comm): the thread that armed
-/// it may not be the one that must act on it.
+/// needs re-shipping nor while pacing holds data back.
+///
+/// Threading: the single-owner rule of runtime/transport.hpp holds, so no
+/// channel field is locked. A retransmit or a paced entry goes to the
+/// layer below from the loop that picks it: the modeled transport never
+/// delivers synchronously, so that send cannot re-enter this layer.
+/// Deadlines are armed by the thread that acts on them, which re-reads
+/// next_due_ns() before it parks. Only the totals and counters below are
+/// atomic, for the QD thread, the trace sampler and reporters.
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <set>
-#include <vector>
 
 #include "fault/fault_config.hpp"
 #include "fault/reliable_wire.hpp"
 #include "runtime/transport.hpp"
-#include "util/spinlock.hpp"
 
 namespace tram::fault {
 
@@ -92,12 +92,6 @@ class ReliableTransport final : public rt::Transport,
 
   // -- rt::DeliveryInterceptor --
   bool on_inbound(rt::Process& proc, rt::Message& m) override;
-
-  /// Base retransmit timeout (cfg.rto_ns, or derived from the cost model
-  /// when 0). Unless cfg.rto_ns pins it, this is only the pre-first-sample
-  /// value.
-  std::uint64_t rto_ns() const noexcept { return rto_ns_; }
-  std::uint64_t ack_delay_ns() const noexcept { return ack_delay_ns_; }
 
   /// Reliability counters (tram_stats' FaultStats block).
   std::uint64_t retransmits() const noexcept {
@@ -154,12 +148,9 @@ class ReliableTransport final : public rt::Transport,
     rt::Message msg;
   };
 
-  /// One directed channel. Sender-side fields are driven by the source's
-  /// pump thread (plus ack application, which under the inline transport
-  /// runs on the peer's thread); receiver-side fields by whichever thread
-  /// delivers — hence the lock.
+  /// One directed channel. Sender-side fields belong to the source's pump
+  /// thread, receiver-side fields to the destination's.
   struct Channel {
-    mutable util::Spinlock mu;
     // Sender side. unacked (transmitted at least once) and paced
     // (admitted, awaiting window space) are each seq-contiguous, and
     // paced continues where unacked ends.
@@ -189,15 +180,14 @@ class ReliableTransport final : public rt::Transport,
                static_cast<std::size_t>(d)];
   }
 
-  /// Current retransmit timeout for a channel (lock held by caller).
+  /// Current retransmit timeout for a channel.
   std::uint64_t rto_for(const Channel& c) const noexcept;
-  /// Does the congestion window admit another transmit? (lock held)
+  /// Does the congestion window admit another transmit?
   bool window_admits(const Channel& c) const noexcept;
-  /// Fold an RTT sample into the channel's Jacobson estimator. (lock held)
+  /// Fold an RTT sample into the channel's Jacobson estimator.
   static void rtt_sample(Channel& c, std::uint64_t sample_ns) noexcept;
   /// Register a loss signal: halve once per recovery episode; a timeout
   /// instead restarts the window at window_init and backs the timer off.
-  /// (lock held)
   void loss_event(Channel& c, bool timeout) const noexcept;
 
   /// Apply a received (ack, sack) pair to (data_src -> data_dst)'s
@@ -205,6 +195,10 @@ class ReliableTransport final : public rt::Transport,
   /// retransmit the holes, grow/shrink the window, then drain pacing.
   void apply_ack(ProcId data_src, ProcId data_dst, std::uint32_t ack,
                  std::uint64_t sack);
+  /// First transmit of an admitted entry on src_proc's channel c: count
+  /// it in flight, arm the probe, queue it for retransmission, and hand a
+  /// copy (sharing the framed slab) to the layer below.
+  void transmit(ProcId src_proc, Channel& c, SendEntry&& e);
   /// Transmit paced entries while the window admits them.
   void drain_paced(ProcId src_proc, Channel& c);
   void send_standalone_ack(ProcId from, ProcId to, std::uint32_t ack,
@@ -224,8 +218,8 @@ class ReliableTransport final : public rt::Transport,
   std::atomic<std::uint64_t> unacked_total_{0};
   /// Channels currently owing a standalone ack. Together with
   /// unacked_total_ this gates poll()/next_due_ns()'s channel scan: an
-  /// idle machine pays two atomic loads per pump iteration, not
-  /// O(procs) spinlocks.
+  /// idle machine pays two atomic loads per pump iteration, not an
+  /// O(procs) walk.
   std::atomic<std::uint64_t> owed_acks_total_{0};
   std::atomic<std::uint64_t> retransmits_{0};
   std::atomic<std::uint64_t> dup_drops_{0};

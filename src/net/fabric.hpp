@@ -17,8 +17,7 @@
 ///    shapes without any dedicated network threads.
 ///  - With CostModel::zero() every modeled cost is 0, so arrival_ns equals
 ///    the send time and receivers process immediately (deterministic
-///    tests); rt::InlineTransport skips the fabric entirely for the same
-///    purpose, without the per-send NIC-clock CAS.
+///    tests), and a send skips the NIC-clock CAS.
 ///
 /// Same-node cross-process messages take the cheaper local alpha/beta and
 /// do not serialize through the node NIC (they model cma/xpmem copies).

@@ -20,9 +20,10 @@
 ///      transport's next due time (a modeled arrival, a retransmit probe,
 ///      a delayed ack), or, with nothing due, walk the idle ladder shared
 ///      with the workers (runtime/idle.hpp), whose park has no timeout.
-///      A worker's egress push and every transport change to
-///      next_due_ns() (Machine::wake_comm) unpark it. The thread sleeps
-///      with a 1 ns timer slack.
+///      A worker's egress push and an arrival from another process
+///      (Machine::wake_comm) unpark it. Deadlines the transport arms while
+///      this thread sends or polls need no wake: it re-reads next_due_ns()
+///      before every park. The thread sleeps with a 1 ns timer slack.
 
 #include <cstdint>
 

@@ -1,7 +1,7 @@
 #pragma once
 ///
 /// \file config.hpp
-/// \brief Runtime tuning knobs (transport, faults, comm-thread costs, QD).
+/// \brief Runtime tuning knobs (cost model, faults, comm-thread costs, QD).
 ///
 /// The idle policy is not a knob: workers and comm threads share one
 /// fixed spin -> yield -> park ladder (runtime/idle.hpp), and an SMP
@@ -15,26 +15,13 @@
 
 namespace tram::rt {
 
-/// Which Transport implementation the machine drives its traffic through
-/// (see runtime/transport.hpp).
-enum class TransportKind {
-  /// Cost-model fabric: NIC serialization, modeled latencies, reorder heap.
-  kModeledFabric,
-  /// Zero-delay direct delivery into destination inboxes: deterministic
-  /// tests without the CostModel::zero() machinery.
-  kInline,
-};
-
 struct RuntimeConfig {
   /// Interconnect model (see net::CostModel). zero() for deterministic
-  /// tests, delta_like() for benchmarks. Ignored by kInline transport.
+  /// tests, delta_like() for benchmarks.
   net::CostModel cost = net::CostModel::delta_like();
 
-  /// Transport implementation carrying cross-process messages.
-  TransportKind transport = TransportKind::kModeledFabric;
-
   /// Fault injection (src/fault/). All-zero (the default) leaves the
-  /// transport above exactly as selected — no decorators, no reliability
+  /// modeled-fabric transport undecorated — no decorators, no reliability
   /// headers, no per-message cost. Any nonzero knob wraps it in the
   /// FaultyTransport + ReliableTransport pair, which injects the faults
   /// and restores exactly-once delivery on top of them.
@@ -71,14 +58,6 @@ struct RuntimeConfig {
     c.comm_per_msg_recv_ns = 0.0;
     c.comm_per_byte_ns = 0.0;
     c.qd_settle_ns = 50'000;
-    return c;
-  }
-
-  /// testing(), but over the InlineTransport: the fastest deterministic
-  /// mode (no fabric, no reorder heap, no NIC clock).
-  static RuntimeConfig inline_testing() {
-    RuntimeConfig c = testing();
-    c.transport = TransportKind::kInline;
     return c;
   }
 };

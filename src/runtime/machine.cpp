@@ -27,15 +27,8 @@ Machine::Machine(util::Topology topo, RuntimeConfig cfg)
     throw std::invalid_argument(
         "non-SMP mode (dedicated_comm=false) requires workers_per_proc==1");
   }
-  std::unique_ptr<Transport> base;
-  switch (cfg_.transport) {
-    case TransportKind::kModeledFabric:
-      base = std::make_unique<ModeledFabricTransport>(*this, fabric_);
-      break;
-    case TransportKind::kInline:
-      base = std::make_unique<InlineTransport>(*this);
-      break;
-  }
+  std::unique_ptr<Transport> base =
+      std::make_unique<ModeledFabricTransport>(*this, fabric_);
   if (cfg_.fault.enabled()) {
     // Faults and the recovery protocol install together: a lossy fabric
     // without reliability would hang quiescence on the first drop.

@@ -60,8 +60,7 @@ class Machine {
 
   const util::Topology& topology() const noexcept { return topo_; }
   const RuntimeConfig& config() const noexcept { return cfg_; }
-  /// The simulated interconnect (driven only by the kModeledFabric
-  /// transport; idle under kInline).
+  /// The simulated interconnect the base transport drives.
   net::Fabric& fabric() noexcept { return fabric_; }
   /// The transport carrying all cross-process traffic (see transport.hpp).
   /// With cfg.fault enabled this is the reliability decorator chain;
@@ -123,9 +122,11 @@ class Machine {
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
   }
-  /// Unpark process p's comm thread (no-op outside SMP mode). A transport
-  /// calls this from any thread each time it moves next_due_ns(p): a
-  /// fabric arrival, an armed reliability deadline, a held packet.
+  /// Unpark process p's comm thread (no-op outside SMP mode). The base
+  /// transport calls it when a send from another process lands in p's
+  /// ingress. Deadlines p's own pump arms (a retransmit probe, a delayed
+  /// ack, a held packet) need no wake: the pump re-reads next_due_ns(p)
+  /// before it parks.
   void wake_comm(ProcId p) noexcept {
     if (cfg_.dedicated_comm) {
       procs_[static_cast<std::size_t>(p)]->comm_parker().unpark();

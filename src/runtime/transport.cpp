@@ -1,13 +1,11 @@
 #include "runtime/transport.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "net/fabric.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/process.hpp"
 #include "runtime/worker.hpp"
-#include "util/spinlock.hpp"
 #include "util/timebase.hpp"
 
 namespace tram::rt {
@@ -129,51 +127,6 @@ std::uint64_t ModeledFabricTransport::total_forwarded() const {
 void ModeledFabricTransport::reset() {
   forwarded_.store(0, std::memory_order_relaxed);
   fabric_.reset();
-}
-
-// ---- InlineTransport ----
-
-InlineTransport::InlineTransport(Machine& machine) : machine_(machine) {}
-
-void InlineTransport::send(ProcId /*src_proc*/, Message&& m) {
-  const ProcId dst = message_dst_proc(machine_, m);
-  if (dst < 0 || dst >= machine_.topology().procs()) {
-    throw std::out_of_range("InlineTransport::send: bad dst_proc");
-  }
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  if (m.hops > 0) forwarded_.fetch_add(1, std::memory_order_relaxed);
-  // Charge the same fixed header as the fabric so byte counters compare.
-  bytes_.fetch_add(m.payload.size() + net::Packet::kHeaderBytes,
-                   std::memory_order_relaxed);
-  Process& proc = machine_.process(dst);
-  if (m.dst_worker == kInvalidWorker) {
-    m.dst_worker = proc.pick_delivery_worker();
-  }
-  deliver_to_process(machine_, proc, std::move(m));
-}
-
-std::size_t InlineTransport::poll(Process&) { return 0; }
-
-std::uint64_t InlineTransport::next_due_ns(ProcId) const { return 0; }
-
-std::uint64_t InlineTransport::in_flight() const { return 0; }
-
-std::uint64_t InlineTransport::total_messages() const {
-  return messages_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t InlineTransport::total_bytes() const {
-  return bytes_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t InlineTransport::total_forwarded() const {
-  return forwarded_.load(std::memory_order_relaxed);
-}
-
-void InlineTransport::reset() {
-  messages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-  forwarded_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace tram::rt

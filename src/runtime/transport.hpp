@@ -4,26 +4,24 @@
 /// \brief The send/deliver seam between the runtime and the interconnect.
 ///
 /// A Transport owns everything between "a Message leaves its source
-/// process" and "a Message lands in a destination worker's inbox". It
-/// replaces the seam that used to be split between net::Fabric, the comm
-/// thread's pump_egress/pump_ingress, and the free helpers
-/// forward_to_fabric/deliver_packet. Two implementations:
+/// process" and "a Message lands in a destination worker's inbox". The
+/// base transport is ModeledFabricTransport: send() charges the calling
+/// thread the per-message/per-byte comm cost and injects a net::Packet
+/// into the fabric; poll() drains the fabric ingress into a per-process
+/// reorder heap keyed by modeled arrival time and delivers everything
+/// that is due. CostModel::zero() (RuntimeConfig::testing()) makes every
+/// arrival due at once. The fault layer (src/fault/) decorates it.
 ///
-///  - ModeledFabricTransport: today's cost-model path. send() charges the
-///    calling thread the per-message/per-byte comm cost and injects a
-///    net::Packet into the fabric; poll() drains the fabric ingress into a
-///    per-process reorder heap keyed by modeled arrival time and delivers
-///    everything that is due.
-///  - InlineTransport: zero-delay direct delivery — send() routes the
-///    message straight into the destination worker's inbox with no cost
-///    model, no fabric, and no reorder heap. This replaces the
-///    CostModel::zero() special case for deterministic tests, and is the
-///    template for future real backends (shared-memory rings, RDMA): a
-///    backend only has to implement this interface.
-///
-/// Callers: the comm thread (SMP mode) or the worker itself (non-SMP).
-/// send() and poll() for a given process are only invoked from that
-/// process's pumping thread; counters/in_flight are read from anywhere.
+/// Threading rule: every Transport call for process p (send() from p,
+/// poll(p), next_due_ns(p), and the delivery tail with the
+/// DeliveryInterceptor at p) runs on p's pump thread: its comm thread in
+/// SMP mode, its single worker otherwise. Per-process transport state
+/// therefore has one owner and needs no lock; per-channel state splits
+/// the same way, the sender-side fields belonging to the source's thread
+/// and the receiver-side fields to the destination's. send() never
+/// delivers synchronously, so no layer is re-entered from below. Only
+/// in_flight() and the counters are read from other threads (the QD
+/// thread, the trace sampler, reporters), and those are atomics.
 
 #include <atomic>
 #include <cstdint>
@@ -86,7 +84,7 @@ class DeliveryInterceptor {
  public:
   virtual ~DeliveryInterceptor() = default;
   /// Inspect (and possibly rewrite, e.g. strip a frame off) an inbound
-  /// message before it is enqueued. Runs on the delivering transport's
+  /// message before it is enqueued. Runs on the receiving process's pump
   /// thread. Return false to consume the message — a duplicate or a
   /// control message that must not reach an endpoint handler.
   virtual bool on_inbound(Process& proc, Message& m) = 0;
@@ -127,28 +125,6 @@ class ModeledFabricTransport final : public Transport {
   Machine& machine_;
   net::Fabric& fabric_;
   std::vector<std::unique_ptr<ProcState>> states_;
-  std::atomic<std::uint64_t> forwarded_{0};
-};
-
-/// Zero-delay direct delivery: deterministic tests and an existence proof
-/// that the runtime is transport-agnostic.
-class InlineTransport final : public Transport {
- public:
-  explicit InlineTransport(Machine& machine);
-
-  void send(ProcId src_proc, Message&& m) override;
-  std::size_t poll(Process& proc) override;
-  std::uint64_t next_due_ns(ProcId p) const override;
-  std::uint64_t in_flight() const override;
-  std::uint64_t total_messages() const override;
-  std::uint64_t total_bytes() const override;
-  std::uint64_t total_forwarded() const override;
-  void reset() override;
-
- private:
-  Machine& machine_;
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> forwarded_{0};
 };
 

@@ -1,11 +1,12 @@
 /// End-to-end proof that the reliability protocol (src/fault/) restores
 /// exactly-once delivery and bit-for-bit results on a faulty fabric:
 /// histogram bin counts, SSSP FNV distance hashes, and PHOLD event counts
-/// across {direct WsP, Mesh2D, Mesh3D} x {drop 5%, dup 5%, drop+dup+delay}
-/// on both transports, each lossy run observing at least one injected
-/// fault and the matching recovery (retransmit / dup-drop). Plus the SMP
-/// sorted-scatter path (frame stripping in front of RoutedSortedHeader)
-/// and a same-seed replay producing identical results.
+/// across {direct WsP, Mesh2D, Mesh3D} x {drop 5%, dup 5%, drop+dup+delay},
+/// each lossy run observing at least one injected fault and the matching
+/// recovery (retransmit / dup-drop). Plus the SMP sorted-scatter path
+/// (frame stripping in front of RoutedSortedHeader), a same-seed replay
+/// producing identical results, and a one-way SMP transfer settled by
+/// standalone acks alone.
 
 #include <gtest/gtest.h>
 
@@ -52,18 +53,12 @@ const std::vector<core::Scheme> kSchemes = {
 
 struct TransportCase {
   const char* name;
-  rt::TransportKind kind;
 };
-const std::vector<TransportCase> kTransports = {
-    {"ModeledFabric", rt::TransportKind::kModeledFabric},
-    {"Inline", rt::TransportKind::kInline}};
+const std::vector<TransportCase> kTransports = {{"ModeledFabric"}};
 
-/// Non-SMP deterministic-cost config with the given transport + faults.
-rt::RuntimeConfig faulty_runtime(rt::TransportKind kind,
-                                 const fault::FaultConfig& f) {
-  rt::RuntimeConfig cfg = kind == rt::TransportKind::kInline
-                              ? rt::RuntimeConfig::inline_testing()
-                              : rt::RuntimeConfig::testing();
+/// Non-SMP deterministic-cost config with the given faults.
+rt::RuntimeConfig faulty_runtime(const fault::FaultConfig& f) {
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   cfg.fault = f;
   return cfg;
@@ -105,8 +100,7 @@ TEST(FaultReliability, HistogramExactlyOnceAndBitForBit) {
   // Fault-free reference: the full distributed table, per worker.
   std::vector<std::vector<std::uint64_t>> ref;
   {
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, {}));
+    rt::Machine machine(topo, faulty_runtime({}));
     apps::HistogramApp app(machine, histogram_params(core::Scheme::WsP));
     const auto res = app.run();
     ASSERT_TRUE(res.verified);
@@ -121,7 +115,7 @@ TEST(FaultReliability, HistogramExactlyOnceAndBitForBit) {
         const std::string what = std::string("histogram ") +
                                  transport.name + " " +
                                  core::to_string(scheme) + " " + mode.name;
-        rt::Machine machine(topo, faulty_runtime(transport.kind, mode.cfg));
+        rt::Machine machine(topo, faulty_runtime(mode.cfg));
         apps::HistogramApp app(machine, histogram_params(scheme));
         const auto res = app.run();
         EXPECT_TRUE(res.verified) << what;
@@ -168,8 +162,7 @@ TEST(FaultReliability, SsspDistanceHashBitForBit) {
   std::uint64_t ref_hash = 0;
   {
     params.tram.scheme = core::Scheme::WsP;
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, {}));
+    rt::Machine machine(topo, faulty_runtime({}));
     apps::SsspApp app(machine, params);
     const auto res = app.run();
     ASSERT_TRUE(res.verified);
@@ -183,7 +176,7 @@ TEST(FaultReliability, SsspDistanceHashBitForBit) {
                                  " " + core::to_string(scheme) + " " +
                                  mode.name;
         params.tram.scheme = scheme;
-        rt::Machine machine(topo, faulty_runtime(transport.kind, mode.cfg));
+        rt::Machine machine(topo, faulty_runtime(mode.cfg));
         apps::SsspApp app(machine, params);
         const auto res = app.run();
         EXPECT_TRUE(res.verified) << what;  // matches Dijkstra
@@ -216,8 +209,7 @@ TEST(FaultReliability, PholdEventCountBitForBit) {
 
   std::uint64_t ref_events = 0;
   {
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, {}));
+    rt::Machine machine(topo, faulty_runtime({}));
     apps::PholdApp app(machine, phold_params(core::Scheme::WsP));
     const auto res = app.run();
     ref_events = res.events_processed;
@@ -230,7 +222,7 @@ TEST(FaultReliability, PholdEventCountBitForBit) {
         const std::string what = std::string("phold ") + transport.name +
                                  " " + core::to_string(scheme) + " " +
                                  mode.name;
-        rt::Machine machine(topo, faulty_runtime(transport.kind, mode.cfg));
+        rt::Machine machine(topo, faulty_runtime(mode.cfg));
         apps::PholdApp app(machine, phold_params(scheme));
         const auto res = app.run();
         EXPECT_EQ(res.events_processed, ref_events) << what;
@@ -271,9 +263,7 @@ TEST(FaultReliability, SmpSortedScatterSurvivesFaults) {
     f.delay_ns = 30'000;
     f.delay_rate = 0.5;
     f.seed = 21;
-    rt::RuntimeConfig cfg = transport.kind == rt::TransportKind::kInline
-                                ? rt::RuntimeConfig::inline_testing()
-                                : rt::RuntimeConfig::testing();
+    rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
     cfg.fault = f;  // SMP: dedicated comm threads drive the protocol
     const std::string what =
         std::string("smp histogram Mesh2D ") + transport.name;
@@ -307,12 +297,10 @@ TEST(FaultReliability, SameSeedReplaysSameResults) {
   // Far past any plausible scheduler stall on a loaded CI box: a probe
   // before the acks drain would be spurious, and the test asserts none.
   f.rto_ns = 2'000'000'000;
-  f.ack_delay_ns = 100'000;
 
   auto run_once = [&](std::vector<std::vector<std::uint64_t>>& tables,
                       core::FaultStats& fs) {
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, f));
+    rt::Machine machine(topo, faulty_runtime(f));
     apps::HistogramApp app(machine, histogram_params(core::Scheme::WsP));
     const auto res = app.run();
     ASSERT_TRUE(res.verified);
@@ -334,23 +322,21 @@ TEST(FaultReliability, SameSeedReplaysSameResults) {
   EXPECT_EQ(fs2.retransmits, 0u);
 }
 
-// ---- SMP over the inline transport: acks armed on a foreign thread ----
+// ---- SMP: a one-way transfer settled by standalone acks ----
 
-/// A one-way SMP transfer over the inline transport. InlineTransport runs
-/// the receiver's on_inbound on the sender's comm thread, so that thread
-/// arms the receiver's delayed ack, while the receiver's own comm thread,
-/// with nothing queued and nothing due, is parked with no timeout. The
-/// receiver sends no data back, so only that comm thread's standalone
-/// acks settle the transfer: if arming the deadline failed to unpark it,
-/// the data would wait for the 2 s pinned RTO (rto_fires > 0).
-TEST(FaultReliability, InlineSmpAckArmedOnSenderThreadWakesReceiverPump) {
+/// A one-way SMP transfer. The receiver's comm thread arms its own
+/// delayed ack as it delivers, then, with nothing else queued, must park
+/// toward that deadline rather than forever. The receiver sends no data
+/// back, so only its standalone acks settle the transfer: had its comm
+/// thread slept through the deadline, the data would wait for the 2 s
+/// pinned RTO (rto_fires > 0).
+TEST(FaultReliability, SmpOneWayTransferSettledByStandaloneAcks) {
   const util::Topology topo(2, 1, 2);  // 2 procs x 2 workers, SMP
   fault::FaultConfig f;
   f.dup_rate = 0.2;
   f.seed = 31;
   f.rto_ns = 2'000'000'000;
-  f.ack_delay_ns = 100'000;
-  rt::RuntimeConfig cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.fault = f;
   rt::Machine machine(topo, cfg);
   constexpr int kPerSender = 3000;

@@ -97,7 +97,7 @@ apps::HistogramParams histogram_params() {
 
 std::vector<std::vector<std::uint64_t>> reference_tables(
     const util::Topology& topo) {
-  rt::RuntimeConfig cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   rt::Machine machine(topo, cfg);
   apps::HistogramApp app(machine, histogram_params());
@@ -117,7 +117,7 @@ core::FaultStats run_lossy(const util::Topology& topo,
                            const std::vector<std::vector<std::uint64_t>>& ref,
                            const std::string& what,
                            std::uint64_t* srtt_out = nullptr) {
-  rt::RuntimeConfig cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   cfg.fault = f;
   rt::Machine machine(topo, cfg);
@@ -232,7 +232,7 @@ class RecordingTransport final : public rt::Transport {
 /// call on this thread.
 struct WindowRig {
   explicit WindowRig(const fault::FaultConfig& f)
-      : machine(util::Topology(2, 1, 1), rt::RuntimeConfig::inline_testing()),
+      : machine(util::Topology(2, 1, 1), rt::RuntimeConfig::testing()),
         rel(machine, std::make_unique<RecordingTransport>(sent), f) {}
 
   /// Data from process 0 to the worker of process 1.

@@ -162,7 +162,7 @@ TEST(FaultConfig, RejectsUnrecoverableRates) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   // And the machine enforces it at construction.
-  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.fault.drop_rate = 0.95;
   EXPECT_THROW(rt::Machine(util::Topology(2, 1, 1), rt_cfg),
                std::invalid_argument);
@@ -190,7 +190,7 @@ TEST(FaultConfig, RejectsBadCongestionKnobs) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   // The machine rejects them at construction just like the rates.
-  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.fault.dup_rate = 0.1;
   rt_cfg.fault.window_init = 0;
   EXPECT_THROW(rt::Machine(util::Topology(2, 1, 1), rt_cfg),
@@ -198,9 +198,8 @@ TEST(FaultConfig, RejectsBadCongestionKnobs) {
 }
 
 /// FaultConfig{} (all zero) must leave the transport chain exactly as it
-/// was: no decorators, no interceptor, all-zero counters — the structural
-/// half of the "no new per-message cost" guarantee (the timing half is
-/// fig_routed_histogram's ns/item sanity check).
+/// was: no decorators, no interceptor, all-zero counters — so the default
+/// config pays no per-message cost for the fault layer.
 TEST(FaultConfig, AllZeroLeavesTransportUndecorated) {
   rt::Machine machine(util::Topology(2, 1, 1),
                       rt::RuntimeConfig::testing());
@@ -216,7 +215,7 @@ TEST(FaultConfig, AllZeroLeavesTransportUndecorated) {
   EXPECT_EQ(fs.acks_sent, 0u);
 
   // A nonzero config installs the pair — they only ever come together.
-  rt::RuntimeConfig faulty_cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig faulty_cfg = rt::RuntimeConfig::testing();
   faulty_cfg.fault.dup_rate = 0.1;
   rt::Machine faulty(util::Topology(2, 1, 1), faulty_cfg);
   EXPECT_NE(faulty.fault_layer(), nullptr);

@@ -104,21 +104,25 @@ TEST(Fabric, InjectionSerializesPerSourceNode) {
 }
 
 TEST(Fabric, LinkContentionSerializesPerDestinationNode) {
+  // A 1 s occupancy: the second send queues however late the host runs
+  // it.
+  constexpr std::uint64_t kOccupancyNs = 1'000'000'000;
   CostModel m = CostModel::zero();
-  m.link_per_msg_ns = 10'000;
+  m.link_per_msg_ns = kOccupancyNs;
   Fabric fab(Topology(3, 1, 1), m);
   // Two sources converging on one destination node share its ingress
   // link: the second arrival queues behind the first's occupancy.
   std::vector<std::uint64_t> arrivals;
   arrivals.push_back(fab.send(make_packet(0, 2, 0)));
   arrivals.push_back(fab.send(make_packet(1, 2, 0)));
-  EXPECT_GE(arrivals[1], arrivals[0] + 10'000);
-  EXPECT_EQ(fab.link_busy_ns(), 20'000u);
+  EXPECT_GE(arrivals[1], arrivals[0] + kOccupancyNs);
+  EXPECT_EQ(fab.link_busy_ns(), 2 * kOccupancyNs);
   EXPECT_GT(fab.max_link_queue_ns(), 0u);
-  // Distinct destination nodes have distinct links: no queueing.
+  // Distinct destination nodes have distinct links: the send pays its own
+  // occupancy, not a queue.
   const std::uint64_t before = tram::util::now_ns();
   const std::uint64_t other = fab.send(make_packet(0, 1, 0));
-  EXPECT_LT(other, before + 20'000);
+  EXPECT_LT(other, before + 2 * kOccupancyNs);
 }
 
 TEST(Fabric, LinkContentionOffLeavesCountersZero) {

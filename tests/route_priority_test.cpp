@@ -1,9 +1,9 @@
 /// Tests for the routed priority path (RoutedDomain::insert_priority):
 /// priority items inserted *after* bulk must still deliver first across
-/// multi-hop routes — for {Mesh2D, Mesh3D} x {ModeledFabric, Inline} —
-/// because the RoutedHeader priority bit re-buckets them into priority
-/// slots at every intermediate; plus exactly-once accounting for mixed
-/// bulk/priority traffic and the fallback when the knob is off.
+/// multi-hop routes — for Mesh2D and Mesh3D — because the RoutedHeader
+/// priority bit re-buckets them into priority slots at every
+/// intermediate; plus exactly-once accounting for mixed bulk/priority
+/// traffic and the fallback when the knob is off.
 
 #include <gtest/gtest.h>
 
@@ -33,10 +33,8 @@ struct OrderParam {
   int procs;      // non-SMP process count
   WorkerId far;   // destination maximally distant from worker 0
   int min_hops;   // mesh distance 0 -> far (sanity anchor)
-  bool inline_transport;
   std::string label() const {
-    return std::string(core::to_string(scheme)) + "_" +
-           (inline_transport ? "Inline" : "ModeledFabric");
+    return std::string(core::to_string(scheme)) + "_ModeledFabric";
   }
 };
 
@@ -52,8 +50,7 @@ class RoutedPriorityOrdering : public ::testing::TestWithParam<OrderParam> {
 /// crossing two or three hops.
 TEST_P(RoutedPriorityOrdering, PriorityInsertedAfterBulkDeliversFirst) {
   const OrderParam param = GetParam();
-  auto rt_cfg = param.inline_transport ? rt::RuntimeConfig::inline_testing()
-                                       : rt::RuntimeConfig::testing();
+  auto rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.dedicated_comm = false;
   rt::Machine machine(util::Topology(param.procs, 1, 1), rt_cfg);
 
@@ -104,19 +101,16 @@ INSTANTIATE_TEST_SUITE_P(
     MeshesAndTransports, RoutedPriorityOrdering,
     ::testing::Values(
         // 3x3 mesh: 0 -> 8 differs in both dimensions (2 hops).
-        OrderParam{core::Scheme::Mesh2D, 9, 8, 2, false},
-        OrderParam{core::Scheme::Mesh2D, 9, 8, 2, true},
+        OrderParam{core::Scheme::Mesh2D, 9, 8, 2},
         // 2x2x2 mesh: 0 -> 7 differs in all three dimensions (3 hops).
-        OrderParam{core::Scheme::Mesh3D, 8, 7, 3, false},
-        OrderParam{core::Scheme::Mesh3D, 8, 7, 3, true}),
+        OrderParam{core::Scheme::Mesh3D, 8, 7, 3}),
     [](const ::testing::TestParamInfo<OrderParam>& info) {
       return info.param.label();
     });
 
 /// Mixed bulk/priority all-to-all: every item of both classes is
-/// delivered exactly once to the right worker, across schemes,
-/// transports, and SMP modes (the priority mirror of route_test's
-/// run_exchange sweep).
+/// delivered exactly once to the right worker, across schemes and SMP
+/// modes (the priority mirror of route_test's run_exchange sweep).
 void run_priority_exchange(core::Scheme scheme, const util::Topology& topo,
                            rt::RuntimeConfig rt_cfg) {
   rt::Machine machine(topo, rt_cfg);
@@ -180,26 +174,22 @@ TEST(RoutedPriority, MixedExchangeExactlyOnceSmp) {
   run_priority_exchange(core::Scheme::Mesh2D, util::Topology(2, 2, 2),
                         rt::RuntimeConfig::testing());
   run_priority_exchange(core::Scheme::Mesh3D, util::Topology(2, 2, 2),
-                        rt::RuntimeConfig::inline_testing());
+                        rt::RuntimeConfig::testing());
 }
 
 TEST(RoutedPriority, MixedExchangeExactlyOnceNonSmp) {
-  auto fabric = rt::RuntimeConfig::testing();
-  fabric.dedicated_comm = false;
-  auto inline_cfg = rt::RuntimeConfig::inline_testing();
-  inline_cfg.dedicated_comm = false;
+  auto cfg = rt::RuntimeConfig::testing();
+  cfg.dedicated_comm = false;
   const util::Topology topo(9, 1, 1);  // 3x3 / 1x3x3: multi-hop routes
-  run_priority_exchange(core::Scheme::Mesh2D, topo, fabric);
-  run_priority_exchange(core::Scheme::Mesh2D, topo, inline_cfg);
-  run_priority_exchange(core::Scheme::Mesh3D, topo, fabric);
-  run_priority_exchange(core::Scheme::Mesh3D, topo, inline_cfg);
+  run_priority_exchange(core::Scheme::Mesh2D, topo, cfg);
+  run_priority_exchange(core::Scheme::Mesh3D, topo, cfg);
 }
 
 /// flush_all ships the partial priority slot before the partial bulk
 /// one, and counts both as flush messages — the same counts
 /// Priority.FlushShipsPriorityPartialsFirst pins for TramDomain.
 TEST(RoutedPriority, FlushShipsPriorityPartialsFirst) {
-  auto rt_cfg = rt::RuntimeConfig::inline_testing();
+  auto rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.dedicated_comm = false;
   // Two single-worker processes: a one-hop route into one inbox, where
   // expedited dispatch order is deterministic.
@@ -226,7 +216,7 @@ TEST(RoutedPriority, FlushShipsPriorityPartialsFirst) {
 }
 
 TEST(RoutedPriority, FallsBackWhenDisabled) {
-  auto rt_cfg = rt::RuntimeConfig::inline_testing();
+  auto rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.dedicated_comm = false;
   rt::Machine machine(util::Topology(4, 1, 1), rt_cfg);
   std::atomic<std::uint64_t> got{0};

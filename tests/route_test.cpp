@@ -309,32 +309,21 @@ TEST(RoutedDomain, DeliversExactlyOnceSmpModeledFabric) {
   EXPECT_GT(res.stats.routed_forwarded_items, 0u);
 }
 
-TEST(RoutedDomain, DeliversExactlyOnceSmpInline) {
-  run_exchange(core::Scheme::Mesh2D, util::Topology(2, 2, 2),
-               rt::RuntimeConfig::inline_testing());
-  run_exchange(core::Scheme::Mesh3D, util::Topology(2, 2, 2),
-               rt::RuntimeConfig::inline_testing());
-}
-
 TEST(RoutedDomain, DeliversExactlyOnceNonSmp) {
-  auto fabric = rt::RuntimeConfig::testing();
-  fabric.dedicated_comm = false;
-  auto inline_cfg = rt::RuntimeConfig::inline_testing();
-  inline_cfg.dedicated_comm = false;
+  auto cfg = rt::RuntimeConfig::testing();
+  cfg.dedicated_comm = false;
   const util::Topology topo(8, 1, 1);  // 8 single-worker processes
   // 2x4 and 2x2x2 meshes: every case forwards through intermediates.
-  for (const auto& cfg : {fabric, inline_cfg}) {
-    for (const auto scheme : {core::Scheme::Mesh2D, core::Scheme::Mesh3D}) {
-      EXPECT_GT(run_exchange(scheme, topo, cfg).stats.routed_forwarded_items,
-                0u)
-          << core::to_string(scheme);
-    }
+  for (const auto scheme : {core::Scheme::Mesh2D, core::Scheme::Mesh3D}) {
+    EXPECT_GT(run_exchange(scheme, topo, cfg).stats.routed_forwarded_items,
+              0u)
+        << core::to_string(scheme);
   }
 }
 
 TEST(RoutedDomain, ExplicitDimsHonored) {
   rt::Machine machine(util::Topology(6, 1, 1),
-                      rt::RuntimeConfig::inline_testing());
+                      rt::RuntimeConfig::testing());
   core::TramConfig cfg;
   cfg.scheme = core::Scheme::Mesh2D;
   cfg.route_dims = {3, 2, 0};
@@ -356,7 +345,7 @@ TEST(RoutedDomain, ExplicitDimsHonored) {
 
 TEST(RoutedDomain, RejectsUnsupportedConfigKnobs) {
   rt::Machine machine(util::Topology(4, 1, 1),
-                      rt::RuntimeConfig::inline_testing());
+                      rt::RuntimeConfig::testing());
   const auto nop = [](rt::Worker&, const std::uint64_t&) {};
   core::TramConfig cfg;
   cfg.scheme = core::Scheme::Mesh2D;
@@ -374,7 +363,7 @@ TEST(RoutedDomain, RejectsUnsupportedConfigKnobs) {
 
 TEST(TramDomain, RejectsRoutedSchemes) {
   rt::Machine machine(util::Topology(2, 1, 1),
-                      rt::RuntimeConfig::inline_testing());
+                      rt::RuntimeConfig::testing());
   core::TramConfig cfg;
   cfg.scheme = core::Scheme::Mesh2D;
   EXPECT_THROW(core::TramDomain<std::uint64_t>(machine, cfg,
@@ -386,7 +375,7 @@ TEST(TramDomain, RejectsRoutedSchemes) {
 /// from its source in k dimensions is re-aggregated k-1 times — d-1 for
 /// antipodal traffic. The counters must match the closed form exactly.
 TEST(RoutedDomain, ForwardedHopCountersMatchMesh) {
-  auto cfg = rt::RuntimeConfig::inline_testing();
+  auto cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   const int P = 16;
   const util::Topology topo(P, 1, 1);
@@ -423,7 +412,7 @@ TEST(RoutedDomain, ForwardedHopCountersMatchMesh) {
 /// The acceptance bound: at 64 virtual processes, a routed source worker
 /// holds O(d*P^(1/d)) live buffers where direct WPs holds O(P).
 TEST(RoutedDomain, LiveBufferBoundAt64Processes) {
-  auto cfg = rt::RuntimeConfig::inline_testing();
+  auto cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   const int P = 64;
   const util::Topology topo(P, 1, 1);
@@ -478,7 +467,7 @@ TEST(RoutedDomain, LiveBufferBoundAt64Processes) {
 /// re-bucket entries without rewriting them, so the latency the deliver
 /// function measures runs from the original insert, not the last hop.
 TEST(RoutedDomain, LatencyTracksAcrossHops) {
-  auto rt_cfg = rt::RuntimeConfig::inline_testing();
+  auto rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.dedicated_comm = false;
   rt::Machine machine(util::Topology(9, 1, 1), rt_cfg);
   core::TramConfig cfg;

@@ -1,7 +1,7 @@
-/// The Transport seam: InlineTransport and ModeledFabricTransport with
-/// CostModel::zero() must be observationally equivalent (identical
-/// delivery counts for identical workloads), and the whole aggregation
-/// stack must run unchanged over either implementation.
+/// The Transport seam: ModeledFabricTransport over CostModel::zero()
+/// (RuntimeConfig::testing()) delivers every direct and process-addressed
+/// message in SMP and non-SMP mode, carries the whole aggregation stack
+/// unchanged, and charges each message its payload plus the fixed header.
 
 #include <gtest/gtest.h>
 
@@ -84,24 +84,18 @@ WorkloadResult run_workload(const RuntimeConfig& cfg) {
   return out;
 }
 
-TEST(Transport, InlineMatchesModeledZeroDelay) {
-  const WorkloadResult modeled = run_workload(RuntimeConfig::testing());
-  const WorkloadResult inlined = run_workload(RuntimeConfig::inline_testing());
-  EXPECT_EQ(modeled.direct_per_worker, inlined.direct_per_worker);
-  EXPECT_EQ(modeled.addressed_per_proc, inlined.addressed_per_proc);
-  EXPECT_EQ(modeled.runtime_messages, inlined.runtime_messages);
-  // Both transports see exactly the cross-process subset of the traffic.
-  EXPECT_EQ(modeled.fabric_messages, inlined.fabric_messages);
-}
-
-TEST(Transport, InlineDeliversEveryDirectMessage) {
-  const WorkloadResult r = run_workload(RuntimeConfig::inline_testing());
+TEST(Transport, DeliversEveryDirectMessage) {
+  const WorkloadResult r = run_workload(RuntimeConfig::testing());
   for (const int got : r.direct_per_worker) EXPECT_EQ(got, 8 * 20);
   for (const int got : r.addressed_per_proc) EXPECT_EQ(got, 8 * 20);
+  // One runtime message per send; the fabric carries exactly the
+  // cross-process subset (6 of 8 destination workers, 3 of 4 processes).
+  EXPECT_EQ(r.runtime_messages, 8u * (8 + 4) * 20);
+  EXPECT_EQ(r.fabric_messages, 8u * (6 + 3) * 20);
 }
 
-TEST(Transport, InlineWorksInNonSmpMode) {
-  RuntimeConfig cfg = RuntimeConfig::inline_testing();
+TEST(Transport, WorksInNonSmpMode) {
+  RuntimeConfig cfg = RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   Machine m(Topology(2, 2, 1), cfg);
   std::atomic<int> got{0};
@@ -117,11 +111,12 @@ TEST(Transport, InlineWorksInNonSmpMode) {
   EXPECT_EQ(got.load(), 4);
 }
 
-TEST(Transport, AllSchemesDeliverEveryItemOverInline) {
-  // The pooled aggregation stack end to end, per scheme, over the inline
-  // transport: every inserted item must reach its destination worker.
+TEST(Transport, AllSchemesDeliverEveryItem) {
+  // The pooled aggregation stack end to end, per scheme, over the
+  // zero-cost fabric: every inserted item must reach its destination
+  // worker.
   for (const auto scheme : core::all_schemes()) {
-    Machine m(Topology(2, 2, 2), RuntimeConfig::inline_testing());
+    Machine m(Topology(2, 2, 2), RuntimeConfig::testing());
     const int workers = m.topology().workers();
     std::vector<util::Padded<std::atomic<std::uint64_t>>> received(
         static_cast<std::size_t>(workers));
@@ -151,30 +146,23 @@ TEST(Transport, AllSchemesDeliverEveryItemOverInline) {
   }
 }
 
-TEST(Transport, InlineCountsBytesLikeTheFabric) {
-  // Same payload sizes must produce the same byte totals on both
-  // implementations (payload + fixed header charge).
-  RuntimeConfig modeled = RuntimeConfig::testing();
-  RuntimeConfig inlined = RuntimeConfig::inline_testing();
-  std::uint64_t bytes_modeled = 0, bytes_inline = 0;
-  for (int variant = 0; variant < 2; ++variant) {
-    Machine m(Topology(2, 1, 1), variant == 0 ? modeled : inlined);
-    const EndpointId ep = m.register_endpoint([](Worker&, Message&&) {});
-    const auto res = m.run([&](Worker& w) {
-      if (w.id() != 0) return;
-      for (int i = 0; i < 5; ++i) {
-        Message msg;
-        msg.endpoint = ep;
-        msg.dst_worker = 1;
-        msg.src_worker = 0;
-        msg.payload.resize(100);
-        w.send(std::move(msg));
-      }
-    });
-    (variant == 0 ? bytes_modeled : bytes_inline) = res.fabric_bytes;
-  }
-  EXPECT_EQ(bytes_modeled, bytes_inline);
-  EXPECT_EQ(bytes_modeled, 5u * (100u + net::Packet::kHeaderBytes));
+TEST(Transport, CountsPayloadPlusHeaderBytes) {
+  // Every cross-process message is charged its payload plus the fixed
+  // packet header.
+  Machine m(Topology(2, 1, 1), RuntimeConfig::testing());
+  const EndpointId ep = m.register_endpoint([](Worker&, Message&&) {});
+  const auto res = m.run([&](Worker& w) {
+    if (w.id() != 0) return;
+    for (int i = 0; i < 5; ++i) {
+      Message msg;
+      msg.endpoint = ep;
+      msg.dst_worker = 1;
+      msg.src_worker = 0;
+      msg.payload.resize(100);
+      w.send(std::move(msg));
+    }
+  });
+  EXPECT_EQ(res.fabric_bytes, 5u * (100u + net::Packet::kHeaderBytes));
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 /// input 8x the memory budget, the merged output's CRC64 equals an
 /// in-memory reference sort, the staging pool's high-water stays within
 /// the budget, delivery is exactly-once, and the result is bit-identical
-/// across {WsP, Mesh2D, Mesh3D} x {ModeledFabric, Inline}, across
-/// repeated runs, under 5% drop + 3% dup fault injection, and through
-/// the cascaded (multi-pass) merge a tighter budget forces.
+/// across {WsP, Mesh2D, Mesh3D}, across repeated runs, under 5% drop +
+/// 3% dup fault injection, and through the cascaded (multi-pass) merge a
+/// tighter budget forces.
 
 #include <gtest/gtest.h>
 
@@ -30,19 +30,8 @@ static_assert(kInputBytes >= 8 * kBudget);
 const std::vector<core::Scheme> kSchemes = {
     core::Scheme::WsP, core::Scheme::Mesh2D, core::Scheme::Mesh3D};
 
-struct TransportCase {
-  const char* name;
-  rt::TransportKind kind;
-};
-const std::vector<TransportCase> kTransports = {
-    {"ModeledFabric", rt::TransportKind::kModeledFabric},
-    {"Inline", rt::TransportKind::kInline}};
-
-rt::RuntimeConfig shuffle_runtime(rt::TransportKind kind,
-                                  const fault::FaultConfig& f = {}) {
-  rt::RuntimeConfig cfg = kind == rt::TransportKind::kInline
-                              ? rt::RuntimeConfig::inline_testing()
-                              : rt::RuntimeConfig::testing();
+rt::RuntimeConfig shuffle_runtime(const fault::FaultConfig& f = {}) {
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   cfg.fault = f;
   return cfg;
@@ -96,24 +85,19 @@ class ShuffleTest : public ::testing::Test {
 std::string* ShuffleTest::input_path_ = nullptr;
 std::uint64_t ShuffleTest::reference_crc_ = 0;
 
-TEST_F(ShuffleTest, BitIdenticalAcrossSchemesAndTransports) {
+TEST_F(ShuffleTest, BitIdenticalAcrossSchemes) {
   const util::Topology topo(8, 1, 1);
-  for (const auto& tc : kTransports) {
-    for (const auto scheme : kSchemes) {
-      const std::string what =
-          std::string(tc.name) + "/" + core::to_string(scheme);
-      rt::Machine machine(topo, shuffle_runtime(tc.kind));
-      shuffle::ShuffleApp app(machine, params(scheme));
-      const auto res = app.run();
-      expect_exact(res, what);
-    }
+  for (const auto scheme : kSchemes) {
+    rt::Machine machine(topo, shuffle_runtime());
+    shuffle::ShuffleApp app(machine, params(scheme));
+    const auto res = app.run();
+    expect_exact(res, core::to_string(scheme));
   }
 }
 
 TEST_F(ShuffleTest, RepeatedRunsAreBitIdentical) {
   const util::Topology topo(8, 1, 1);
-  rt::Machine machine(topo,
-                      shuffle_runtime(rt::TransportKind::kModeledFabric));
+  rt::Machine machine(topo, shuffle_runtime());
   shuffle::ShuffleApp app(machine, params(core::Scheme::Mesh2D));
   const auto first = app.run();
   const auto second = app.run();
@@ -126,8 +110,7 @@ TEST_F(ShuffleTest, RepeatedRunsAreBitIdentical) {
 
 TEST_F(ShuffleTest, SortedOutputFileOnDisk) {
   const util::Topology topo(8, 1, 1);
-  rt::Machine machine(topo,
-                      shuffle_runtime(rt::TransportKind::kModeledFabric));
+  rt::Machine machine(topo, shuffle_runtime());
   auto p = params(core::Scheme::Mesh3D);
   p.output_path = testing::TempDir() + "shuffle_sorted_out.bin";
   shuffle::ShuffleApp app(machine, p);
@@ -160,8 +143,7 @@ TEST_F(ShuffleTest, FaultInjectionDoesNotMoveTheCrc) {
   for (const auto scheme : {core::Scheme::WsP, core::Scheme::Mesh2D}) {
     const std::string what =
         std::string("faulty/") + core::to_string(scheme);
-    rt::Machine machine(
-        topo, shuffle_runtime(rt::TransportKind::kModeledFabric, f));
+    rt::Machine machine(topo, shuffle_runtime(f));
     shuffle::ShuffleApp app(machine, params(scheme));
     const auto res = app.run();
     expect_exact(res, what);
@@ -179,8 +161,7 @@ TEST_F(ShuffleTest, TightBudgetForcesCascadedMergeAndStillVerifies) {
   // each worker accumulates ~32 runs — the cascade (multi-pass merge)
   // must engage and the result must not change.
   const util::Topology topo(8, 1, 1);
-  rt::Machine machine(topo,
-                      shuffle_runtime(rt::TransportKind::kModeledFabric));
+  rt::Machine machine(topo, shuffle_runtime());
   shuffle::ShuffleApp app(machine, params(core::Scheme::Mesh2D, 16 << 10));
   EXPECT_EQ(app.slice_bytes(), 1u << 10);
   const auto res = app.run();
@@ -196,8 +177,7 @@ TEST_F(ShuffleTest, TightBudgetForcesCascadedMergeAndStillVerifies) {
 
 TEST_F(ShuffleTest, BudgetBelowFloorThrows) {
   const util::Topology topo(8, 1, 1);
-  rt::Machine machine(topo,
-                      shuffle_runtime(rt::TransportKind::kModeledFabric));
+  rt::Machine machine(topo, shuffle_runtime());
   auto p = params(core::Scheme::WsP);
   p.mem_budget_bytes = 256;  // slice would be < 128 bytes for 8 workers
   EXPECT_THROW(shuffle::ShuffleApp(machine, p), std::runtime_error);
