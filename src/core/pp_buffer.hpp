@@ -28,6 +28,10 @@
 /// the slab pointer after the release store that reopens state_, which
 /// happens after the swap; old-epoch writers have all committed before the
 /// sealer runs.
+///
+/// The atomics and the flush lock come from the Sync seam (util/sync.hpp),
+/// so core_pp_buffer_test can run the claim protocol under
+/// util::DebugScheduler's seeded interleavings.
 
 #include <atomic>
 #include <cstdint>
@@ -39,7 +43,7 @@
 
 namespace tram::core {
 
-template <typename Entry>
+template <typename Entry, typename Sync = util::DefaultSync>
 class PpBuffer {
  public:
   explicit PpBuffer(std::uint32_t capacity)
@@ -91,7 +95,7 @@ class PpBuffer {
   /// flushes serialize on an internal lock, and flush-vs-insert races are
   /// resolved by the same claim protocol.
   std::optional<util::PooledBatch<Entry>> flush() {
-    std::lock_guard<util::Spinlock> guard(flush_mu_);
+    std::lock_guard<util::BasicSpinlock<Sync>> guard(flush_mu_);
     for (;;) {
       std::uint64_t s = state_.load(std::memory_order_acquire);
       const auto reserved = static_cast<std::uint32_t>(s);
@@ -146,9 +150,11 @@ class PpBuffer {
   util::PayloadRef buf_;
   const std::uint32_t cap_;
   /// (epoch << 32) | reserved-slot-count.
-  alignas(util::kCacheLine) std::atomic<std::uint64_t> state_{0};
-  alignas(util::kCacheLine) std::atomic<std::uint32_t> committed_{0};
-  util::Spinlock flush_mu_;
+  alignas(util::kCacheLine) typename Sync::template Atomic<std::uint64_t>
+      state_{0};
+  alignas(util::kCacheLine) typename Sync::template Atomic<std::uint32_t>
+      committed_{0};
+  util::BasicSpinlock<Sync> flush_mu_;
 };
 
 }  // namespace tram::core

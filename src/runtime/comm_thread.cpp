@@ -57,16 +57,17 @@ void CommThread::run() {
       // Packets queued for a future arrival: wait just until the earliest.
       // Park for long gaps (burning a shared core would distort every
       // other thread's timing more than a few us of wakeup latency
-      // distorts this packet's), waking 10 us early for that latency.
-      // The park needs no cap: a worker's egress push, a new arrival or
-      // an earlier deadline unparks it.
+      // distorts this packet's), waking kWakeLeadNs early for that
+      // latency. The park needs no cap: a worker's egress push, a new
+      // arrival or an earlier deadline unparks it.
       const std::uint64_t now = util::now_ns();
       if (due > now) {
-        const std::uint64_t gap = due - now;
-        if (gap > 15'000) {
-          idle_wait(IdleAction::kPark, parker, gap - 10'000);
+        const std::uint64_t park_ns =
+            park_budget_ns(now, due, util::Parker::kForever);
+        if (park_ns > 0) {
+          idle_wait(IdleAction::kPark, parker, park_ns);
         } else {
-          util::spin_for_ns(std::min<std::uint64_t>(gap, 2'000));
+          util::spin_for_ns(std::min(due - now, kDueSpinNs));
         }
       }
       continue;

@@ -16,9 +16,12 @@
 ///      charges the send cost and models the network);
 ///   2. Transport::poll delivers every due inbound message to the
 ///      destination worker's inbox (charging the receive cost);
-///   3. when nothing was ready: park on Process::comm_parker() until the
-///      transport's next due time (a modeled arrival, a retransmit probe,
-///      a delayed ack), or, with nothing due, walk the idle ladder shared
+///   3. when nothing was ready: park on Process::comm_parker() until
+///      kWakeLeadNs before the transport's next due time (a modeled
+///      arrival, a retransmit probe, a delayed ack), or spin toward it in
+///      chunks of at most kDueSpinNs once it is within kParkMinGapNs
+///      (rt::park_budget_ns, the rule the workers park toward their
+///      arrival hints by); with nothing due, walk the idle ladder shared
 ///      with the workers (runtime/idle.hpp), whose park has no timeout.
 ///      A worker's egress push and an arrival from another process
 ///      (Machine::wake_comm) unpark it. Deadlines the transport arms while

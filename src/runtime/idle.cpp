@@ -8,8 +8,8 @@
 
 namespace tram::rt {
 
-void idle_wait(IdleAction action, util::Parker& parker,
-               std::uint64_t park_ns) noexcept {
+void idle_wait(IdleAction action, util::Parker& parker, std::uint64_t park_ns,
+               bool hint_cut) noexcept {
   switch (action) {
     case IdleAction::kSpin:
       util::cpu_relax();
@@ -24,7 +24,8 @@ void idle_wait(IdleAction action, util::Parker& parker,
   const util::Parker::Wake wake = parker.park_for(park_ns);
   if (wake == util::Parker::Wake::kPending) return;  // did not sleep
   trace::complete(trace::Cat::kRuntime, trace::kPark, t0,
-                  wake == util::Parker::Wake::kUnparked ? 1u : 0u);
+                  wake == util::Parker::Wake::kUnparked ? 1u : 0u,
+                  hint_cut ? 1u : 0u);
 }
 
 }  // namespace tram::rt

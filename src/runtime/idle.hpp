@@ -25,6 +25,17 @@
 /// timer slack (util::tighten_timer_slack), so a timed park lasts about
 /// as long as asked.
 ///
+/// A thread that knows when its next work lands parks toward it:
+/// park_budget_ns() ends the park kWakeLeadNs before that due time, and
+/// a due time at most kParkMinGapNs away is not worth a park at all. The
+/// comm thread's due time is its transport's next_due_ns(); inside the
+/// gap it spins in chunks of at most kDueSpinNs and polls again. A
+/// worker's is the arrival hint its process's pump publishes
+/// (Worker::next_arrival_ns, set by ModeledFabricTransport::poll); inside
+/// the gap the worker takes its ladder's non-park action instead (spin
+/// when Machine::idle_spin(), else yield), so it is awake when the packet
+/// lands and the delivery needs no futex wake.
+///
 /// A worker runs every idle hook it holds on every 8th spin round and on
 /// every yield and park round, so a due request or a buffered item waits
 /// at most one nap. The cadence is the same for every hook: TramLib's and
@@ -32,8 +43,8 @@
 /// advance, and open-loop request generators. A non-SMP worker is also
 /// its process's comm pump, so it yields where an SMP thread would park.
 ///
-/// idle_step() is a pure function of the round, testable without a clock;
-/// idle_wait() carries a step out.
+/// idle_step() and park_budget_ns() are pure functions, testable without
+/// a clock; idle_wait() carries a step out.
 
 #include <cstdint>
 
@@ -50,6 +61,16 @@ inline constexpr std::uint64_t kIdleNapNs = 20'000;
 /// Spin rounds run the idle hooks only this often: a hook may read the
 /// clock, and the spin phase is meant to be cheap.
 inline constexpr std::uint32_t kIdleHookEvery = 8;
+/// A park toward a known due time ends this long before it, so the
+/// thread's wake-up latency is spent before the due time, not after it.
+inline constexpr std::uint64_t kWakeLeadNs = 10'000;
+/// A thread whose due time is at most this far off stays awake: a park
+/// shorter than kParkMinGapNs - kWakeLeadNs costs more in its futex
+/// round trip than it saves.
+inline constexpr std::uint64_t kParkMinGapNs = 15'000;
+/// Longest spin of a comm thread awake inside kParkMinGapNs of its due
+/// time before it polls again.
+inline constexpr std::uint64_t kDueSpinNs = 2'000;
 
 enum class IdleAction : std::uint8_t { kSpin, kYield, kPark };
 
@@ -74,10 +95,28 @@ constexpr IdleStep idle_step(std::uint32_t round, bool may_park,
   return {IdleAction::kPark, true};
 }
 
+/// How long a thread about to park for up to cap_ns may sleep when its
+/// next due time is `due` (util::now_ns() clock; 0 = none known):
+///  - cap_ns when nothing is due, or when `due` passed more than
+///    kIdleNapNs ago: a stale worker hint, whose pump is late, must not
+///    keep the worker awake;
+///  - 0 (do not park) when `due` is at most kParkMinGapNs away, or passed
+///    at most kIdleNapNs ago;
+///  - otherwise min(cap_ns, due - now - kWakeLeadNs).
+/// The comm thread calls it only with due > now.
+constexpr std::uint64_t park_budget_ns(std::uint64_t now, std::uint64_t due,
+                                       std::uint64_t cap_ns) noexcept {
+  if (due == 0 || now > due + kIdleNapNs) return cap_ns;
+  if (due <= now + kParkMinGapNs) return 0;
+  const std::uint64_t lead_ns = due - now - kWakeLeadNs;
+  return lead_ns < cap_ns ? lead_ns : cap_ns;
+}
+
 /// Carry out one idle action. A park waits on `parker` for at most
 /// park_ns (util::Parker::kForever: until unparked) and, when it sleeps,
-/// records one `park` span (trace::kPark; a0 = 1 if an unpark ended it).
-void idle_wait(IdleAction action, util::Parker& parker,
-               std::uint64_t park_ns) noexcept;
+/// records one `park` span (trace::kPark; a0 = 1 if an unpark ended it,
+/// a1 = hint_cut: 1 if an arrival hint shortened it).
+void idle_wait(IdleAction action, util::Parker& parker, std::uint64_t park_ns,
+               bool hint_cut = false) noexcept;
 
 }  // namespace tram::rt

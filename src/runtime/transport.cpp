@@ -70,7 +70,14 @@ std::size_t ModeledFabricTransport::poll(Process& proc) {
   const auto& cfg = machine_.config();
   auto& st = *states_[static_cast<std::size_t>(proc.id())];
   auto& q = fabric_.ingress(proc.id());
-  while (auto p = q.try_pop()) st.heap.push(std::move(*p));
+  while (auto p = q.try_pop()) {
+    // A process-addressed packet gets its worker now, so the arrival hint
+    // below can name it.
+    if (p->dst_worker == kInvalidWorker) {
+      p->dst_worker = proc.pick_delivery_worker();
+    }
+    st.heap.push(std::move(*p));
+  }
 
   std::size_t delivered = 0;
   std::uint64_t now = util::now_ns();
@@ -90,15 +97,34 @@ std::size_t ModeledFabricTransport::poll(Process& proc) {
     m.src_worker = p.src_worker;
     m.expedited = p.expedited;
     m.hops = p.hops;
-    m.dst_worker = p.dst_worker == kInvalidWorker
-                       ? proc.pick_delivery_worker()
-                       : p.dst_worker;
+    m.dst_worker = p.dst_worker;
     m.payload = std::move(p.payload);
     deliver_to_process(machine_, proc, std::move(m));
     ++delivered;
     now = util::now_ns();
   }
+  publish_next_arrival(proc, st);
   return delivered;
+}
+
+void ModeledFabricTransport::publish_next_arrival(Process& proc,
+                                                  ProcState& st) {
+  Worker* top = nullptr;
+  std::uint64_t due = 0;
+  if (!st.heap.empty()) {
+    const net::Packet& p = st.heap.top();
+    top = &proc.worker(machine_.topology().local_rank(p.dst_worker));
+    due = p.arrival_ns;
+  }
+  // The comm thread polls every few us while it waits for a due packet;
+  // store only what changed.
+  if (top == st.hinted && due == st.hinted_ns) return;
+  if (st.hinted != nullptr && st.hinted != top) {
+    st.hinted->set_next_arrival_ns(0);
+  }
+  if (top != nullptr) top->set_next_arrival_ns(due);
+  st.hinted = top;
+  st.hinted_ns = due;
 }
 
 std::uint64_t ModeledFabricTransport::next_due_ns(ProcId p) const {

@@ -12,6 +12,15 @@
 /// that is due. CostModel::zero() (RuntimeConfig::testing()) makes every
 /// arrival due at once. The fault layer (src/fault/) decorates it.
 ///
+/// poll() also tells each worker when its next packet lands. A
+/// process-addressed packet gets its worker (Process::pick_delivery_worker)
+/// as it is drained into the heap, not at delivery, so every held packet
+/// names its worker. After each poll the heap top's arrival is stored in
+/// its worker's Worker::next_arrival_ns, and the worker the previous poll
+/// named, if another, reads 0 again, as every worker does once the heap
+/// is empty. An idle SMP worker parks toward that arrival
+/// (runtime/idle.hpp), so it is awake when the packet lands.
+///
 /// Threading rule: every Transport call for process p (send() from p,
 /// poll(p), next_due_ns(p), and the delivery tail with the
 /// DeliveryInterceptor at p) runs on p's pump thread: its comm thread in
@@ -20,8 +29,9 @@
 /// the same way, the sender-side fields belonging to the source's thread
 /// and the receiver-side fields to the destination's. send() never
 /// delivers synchronously, so no layer is re-entered from below. Only
-/// in_flight() and the counters are read from other threads (the QD
-/// thread, the trace sampler, reporters), and those are atomics.
+/// in_flight(), the counters and the workers' arrival hints are read from
+/// other threads (the QD thread, the trace sampler, reporters, the
+/// workers), and those are atomics.
 
 #include <atomic>
 #include <cstdint>
@@ -41,6 +51,7 @@ namespace tram::rt {
 
 class Machine;
 class Process;
+class Worker;
 
 class Transport {
  public:
@@ -51,8 +62,9 @@ class Transport {
   /// destination is dst_worker, or dst_proc_hint when process-addressed.
   virtual void send(ProcId src_proc, Message&& m) = 0;
 
-  /// Deliver due inbound messages for proc into its workers' inboxes.
-  /// Returns the number delivered.
+  /// Deliver due inbound messages for proc into its workers' inboxes, and
+  /// refresh their arrival hints (Worker::next_arrival_ns). Returns the
+  /// number delivered.
   virtual std::size_t poll(Process& proc) = 0;
 
   /// Earliest modeled arrival still pending for proc after the last
@@ -120,7 +132,15 @@ class ModeledFabricTransport final : public Transport {
     std::priority_queue<net::Packet, std::vector<net::Packet>,
                         net::PacketLater>
         heap;
+    /// The worker the last poll gave an arrival hint (nullptr: none), and
+    /// the hint.
+    Worker* hinted = nullptr;
+    std::uint64_t hinted_ns = 0;
   };
+
+  /// Store the heap top's arrival in its worker's hint, and clear the
+  /// hint of the worker the last poll named if the top moved away.
+  void publish_next_arrival(Process& proc, ProcState& st);
 
   Machine& machine_;
   net::Fabric& fabric_;

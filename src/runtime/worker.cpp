@@ -11,6 +11,7 @@
 #include "runtime/transport.hpp"
 #include "trace/trace.hpp"
 #include "util/spinlock.hpp"
+#include "util/timebase.hpp"
 
 namespace tram::rt {
 
@@ -149,7 +150,15 @@ void Worker::scheduler_loop() {
     // off along the idle ladder so oversubscribed runs do not thrash.
     const IdleStep step = idle_step(idle_round++, /*may_park=*/smp, spin);
     if (step.run_hooks) run_idle_hooks();
-    idle_wait(step.action, parker_, kIdleNapNs);
+    IdleAction action = step.action;
+    std::uint64_t nap = kIdleNapNs;
+    if (action == IdleAction::kPark) {
+      // Wake kWakeLeadNs before the next packet the pump holds for this
+      // worker, and stay awake when it lands sooner than a park is worth.
+      nap = park_budget_ns(util::now_ns(), next_arrival_ns(), kIdleNapNs);
+      if (nap == 0) action = spin ? IdleAction::kSpin : IdleAction::kYield;
+    }
+    idle_wait(action, parker_, nap, /*hint_cut=*/nap < kIdleNapNs);
   }
 }
 

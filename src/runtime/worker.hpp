@@ -77,7 +77,8 @@ class Worker {
   /// Register a callback run while this worker finds its inbox empty: on
   /// the first idle round and every 8th one while spinning, then on every
   /// yield and park round (see runtime/idle.hpp). An idle SMP worker parks
-  /// for at most kIdleNapNs, so it runs its hooks at least once per nap; a
+  /// for at most kIdleNapNs, and less when next_arrival_ns() lies within
+  /// a nap plus kWakeLeadNs, so it runs its hooks at least once per nap; a
   /// message a hook sends to its own worker unparks it at once. TramLib
   /// and RoutedDomain register flush-on-idle here, SsspApp its
   /// delta-stepping threshold advance.
@@ -102,6 +103,18 @@ class Worker {
   util::Xoshiro256& rng() noexcept { return rng_; }
   void reseed(std::uint64_t seed) {
     rng_ = util::Xoshiro256::for_stream(seed, static_cast<std::uint64_t>(id_));
+  }
+
+  /// Modeled arrival (util::now_ns() clock) of the packet heading this
+  /// process's reorder heap when that packet is for this worker, else 0.
+  /// Written by the process's pump thread after each
+  /// ModeledFabricTransport::poll; an idle SMP worker parks toward it
+  /// (rt::park_budget_ns). Only a hint, so relaxed on both sides.
+  std::uint64_t next_arrival_ns() const noexcept {
+    return next_arrival_ns_.load(std::memory_order_relaxed);
+  }
+  void set_next_arrival_ns(std::uint64_t arrival_ns) noexcept {
+    next_arrival_ns_.store(arrival_ns, std::memory_order_relaxed);
   }
 
   /// Remove all idle hooks / pending counters (between benchmark configs).
@@ -133,6 +146,9 @@ class Worker {
   /// Where the idle worker sleeps; enqueue() and Machine::run's stop
   /// unpark it. Its own cache line: every producer writes it.
   alignas(64) util::Parker parker_;
+  /// See next_arrival_ns(). On the parker's line, which the pump thread
+  /// writes anyway when it delivers to this worker.
+  std::atomic<std::uint64_t> next_arrival_ns_{0};
   /// Debug guard: id of the thread driving this worker (set by Machine::run)
   /// so send/progress can assert they run on the owning thread.
   std::atomic<std::size_t> owner_thread_{0};

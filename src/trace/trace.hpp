@@ -62,7 +62,8 @@ enum EventId : std::uint16_t {
   kWorkerBusy = 1,   // Complete: a0 = messages dispatched this batch
   kCommPump = 2,     // Complete: a0 = egress + ingress items moved
   kQdRound = 3,      // Instant: a0 = sent - handled backlog, a1 = ok
-  kPark = 4,         // Complete: a0 = 1 if an unpark ended it, 0 if timeout
+  kPark = 4,         // Complete: a0 = 1 if an unpark ended it, 0 if timeout;
+                     //   a1 = 1 if a worker's arrival hint shortened it
   // route
   kShip = 16,           // Instant: a0 = entries, a1 = slot | flag bits
   kRebucket = 17,       // Complete: a0 = inbound entries, a1 = hop

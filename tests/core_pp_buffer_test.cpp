@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/pp_buffer.hpp"
+#include "util/sync.hpp"
 
 namespace {
 
@@ -175,31 +177,40 @@ TEST(PpBuffer, ConcurrentFlushersSerialize) {
   EXPECT_EQ(drained.load(), 200'000u);
 }
 
+/// With 4 writers on one buffer, some claim CASes must fail and be
+/// counted: the paper's "overhead of atomics" made visible. The buffer runs
+/// on DebugSync under the seeded scheduler, so every atomic operation may
+/// hand the token to another writer between a claim's load and its CAS;
+/// the fixed seed replays the same interleaving on every host, however
+/// many cores it has.
 TEST(PpBuffer, CasRetriesReportedUnderContention) {
-  if (std::thread::hardware_concurrency() < 4) {
-    GTEST_SKIP() << "CAS contention needs truly parallel writers; a "
-                    "time-sliced single core can serialize every claim";
-  }
-  PpBuffer<Entry> buf(128);
-  std::atomic<std::uint64_t> total_retries{0};
-  std::atomic<std::uint64_t> sealed_items{0};
-  std::vector<std::thread> writers;
-  for (int wdx = 0; wdx < 8; ++wdx) {
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 64;
+  PpBuffer<Entry, tram::util::DebugSync> buf(16);
+  std::uint64_t retries[kWriters] = {};
+  std::uint64_t sealed_items[kWriters] = {};
+  std::vector<std::function<void()>> writers;
+  for (int wdx = 0; wdx < kWriters; ++wdx) {
     writers.emplace_back([&, wdx] {
-      std::uint64_t retries = 0;
-      for (std::uint64_t i = 0; i < 100'000; ++i) {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         if (auto s = buf.insert(
-                Entry::make(i, static_cast<std::uint64_t>(wdx)), retries)) {
-          sealed_items += s->size();
+                Entry::make(i, static_cast<std::uint64_t>(wdx)),
+                retries[wdx])) {
+          sealed_items[wdx] += s->size();
         }
       }
-      total_retries += retries;
     });
   }
-  for (auto& t : writers) t.join();
-  // With 8 threads hammering one buffer, some CAS retries must occur —
-  // this is the paper's "overhead of atomics" made visible.
-  EXPECT_GT(total_retries.load(), 0u);
+  tram::util::DebugScheduler::run(/*seed=*/7, std::move(writers));
+  std::uint64_t total_retries = 0;
+  std::uint64_t total_sealed = 0;
+  for (int wdx = 0; wdx < kWriters; ++wdx) {
+    total_retries += retries[wdx];
+    total_sealed += sealed_items[wdx];
+  }
+  EXPECT_GT(total_retries, 0u);
+  // 256 inserts fill 16 buffers of 16 exactly: every entry was sealed.
+  EXPECT_EQ(total_sealed, kWriters * kPerWriter);
 }
 
 }  // namespace

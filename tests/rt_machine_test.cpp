@@ -11,6 +11,7 @@
 
 #include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
+#include "util/parker.hpp"
 #include "util/spinlock.hpp"
 #include "util/topology.hpp"
 
@@ -350,6 +351,50 @@ TEST(IdleLadder, StepForEveryRound) {
     EXPECT_EQ(round, 337u);
     EXPECT_EQ(hook_rounds, t.hook_rounds);
   }
+}
+
+/// How long an idle thread may park before its next due time, case by
+/// case: a worker holding no hint, a hint beyond its nap, within a nap
+/// plus the wake lead, within the lead, and a stale one; then the comm
+/// thread, which parks with no cap toward its transport's due time only
+/// when it is more than 15 us away, wakes 10 us early, and otherwise
+/// spins in chunks of at most 2 us.
+TEST(IdleLadder, ParkBudgetForEveryCase) {
+  EXPECT_EQ(rt::kWakeLeadNs, 10'000u);
+  EXPECT_EQ(rt::kParkMinGapNs, 15'000u);
+  EXPECT_EQ(rt::kDueSpinNs, 2'000u);
+  constexpr std::uint64_t kNap = rt::kIdleNapNs;
+  constexpr std::uint64_t kForever = util::Parker::kForever;
+  constexpr std::uint64_t kNow = 1'000'000'000;
+  struct Case {
+    const char* what;
+    std::uint64_t due;
+    std::uint64_t cap;
+    std::uint64_t park_ns;
+  };
+  const std::vector<Case> cases = {
+      {"worker, no hint", 0, kNap, kNap},
+      {"worker, hint beyond nap + lead", kNow + 40'000, kNap, kNap},
+      {"worker, hint exactly nap + lead away", kNow + 30'000, kNap, kNap},
+      {"worker, hint inside nap + lead", kNow + 25'000, kNap, 15'000},
+      {"worker, hint 1 ns past the min gap", kNow + 15'001, kNap, 5'001},
+      {"worker, hint at the min gap", kNow + 15'000, kNap, 0},
+      {"worker, hint inside the lead", kNow + 4'000, kNap, 0},
+      {"worker, hint due now", kNow, kNap, 0},
+      {"worker, hint overdue by one nap", kNow - kNap, kNap, 0},
+      {"worker, stale hint", kNow - kNap - 1, kNap, kNap},
+      {"comm, nothing due", 0, kForever, kForever},
+      {"comm, due in 1 s", kNow + 1'000'000'000, kForever,
+       1'000'000'000 - 10'000},
+      {"comm, due in 15 us + 1 ns", kNow + 15'001, kForever, 5'001},
+      {"comm, due in 15 us", kNow + 15'000, kForever, 0},
+      {"comm, due in 10 us", kNow + 10'000, kForever, 0},
+      {"comm, due in 2 us", kNow + 2'000, kForever, 0},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(rt::park_budget_ns(kNow, c.due, c.cap), c.park_ns) << c.what;
+  }
+  static_assert(rt::park_budget_ns(kNow, kNow + 25'000, kNap) == 15'000);
 }
 
 /// An SMP Machine spins its idle threads exactly when every runtime

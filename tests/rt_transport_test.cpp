@@ -2,15 +2,20 @@
 /// (RuntimeConfig::testing()) delivers every direct and process-addressed
 /// message in SMP and non-SMP mode, carries the whole aggregation stack
 /// unchanged, and charges each message its payload plus the fixed header.
+/// Its poll() tells each worker when the next packet it holds for that
+/// worker lands.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "core/tram.hpp"
 #include "net/packet.hpp"
 #include "runtime/machine.hpp"
+#include "runtime/process.hpp"
 #include "runtime/transport.hpp"
 #include "util/spinlock.hpp"
 
@@ -163,6 +168,78 @@ TEST(Transport, CountsPayloadPlusHeaderBytes) {
     }
   });
   EXPECT_EQ(res.fabric_bytes, 5u * (100u + net::Packet::kHeaderBytes));
+}
+
+/// poll() names the worker of the packet heading the reorder heap and
+/// stores its arrival in that worker's hint, clears the hint when the top
+/// moves to a sibling or the heap drains, and fixes a process-addressed
+/// packet's worker as it is drained. The test thread drives the transport
+/// of a machine that never runs: a 1 s remote alpha holds packets, and
+/// only the 0.9 s lead of the 0.1 s same-node alpha over it orders the
+/// two arrivals, so no assertion reads the clock.
+TEST(Transport, PollTellsEachWorkerItsNextArrival) {
+  RuntimeConfig cfg = RuntimeConfig::testing();
+  cfg.cost.alpha_remote_ns = 1e9;
+  cfg.cost.alpha_local_ns = 1e8;
+  Machine m(Topology(2, 2, 2), cfg);  // procs 0, 1 on node 0; 2, 3 on 1
+  std::vector<WorkerId> handled_by;
+  const EndpointId ep = m.register_endpoint(
+      [&](Worker& w, Message&&) { handled_by.push_back(w.id()); });
+  rt::Transport& tr = m.transport();
+  rt::Process& dst = m.process(1);
+  Worker& w2 = dst.worker(0);
+  Worker& w3 = dst.worker(1);
+
+  // Process-addressed, from the other node: held 1 s, and its worker is
+  // picked as poll drains it into the heap.
+  Message addressed;
+  addressed.endpoint = ep;
+  addressed.src_worker = 4;
+  addressed.dst_proc_hint = 1;
+  tr.send(2, std::move(addressed));
+  EXPECT_EQ(tr.poll(dst), 0u);
+  const std::uint64_t remote_due = tr.next_due_ns(1);
+  ASSERT_NE(remote_due, 0u);
+  EXPECT_EQ(w2.next_arrival_ns(), remote_due);
+  EXPECT_EQ(w3.next_arrival_ns(), 0u);
+
+  // Direct to the sibling, from the same node: lands first, so the hint
+  // moves to w3 and w2's is cleared.
+  Message direct;
+  direct.endpoint = ep;
+  direct.src_worker = 0;
+  direct.dst_worker = w3.id();
+  tr.send(0, std::move(direct));
+  EXPECT_EQ(tr.poll(dst), 0u);
+  const std::uint64_t local_due = tr.next_due_ns(1);
+  ASSERT_LT(local_due, remote_due);
+  EXPECT_EQ(w3.next_arrival_ns(), local_due);
+  EXPECT_EQ(w2.next_arrival_ns(), 0u);
+
+  // Poll until the sibling's packet is delivered: the top is w2's again.
+  auto poll_until_due = [&](std::uint64_t due) {
+    while (tr.next_due_ns(1) != due) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      tr.poll(dst);
+    }
+  };
+  poll_until_due(remote_due);
+  EXPECT_EQ(w2.next_arrival_ns(), remote_due);
+  EXPECT_EQ(w3.next_arrival_ns(), 0u);
+
+  // Drained: every hint reads 0.
+  poll_until_due(0);
+  for (ProcId p = 0; p < m.topology().procs(); ++p) {
+    for (LocalWorkerId r = 0; r < m.topology().workers_per_proc(); ++r) {
+      EXPECT_EQ(m.process(p).worker(r).next_arrival_ns(), 0u)
+          << "proc " << p << " rank " << r;
+    }
+  }
+
+  // The process-addressed packet went to the worker its hint named.
+  EXPECT_EQ(w2.progress(), 1u);
+  EXPECT_EQ(w3.progress(), 1u);
+  EXPECT_EQ(handled_by, (std::vector<WorkerId>{w2.id(), w3.id()}));
 }
 
 }  // namespace
