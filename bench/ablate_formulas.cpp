@@ -67,14 +67,13 @@ int main(int argc, char** argv) {
         core::buffer_bytes_per_process(scheme, g, entry, N, t) * N;
     // Measured allocation can be below the formula (buffers reserve
     // lazily), never above.
-    const std::uint64_t measured = 0;  // reported by the app's domain
-    (void)measured;
+    const std::uint64_t measured = res.allocated_buffer_bytes;
 
     table.add_row({core::to_string(scheme),
                    util::Table::fmt(msgs_per_src, 1),
                    util::Table::fmt_int(static_cast<long long>(bounds.lower)),
                    util::Table::fmt_int(static_cast<long long>(bounds.upper)),
-                   "(lazy)",
+                   util::Table::fmt(static_cast<double>(measured) / 1e6, 3),
                    util::Table::fmt(static_cast<double>(formula_bytes) / 1e6,
                                     3)});
 
@@ -85,6 +84,9 @@ int main(int argc, char** argv) {
                       static_cast<double>(bounds.upper) * 1.001,
                   std::string(core::to_string(scheme)) +
                       ": messages/src <= upper bound");
+    shapes.expect(measured <= formula_bytes,
+                  std::string(core::to_string(scheme)) +
+                      ": allocated buffer bytes <= g*m*N[*t] formula");
     shapes.expect(res.verified, std::string(core::to_string(scheme)) +
                                     ": histogram verified");
   }

@@ -5,9 +5,9 @@
 ///
 /// Every fig* binary reproduces one figure of the paper: it sweeps the
 /// figure's x-axis, prints the same series the paper plots, then evaluates
-/// the *shape* expectations from DESIGN.md section 5 (who wins, where the
-/// crossover falls) and prints SHAPE PASS/FAIL lines. Absolute numbers are
-/// from our simulated fabric, not Delta — see EXPERIMENTS.md.
+/// the paper's *shape* expectations (who wins, where the crossover falls)
+/// and prints SHAPE PASS/FAIL lines. Absolute numbers are from our
+/// simulated fabric, not Delta.
 ///
 /// The scaled cost model: our workloads are ~10x smaller than the paper's
 /// (one box instead of 64 Delta nodes), so per-message costs are scaled up
@@ -381,9 +381,9 @@ class ShapeChecker {
     if (!ok) failures_++;
   }
 
-  /// Prints every check and returns the number of failures. Benches exit 0
-  /// regardless (a noisy box must not break the pipeline); EXPERIMENTS.md
-  /// records the outcomes.
+  /// Prints every check and returns the number of failures; a bench whose
+  /// checks read counters can make that count its exit code, as
+  /// fig_fault_sweep does.
   int report() const {
     std::printf("\n-- shape checks --\n");
     for (const auto& [ok, what] : checks_) {

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
                 "(flush-dominated sends)");
   // Paper: WsP scales worse than WPs (source-side sorting). Our WsP uses a
   // counting sort, cheaper than the paper's sort, so we only require that
-  // WsP shows no large advantage — see EXPERIMENTS.md for the discussion.
+  // WsP shows no large advantage.
   shapes.expect(secs[3][last] >= 0.75 * secs[1][last],
                 "WsP does not substantially beat WPs (source-side sorting "
                 "brings no free win)");

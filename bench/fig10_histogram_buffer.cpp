@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   // thrashing caches) — invisible at 16 workers. What is visible, and what
   // we check, is the mechanism behind it: at 4096 WW's sends become purely
   // flush-driven (buffers never fill) while the process-level schemes keep
-  // filling theirs. See EXPERIMENTS.md.
+  // filling theirs.
   bench::ShapeChecker shapes;
   shapes.expect(secs[1].back() <= secs[1].front() * 1.5,
                 "WPs holds (within noise) with larger buffers");

@@ -58,12 +58,11 @@ int main(int argc, char** argv) {
   bench::ShapeChecker shapes;
   const std::size_t last = node_counts.size() - 1;
   shapes.expect(all_verified, "distances match Dijkstra for every run");
-  // Scale note (see EXPERIMENTS.md): the paper's absolute "WPs
-  // considerably better than WW" holds at 512 PEs; at our 4-16 workers WW's
-  // direct delivery is legitimately competitive. What reproduces is the
-  // paper's *trend*: WW's time grows with node count much faster than
-  // WPs', so the WPs/WW ratio falls toward (and past) 1 as the machine
-  // grows.
+  // Scale note: the paper's absolute "WPs considerably better than WW"
+  // holds at 512 PEs; at our 4-16 workers WW's direct delivery is
+  // legitimately competitive. What reproduces is the paper's *trend*: WW's
+  // time grows with node count much faster than WPs', so the WPs/WW ratio
+  // falls toward (and past) 1 as the machine grows.
   const double ww_growth = secs[0][last] / secs[0][0];
   const double wps_growth = secs[1][last] / secs[1][0];
   shapes.expect(ww_growth > 1.15 * wps_growth,

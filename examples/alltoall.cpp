@@ -16,8 +16,7 @@
 #include <atomic>
 #include <cstdio>
 
-#include "core/tram.hpp"
-#include "route/routed_domain.hpp"
+#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -51,45 +50,31 @@ int main(int argc, char** argv) {
     core::TramConfig cfg;
     cfg.scheme = scheme;
     cfg.buffer_items = static_cast<std::uint32_t>(buffer);
-    const auto count = [&](rt::Worker&, const std::uint64_t&) { received++; };
-    std::unique_ptr<core::TramDomain<std::uint64_t>> direct;
-    std::unique_ptr<route::RoutedDomain<std::uint64_t>> routed;
-    if (core::is_routed(scheme)) {
-      // Explicit extents only fit the 2-D mesh of this 4-process machine;
-      // the 3-D mesh always auto-factors.
-      if (scheme == core::Scheme::Mesh2D) cfg.route_dims = route_dims;
-      routed = std::make_unique<route::RoutedDomain<std::uint64_t>>(
-          machine, cfg, count);
-    } else {
-      direct = std::make_unique<core::TramDomain<std::uint64_t>>(
-          machine, cfg, count);
-    }
+    // Explicit extents only fit the 2-D mesh of this 4-process machine;
+    // the 3-D mesh always auto-factors.
+    if (scheme == core::Scheme::Mesh2D) cfg.route_dims = route_dims;
+    route::Domain<std::uint64_t> domain(
+        machine, cfg, [&](rt::Worker&, const std::uint64_t&) { received++; });
 
     const auto result = machine.run([&](rt::Worker& self) {
+      auto agg = domain.on(self);
       for (WorkerId dest = 0; dest < W; ++dest) {
         if (dest == self.id()) continue;
         for (std::int64_t i = 0; i < per_pair; ++i) {
-          if (routed) {
-            routed->on(self).insert(dest, static_cast<std::uint64_t>(i));
-          } else {
-            direct->on(self).insert(dest, static_cast<std::uint64_t>(i));
-          }
+          agg.insert(dest, static_cast<std::uint64_t>(i));
         }
         self.progress();
       }
-      if (routed) {
-        routed->on(self).flush_all();
-      } else {
-        direct->on(self).flush_all();
-      }
+      agg.flush_all();
     });
 
-    const auto stats =
-        direct ? direct->aggregate_stats() : routed->aggregate_stats();
+    const auto stats = domain.aggregate_stats();
     const std::uint64_t expected = static_cast<std::uint64_t>(W) *
                                    (W - 1) * per_pair;
     std::string name = core::to_string(scheme);
-    if (routed) name += " (" + routed->mesh().to_string() + ")";
+    if (const auto* mesh = domain.mesh()) {
+      name += " (" + mesh->to_string() + ")";
+    }
     table.add_row(
         {name,
          util::Table::fmt_int(static_cast<long long>(stats.msgs_shipped)),

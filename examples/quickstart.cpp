@@ -10,12 +10,13 @@
 ///   ./quickstart --scheme WPs --buffer 512 --updates 100000
 ///
 /// Try --scheme WW / PP / WsP / None and compare the printed message
-/// counts: that difference is the whole point of the paper.
+/// counts: that difference is the whole point of the paper. Mesh2D and
+/// Mesh3D route the same items over a virtual process mesh.
 
 #include <cstdio>
 #include <vector>
 
-#include "core/tram.hpp"
+#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "util/cli.hpp"
 
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   std::int64_t buffer = 512;
   std::int64_t updates = 100'000;
   util::Cli cli("quickstart: aggregate random updates through TramLib");
-  cli.add_string("scheme", &scheme_name, "None|WW|WPs|WsP|PP");
+  cli.add_string("scheme", &scheme_name, "None|WW|WPs|WsP|PP|Mesh2D|Mesh3D");
   cli.add_int("buffer", &buffer, "items per aggregation buffer (g)");
   cli.add_int("updates", &updates, "updates per worker PE");
   if (!cli.parse(argc, argv)) return 2;
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
   core::TramConfig cfg;
   cfg.scheme = *scheme;
   cfg.buffer_items = static_cast<std::uint32_t>(buffer);
-  core::TramDomain<std::uint64_t> tram(
+  route::Domain<std::uint64_t> tram(
       machine, cfg, [&](rt::Worker& w, const std::uint64_t& item) {
         counters[w.id()].value += item;
       });
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
   // 3. SPMD main: runs on every worker. insert() buffers the item; full
   //    buffers ship automatically; flush_all() ships the stragglers.
   const auto result = machine.run([&](rt::Worker& self) {
-    auto& agg = tram.on(self);
+    auto agg = tram.on(self);
     for (std::int64_t i = 0; i < updates; ++i) {
       const auto dest = static_cast<WorkerId>(self.rng().below(W));
       agg.insert(dest, 1);

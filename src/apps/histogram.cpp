@@ -8,18 +8,12 @@ HistogramApp::HistogramApp(rt::Machine& machine,
       params_(params),
       part_(params.bins_per_worker *
                 static_cast<std::uint64_t>(machine.topology().workers()),
-            machine.topology().workers()) {
-  auto deliver = [this](rt::Worker& w, const std::uint64_t& bin) {
-    auto& slice = tables_[static_cast<std::size_t>(w.id())];
-    slice[bin - part_.begin(w.id())]++;
-  };
-  if (core::is_routed(params_.tram.scheme)) {
-    routed_ = std::make_unique<route::RoutedDomain<std::uint64_t>>(
-        machine, params_.tram, deliver);
-  } else {
-    direct_ = std::make_unique<core::TramDomain<std::uint64_t>>(
-        machine, params_.tram, deliver);
-  }
+            machine.topology().workers()),
+      domain_(machine, params.tram,
+              [this](rt::Worker& w, const std::uint64_t& bin) {
+                auto& slice = tables_[static_cast<std::size_t>(w.id())];
+                slice[bin - part_.begin(w.id())]++;
+              }) {
   tables_.resize(static_cast<std::size_t>(machine.topology().workers()));
   for (int w = 0; w < machine.topology().workers(); ++w) {
     tables_[static_cast<std::size_t>(w)].assign(part_.size(w), 0);
@@ -28,42 +22,30 @@ HistogramApp::HistogramApp(rt::Machine& machine,
 
 HistogramResult HistogramApp::run(std::uint64_t seed) {
   for (auto& t : tables_) std::fill(t.begin(), t.end(), 0);
-  if (direct_) direct_->reset_stats();
-  if (routed_) routed_->reset_stats();
+  domain_.reset_stats();
 
   const std::uint64_t total_bins = part_.total();
-  const bool routed = routed_ != nullptr;
   const auto result = machine_.run(
-      [this, total_bins, routed](rt::Worker& w) {
-        auto* direct = direct_ ? &direct_->on(w) : nullptr;
-        auto* mesh = routed_ ? &routed_->on(w) : nullptr;
+      [this, total_bins](rt::Worker& w) {
+        auto agg = domain_.on(w);
         for (std::uint64_t i = 0; i < params_.updates_per_worker; ++i) {
           const std::uint64_t bin = w.rng().below(total_bins);
-          const auto dest = static_cast<WorkerId>(part_.owner(bin));
-          if (routed) {
-            mesh->insert(dest, bin);
-          } else {
-            direct->insert(dest, bin);
-          }
+          agg.insert(static_cast<WorkerId>(part_.owner(bin)), bin);
           if (params_.progress_interval != 0 &&
               i % params_.progress_interval == 0) {
             w.progress();
           }
         }
         // "Each PE invokes the flush call at the end of all updates."
-        if (routed) {
-          mesh->flush_all();
-        } else {
-          direct->flush_all();
-        }
+        agg.flush_all();
       },
       seed);
 
   HistogramResult res;
   res.run = result;
-  res.tram = direct_ ? direct_->aggregate_stats() : routed_->aggregate_stats();
-  res.max_reserved_buffers = direct_ ? direct_->max_reserved_buffers()
-                                     : routed_->max_reserved_buffers();
+  res.tram = domain_.aggregate_stats();
+  res.max_reserved_buffers = domain_.max_reserved_buffers();
+  res.allocated_buffer_bytes = domain_.allocated_buffer_bytes();
   for (const auto& t : tables_) {
     for (const std::uint64_t c : t) res.table_total += c;
   }

@@ -9,18 +9,16 @@
 /// benchmark isolates aggregation *overhead* (total time, message counts);
 /// latency is irrelevant here by design (paper section III-D).
 ///
-/// Scheme::Mesh2D/Mesh3D configurations run the same workload through
-/// route::RoutedDomain instead of TramDomain: identical delivery contract,
-/// multi-hop message path (bench/fig_routed_histogram.cpp sweeps the two
-/// side by side).
+/// The app holds one route::Domain, so every scheme runs the same code:
+/// Scheme::Mesh2D/Mesh3D take the multi-hop message path under the same
+/// delivery contract (bench/fig_routed_histogram.cpp sweeps direct and
+/// routed side by side).
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/tram.hpp"
 #include "graph/csr.hpp"
-#include "route/routed_domain.hpp"
+#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 
 namespace tram::apps {
@@ -41,6 +39,9 @@ struct HistogramResult {
   /// Largest count of live source-side buffers on any one worker — O(N)
   /// for the direct schemes, O(d * N^(1/d)) for the routed ones.
   std::uint64_t max_reserved_buffers = 0;
+  /// Bytes reserved in aggregation buffers machine-wide, to compare with
+  /// core::buffer_bytes_per_process (section III-C).
+  std::uint64_t allocated_buffer_bytes = 0;
   /// table_total must equal workers * updates_per_worker.
   bool verified = false;
 };
@@ -61,9 +62,7 @@ class HistogramApp {
   rt::Machine& machine_;
   HistogramParams params_;
   graph::BlockPartition part_;
-  /// Exactly one of the two is constructed, per params.tram.scheme.
-  std::unique_ptr<core::TramDomain<std::uint64_t>> direct_;
-  std::unique_ptr<route::RoutedDomain<std::uint64_t>> routed_;
+  route::Domain<std::uint64_t> domain_;
   std::vector<std::vector<std::uint64_t>> tables_;
 };
 

@@ -5,7 +5,8 @@
 ///
 /// Every PE issues `requests_per_worker` random-index requests into a
 /// block-distributed table; the owner responds with the stored value. Both
-/// request and response streams run through TramLib (each its own domain).
+/// request and response streams run through TramLib (each its own
+/// route::Domain, so the routed schemes serve them too).
 /// Because a requester observes its own send and receive timestamps, the
 /// request->response round trip measures aggregation latency with no clock
 /// skew — exactly why the paper uses IG as its latency probe.
@@ -13,8 +14,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/tram.hpp"
 #include "graph/csr.hpp"
+#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/spinlock.hpp"
@@ -73,8 +74,8 @@ class IndexGatherApp {
   IgParams params_;
   graph::BlockPartition part_;
   std::vector<std::vector<std::uint64_t>> table_;
-  core::TramDomain<Request> requests_;
-  core::TramDomain<Response> responses_;
+  route::Domain<Request> requests_;
+  route::Domain<Response> responses_;
   std::vector<util::Padded<WorkerState>> state_;
 };
 

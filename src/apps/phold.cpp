@@ -10,28 +10,12 @@ PholdApp::PholdApp(rt::Machine& machine, const PholdParams& params)
       part_(static_cast<std::uint64_t>(params.lps_per_worker) *
                 static_cast<std::uint64_t>(machine.topology().workers()),
             machine.topology().workers()),
+      domain_(machine, params.tram,
+              [this](rt::Worker& w, const Event& ev) { handle_event(w, ev); }),
       state_(static_cast<std::size_t>(machine.topology().workers())) {
-  auto deliver = [this](rt::Worker& w, const Event& ev) {
-    handle_event(w, ev);
-  };
-  if (core::is_routed(params_.tram.scheme)) {
-    routed_ = std::make_unique<route::RoutedDomain<Event>>(
-        machine, params_.tram, deliver);
-  } else {
-    direct_ = std::make_unique<core::TramDomain<Event>>(
-        machine, params_.tram, deliver);
-  }
   for (int w = 0; w < machine.topology().workers(); ++w) {
     state_[static_cast<std::size_t>(w)].value.lp_clock.assign(
         part_.size(w), 0.0);
-  }
-}
-
-void PholdApp::send_event(rt::Worker& w, WorkerId dest, const Event& ev) {
-  if (routed_) {
-    routed_->on(w).insert(dest, ev);
-  } else {
-    direct_->on(w).insert(dest, ev);
   }
 }
 
@@ -68,8 +52,8 @@ void PholdApp::handle_event(rt::Worker& w, const Event& ev) {
     dest_lp = static_cast<std::uint32_t>(
         part_.begin(w.id()) + rng.below(part_.size(w.id())));
   }
-  send_event(w, static_cast<WorkerId>(part_.owner(dest_lp)),
-             Event{next_ts, dest_lp, next_stream});
+  domain_.on(w).insert(static_cast<WorkerId>(part_.owner(dest_lp)),
+                       Event{next_ts, dest_lp, next_stream});
 }
 
 PholdResult PholdApp::run(std::uint64_t seed) {
@@ -78,11 +62,11 @@ PholdResult PholdApp::run(std::uint64_t seed) {
     std::fill(st.lp_clock.begin(), st.lp_clock.end(), 0.0);
     st.processed = st.ooo = 0;
   }
-  if (direct_) direct_->reset_stats();
-  if (routed_) routed_->reset_stats();
+  domain_.reset_stats();
 
   const auto result = machine_.run(
       [this, seed](rt::Worker& w) {
+        auto agg = domain_.on(w);
         // Seed the initial event population on our own LPs, each chain
         // from its own (seed, lp, k) stream — independent of worker
         // count so the chain set depends only on the topology's LP total.
@@ -93,29 +77,22 @@ PholdResult PholdApp::run(std::uint64_t seed) {
                 seed, base + lp, static_cast<std::uint64_t>(k));
             const double ts =
                 params_.lookahead + rng.exponential(params_.mean_delay);
-            send_event(w, w.id(),
-                       Event{ts, static_cast<std::uint32_t>(base + lp),
-                             rng()});
+            agg.insert(w.id(), Event{ts, static_cast<std::uint32_t>(base + lp),
+                                     rng()});
           }
           if (params_.progress_interval != 0 &&
               lp % params_.progress_interval == 0) {
             w.progress();
           }
         }
-        if (routed_) {
-          routed_->on(w).flush_all();
-        } else {
-          direct_->on(w).flush_all();
-        }
+        agg.flush_all();
       },
       seed);
 
   PholdResult res;
   res.run = result;
-  res.tram =
-      direct_ ? direct_->aggregate_stats() : routed_->aggregate_stats();
-  res.max_reserved_buffers = direct_ ? direct_->max_reserved_buffers()
-                                     : routed_->max_reserved_buffers();
+  res.tram = domain_.aggregate_stats();
+  res.max_reserved_buffers = domain_.max_reserved_buffers();
   for (const auto& s : state_) {
     res.events_processed += s.value.processed;
     res.ooo_events += s.value.ooo;

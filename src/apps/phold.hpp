@@ -22,18 +22,15 @@
 /// counts bit-for-bit against a direct-scheme run (only the out-of-order
 /// rate, the latency-sensitive metric, varies with the scheme).
 ///
-/// Scheme::Mesh2D/Mesh3D configurations run the same workload through
-/// route::RoutedDomain instead of TramDomain (HistogramApp's routed/
-/// direct split): identical delivery contract, multi-hop message path
-/// (bench/fig_routed_phold.cpp sweeps the two side by side).
+/// The app holds one route::Domain, so Scheme::Mesh2D/Mesh3D run the same
+/// workload over the multi-hop message path (bench/fig_routed_phold.cpp
+/// sweeps direct and routed side by side).
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/tram.hpp"
 #include "graph/csr.hpp"
-#include "route/routed_domain.hpp"
+#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "util/spinlock.hpp"
 
@@ -85,14 +82,11 @@ class PholdApp {
   };
 
   void handle_event(rt::Worker& w, const Event& ev);
-  void send_event(rt::Worker& w, WorkerId dest, const Event& ev);
 
   rt::Machine& machine_;
   PholdParams params_;
   graph::BlockPartition part_;  // LPs over workers
-  /// Exactly one of the two is constructed, per params.tram.scheme.
-  std::unique_ptr<core::TramDomain<Event>> direct_;
-  std::unique_ptr<route::RoutedDomain<Event>> routed_;
+  route::Domain<Event> domain_;
   std::vector<util::Padded<WorkerState>> state_;
 };
 

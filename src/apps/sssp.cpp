@@ -5,32 +5,35 @@
 
 namespace tram::apps {
 
-SsspApp::SsspApp(rt::Machine& machine, const SsspParams& params)
-    : machine_(machine),
-      params_(params),
-      part_(params.graph ? params.graph->num_vertices() : 1,
-            machine.topology().workers()),
-      state_(static_cast<std::size_t>(machine.topology().workers())) {
-  if (params_.graph == nullptr) {
+namespace {
+
+/// Checked before the app registers its domain and hooks on the machine.
+const SsspParams& require_graph(const SsspParams& params) {
+  if (params.graph == nullptr) {
     throw std::invalid_argument("SsspApp: graph is required");
   }
-  auto deliver = [this](rt::Worker& w, const Update& u) {
-    auto& st = state_[static_cast<std::size_t>(w.id())].value;
-    ++st.received;
-    const std::uint32_t cur = st.dist[u.vertex - part_.begin(w.id())];
-    if (u.dist >= cur) {
-      ++st.wasted;  // speculative work someone already beat
-      return;
-    }
-    apply_update(w, u.vertex, u.dist);
-  };
-  if (core::is_routed(params_.tram.scheme)) {
-    routed_ = std::make_unique<route::RoutedDomain<Update>>(
-        machine, params_.tram, deliver);
-  } else {
-    direct_ = std::make_unique<core::TramDomain<Update>>(
-        machine, params_.tram, deliver);
-  }
+  return params;
+}
+
+}  // namespace
+
+SsspApp::SsspApp(rt::Machine& machine, const SsspParams& params)
+    : machine_(machine),
+      params_(require_graph(params)),
+      part_(params.graph->num_vertices(), machine.topology().workers()),
+      domain_(machine, params.tram,
+              [this](rt::Worker& w, const Update& u) {
+                auto& st = state_[static_cast<std::size_t>(w.id())].value;
+                ++st.received;
+                const std::uint32_t cur =
+                    st.dist[u.vertex - part_.begin(w.id())];
+                if (u.dist >= cur) {
+                  ++st.wasted;  // speculative work someone already beat
+                  return;
+                }
+                apply_update(w, u.vertex, u.dist);
+              }),
+      state_(static_cast<std::size_t>(machine.topology().workers())) {
   for (int w = 0; w < machine.topology().workers(); ++w) {
     auto& st = state_[static_cast<std::size_t>(w)].value;
     st.dist.assign(part_.size(w), UINT32_MAX);
@@ -54,8 +57,7 @@ std::uint32_t SsspApp::distance(graph::Vertex v) const {
 void SsspApp::relax_edges(rt::Worker& w, WorkerState& st, graph::Vertex v,
                           std::uint32_t d) {
   ++st.relaxations;
-  auto* direct = direct_ ? &direct_->on(w) : nullptr;
-  auto* mesh = routed_ ? &routed_->on(w) : nullptr;
+  auto agg = domain_.on(w);
   const bool prioritize = params_.prioritize_urgent;
   const auto nbrs = params_.graph->neighbors(v);
   const auto wts = params_.graph->weights(v);
@@ -69,16 +71,9 @@ void SsspApp::relax_edges(rt::Worker& w, WorkerState& st, graph::Vertex v,
       // Under-threshold improvements are what peers are speculating
       // against right now: ship them expedited through small buffers
       // (on a mesh, the priority bit keeps them ahead at every hop).
-      if (mesh) {
-        mesh->insert_priority(static_cast<WorkerId>(owner), Update{nb, nd});
-      } else {
-        direct->insert_priority(static_cast<WorkerId>(owner),
-                                Update{nb, nd});
-      }
-    } else if (mesh) {
-      mesh->insert(static_cast<WorkerId>(owner), Update{nb, nd});
+      agg.insert_priority(static_cast<WorkerId>(owner), Update{nb, nd});
     } else {
-      direct->insert(static_cast<WorkerId>(owner), Update{nb, nd});
+      agg.insert(static_cast<WorkerId>(owner), Update{nb, nd});
     }
   }
 }
@@ -128,14 +123,6 @@ void SsspApp::on_idle(rt::Worker& w) {
   }
 }
 
-void SsspApp::flush_domain(rt::Worker& w) {
-  if (routed_) {
-    routed_->on(w).flush_all();
-  } else {
-    direct_->on(w).flush_all();
-  }
-}
-
 SsspResult SsspApp::run(std::uint64_t seed) {
   for (int w = 0; w < machine_.topology().workers(); ++w) {
     auto& st = state_[static_cast<std::size_t>(w)].value;
@@ -146,14 +133,13 @@ SsspResult SsspApp::run(std::uint64_t seed) {
     st.threshold = params_.delta;
     st.wasted = st.received = st.relaxations = 0;
   }
-  if (direct_) direct_->reset_stats();
-  if (routed_) routed_->reset_stats();
+  domain_.reset_stats();
 
   const auto result = machine_.run(
       [this](rt::Worker& w) {
         if (part_.owner(params_.source) == w.id()) {
           apply_update(w, params_.source, 0);
-          flush_domain(w);
+          domain_.on(w).flush_all();
         }
         // Everything else is message-driven; the scheduler loop, idle
         // hooks, and QD do the rest.
@@ -162,10 +148,8 @@ SsspResult SsspApp::run(std::uint64_t seed) {
 
   SsspResult res;
   res.run = result;
-  res.tram =
-      direct_ ? direct_->aggregate_stats() : routed_->aggregate_stats();
-  res.max_reserved_buffers = direct_ ? direct_->max_reserved_buffers()
-                                     : routed_->max_reserved_buffers();
+  res.tram = domain_.aggregate_stats();
+  res.max_reserved_buffers = domain_.max_reserved_buffers();
   for (const auto& s : state_) {
     res.wasted_updates += s.value.wasted;
     res.received_updates += s.value.received;

@@ -17,22 +17,19 @@
 /// stale predecessor — so lower-latency schemes show fewer wasted updates
 /// (PP < WPs < WW in the paper).
 ///
-/// Scheme::Mesh2D/Mesh3D configurations run the same workload through
-/// route::RoutedDomain instead of TramDomain (HistogramApp's routed/direct
-/// split): identical delivery contract and threshold machinery, multi-hop
-/// message path. With prioritize_urgent, under-threshold improvements ride
-/// the routed priority slots and overtake bulk at every hop
+/// The app holds one route::Domain, so Scheme::Mesh2D/Mesh3D run the same
+/// threshold machinery over the multi-hop message path. With
+/// prioritize_urgent, under-threshold improvements ride the routed
+/// priority slots and overtake bulk at every hop
 /// (bench/fig_routed_sssp.cpp sweeps direct vs 2-D vs 3-D side by side).
 
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <vector>
 
-#include "core/tram.hpp"
 #include "graph/csr.hpp"
 #include "graph/shortest_path.hpp"
-#include "route/routed_domain.hpp"
+#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "util/spinlock.hpp"
 
@@ -105,14 +102,11 @@ class SsspApp {
                    std::uint32_t d);
   void drain_stack(rt::Worker& w, WorkerState& st);
   void on_idle(rt::Worker& w);
-  void flush_domain(rt::Worker& w);
 
   rt::Machine& machine_;
   SsspParams params_;
   graph::BlockPartition part_;
-  /// Exactly one of the two is constructed, per params.tram.scheme.
-  std::unique_ptr<core::TramDomain<Update>> direct_;
-  std::unique_ptr<route::RoutedDomain<Update>> routed_;
+  route::Domain<Update> domain_;
   std::vector<util::Padded<WorkerState>> state_;
   std::vector<std::uint64_t> reference_;  // Dijkstra distances (verify)
 };

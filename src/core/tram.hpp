@@ -3,20 +3,9 @@
 /// \file tram.hpp
 /// \brief TramLib: the shared memory-aware message aggregation library.
 ///
-/// Public API (SPMD, mirroring the paper's Charm++ library):
-///
-///   TramDomain<Update> tram(machine, {.scheme = Scheme::WPs,
-///                                     .buffer_items = 1024},
-///                           [](rt::Worker& w, const Update& u) {
-///                             /* delivered on the destination worker */
-///                           });
-///   machine.run([&](rt::Worker& self) {
-///     auto& t = tram.on(self);
-///     t.insert(dest_worker, Update{...});   // aggregated per the scheme
-///     ...
-///     t.flush_all();                        // ship partial buffers
-///   });
-///
+/// TramDomain implements the direct schemes. Applications reach it, or
+/// route::RoutedDomain for the routed schemes, through route::Domain
+/// (route/domain.hpp), whose SPMD API mirrors the paper's Charm++ library.
 /// At initialization the user passes the delivery function ("a pointer to
 /// the charm++ object and function to which data needs to be delivered");
 /// inserts check the destination buffer's fill against g and ship a message
@@ -26,17 +15,14 @@
 /// The message path is zero-copy end to end: inserts encode entries in
 /// place into pooled slabs (core::EntryBuffer / core::PpBuffer), a full
 /// buffer ships by moving its slab handle into the Message payload, and
-/// WsP's destination-side scatter forwards segments as refcounted views of
-/// the inbound slab.
+/// every multi-worker receiver hands sibling workers their runs as
+/// refcounted views of one slab (core::FinalHop::scatter_runs).
 ///
 /// The five schemes differ only in the buffer granularity and the
 /// destination-side routing — see scheme.hpp and the paper's Figs. 4-7.
 
-#include <array>
 #include <atomic>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -77,7 +63,8 @@ class TramDomain {
   TramDomain(rt::Machine& machine, TramConfig cfg, DeliverFn deliver)
       : machine_(machine),
         cfg_(cfg),
-        deliver_(std::move(deliver)),
+        finals_{std::move(deliver), cfg.scheme,
+                machine.topology().workers_per_proc()},
         topo_(machine.topology()) {
     if (is_routed(cfg_.scheme)) {
       throw std::invalid_argument(
@@ -184,10 +171,10 @@ class TramDomain {
 
   void register_endpoints() {
     // Final-hop delivery: a batch of entries addressed to this worker.
-    ep_direct_ = machine_.register_endpoint(
+    finals_.endpoint = machine_.register_endpoint(
         [this](rt::Worker& w, rt::Message&& m) {
-          auto entries = rt::decode_payload<Entry>(m);
-          handle(w.id()).deliver_batch(w, entries);
+          finals_.deliver_batch(w, rt::decode_payload<Entry>(m),
+                                handle(w.id()).stats_);
         });
     // Process-addressed unsorted batch (WPs, PP): the receiving PE groups
     // items by destination worker and local-sends each group.
@@ -225,9 +212,8 @@ class TramDomain {
 
   rt::Machine& machine_;
   TramConfig cfg_;
-  DeliverFn deliver_;
+  FinalHop<Item> finals_;
   util::Topology topo_;
-  EndpointId ep_direct_ = -1;
   EndpointId ep_grouped_ = -1;
   EndpointId ep_segmented_ = -1;
   std::vector<std::shared_ptr<PpState>> pp_states_;
@@ -248,7 +234,7 @@ class TramDomain {
         case Scheme::None: {
           // One message per item: the unaggregated baseline.
           rt::Message m;
-          m.endpoint = d.ep_direct_;
+          m.endpoint = d.finals_.endpoint;
           m.dst_worker = dest;
           m.src_worker = self_->id();
           m.expedited = d.cfg_.expedited;
@@ -389,7 +375,7 @@ class TramDomain {
       m.src_worker = self_->id();
       m.expedited = lane.pri || d.cfg_.expedited;
       if (direct) {
-        m.endpoint = d.ep_direct_;
+        m.endpoint = d.finals_.endpoint;
         m.dst_worker = static_cast<WorkerId>(k);
       } else if (d.cfg_.scheme == Scheme::WsP && !lane.pri) {
         SegmentHeader header;
@@ -434,102 +420,43 @@ class TramDomain {
       stats_.occupancy_at_ship.add(static_cast<double>(n));
     }
 
-    /// Final-hop delivery on the destination worker.
-    void deliver_batch(rt::Worker& w, std::span<const Entry> entries) {
-      auto& d = *domain_;
-      for (const Entry& e : entries) {
-        if (e.dest != w.id()) {
-          std::fprintf(stderr,
-                       "TRAM misroute: entry dest=%d delivered on worker=%d "
-                       "(scheme=%s)\n",
-                       e.dest, w.id(), to_string(d.cfg_.scheme));
-          std::abort();
-        }
-        ++stats_.items_delivered;
-        d.deliver_(w, e.item);
-      }
-    }
-
-    /// Destination-side grouping (WPs, PP): deliver our own items in
-    /// place, bucket the rest straight into per-rank pool slabs and
-    /// local-send each slab (one count pass + one scatter pass: the
-    /// O(g + t) delay of section III-C, now allocation-free).
+    /// Destination-side grouping (WPs, PP): one count pass and one copy
+    /// pass regroup the batch by destination local rank into a scratch
+    /// slab sized to it, whose runs then scatter like a WsP batch (the
+    /// O(g + t) delay of section III-C, one pool slab per batch).
     void regroup_and_deliver(rt::Worker& w, std::span<const Entry> entries) {
       auto& d = *domain_;
       const int t = d.topo_.workers_per_proc();
-      const ProcId proc = d.topo_.proc_of_worker(w.id());
       if (t == 1) {
-        deliver_batch(w, entries);
+        d.finals_.deliver_batch(w, entries, stats_);
         return;
       }
       std::uint32_t counts[kMaxLocalWorkers] = {};
-      for (const Entry& e : entries) {
-        counts[d.topo_.local_rank(e.dest)]++;
-      }
-      const LocalWorkerId own = d.topo_.local_rank(w.id());
-      std::array<util::PayloadRef, kMaxLocalWorkers> refs;
-      std::array<Entry*, kMaxLocalWorkers> cursor{};
+      for (const Entry& e : entries) counts[d.topo_.local_rank(e.dest)]++;
+      std::uint32_t next[kMaxLocalWorkers];
+      std::uint32_t acc = 0;
       for (int r = 0; r < t; ++r) {
-        if (r == own || counts[r] == 0) continue;
-        refs[static_cast<std::size_t>(r)] =
-            util::PayloadPool::global().acquire(counts[r] * sizeof(Entry));
-        cursor[static_cast<std::size_t>(r)] = reinterpret_cast<Entry*>(
-            refs[static_cast<std::size_t>(r)].data());
+        next[r] = acc;
+        acc += counts[r];
       }
+      util::PayloadRef scratch =
+          util::PayloadPool::global().acquire(entries.size_bytes());
+      auto* grouped = reinterpret_cast<Entry*>(scratch.data());
       for (const Entry& e : entries) {
-        const auto r =
-            static_cast<std::size_t>(d.topo_.local_rank(e.dest));
-        if (static_cast<LocalWorkerId>(r) == own) {
-          deliver_batch(w, std::span<const Entry>(&e, 1));
-        } else {
-          *cursor[r]++ = e;
-        }
+        grouped[next[d.topo_.local_rank(e.dest)]++] = e;
       }
-      for (int r = 0; r < t; ++r) {
-        if (r == own || counts[r] == 0) continue;
-        rt::Message m;
-        m.endpoint = d.ep_direct_;
-        m.dst_worker = d.topo_.worker_at(proc, r);
-        m.src_worker = w.id();
-        m.expedited = d.cfg_.expedited;
-        m.payload = std::move(refs[static_cast<std::size_t>(r)]);
-        ++stats_.regroup_msgs;
-        w.send(std::move(m));
-      }
+      d.finals_.scatter_runs(w, scratch, 0, counts, d.cfg_.expedited, stats_);
     }
 
-    /// Destination-side scatter (WsP): segments are pre-sorted, so each
-    /// remote segment ships as a refcounted view of the inbound slab — no
-    /// copy at all; the slab recycles once the last segment is handled.
+    /// Destination-side scatter (WsP): the source pre-sorted the slab, so
+    /// its segments scatter straight from the inbound slab, no copy.
     void scatter_segments(rt::Worker& w, const rt::Message& msg) {
       auto& d = *domain_;
       const int t = d.topo_.workers_per_proc();
-      const ProcId proc = d.topo_.proc_of_worker(w.id());
-      const std::span<const std::byte> bytes = msg.payload.span();
-      const SegmentHeader header = parse_segments(bytes, sizeof(Entry), t);
-      auto entries = rt::decode_payload<Entry>(bytes.subspan(sizeof header));
-      const LocalWorkerId own = d.topo_.local_rank(w.id());
-      std::size_t offset = 0;
-      for (int r = 0; r < t; ++r) {
-        const std::uint32_t count = header.counts[r];
-        if (count == 0) continue;
-        auto segment = entries.subspan(offset, count);
-        const std::size_t seg_bytes_off =
-            sizeof(SegmentHeader) + offset * sizeof(Entry);
-        offset += count;
-        if (r == own) {
-          deliver_batch(w, segment);
-          continue;
-        }
-        rt::Message m;
-        m.endpoint = d.ep_direct_;
-        m.dst_worker = d.topo_.worker_at(proc, r);
-        m.src_worker = w.id();
-        m.expedited = d.cfg_.expedited;
-        m.payload = msg.payload.subref(seg_bytes_off, count * sizeof(Entry));
-        ++stats_.regroup_msgs;
-        w.send(std::move(m));
-      }
+      const SegmentHeader header =
+          parse_segments(msg.payload.span(), sizeof(Entry), t);
+      d.finals_.scatter_runs(w, msg.payload, sizeof header, header.counts,
+                             d.cfg_.expedited, stats_);
     }
 
     TramDomain* domain_;

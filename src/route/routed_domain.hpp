@@ -4,10 +4,11 @@
 /// \brief Multi-hop aggregation over a virtual mesh (Scheme::Mesh2D/3D).
 ///
 /// RoutedDomain is the topological-routing sibling of core::TramDomain,
-/// sharing its wire format, pooled EntryBuffers, stats, and delivery
-/// contract, but replacing the direct one-buffer-per-destination-process
-/// layout with one buffer per mesh coordinate per dimension. The message
-/// lifecycle gains an intermediate stage:
+/// sharing its wire format, pooled EntryBuffers, stats, delivery contract
+/// and final-hop scatter (core::FinalHop), but replacing the direct
+/// one-buffer-per-destination-process layout with one buffer per mesh
+/// coordinate per dimension. The message lifecycle gains an intermediate
+/// stage:
 ///
 ///   insert -> hop-encode (one load of the Router's precomputed table)
 ///          -> ship (slab handle moves, RoutedHeader stamped in place;
@@ -60,10 +61,7 @@
 /// threshold updates) depend on.
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -98,7 +96,8 @@ class RoutedDomain {
   RoutedDomain(rt::Machine& machine, core::TramConfig cfg, DeliverFn deliver)
       : machine_(machine),
         cfg_(cfg),
-        deliver_(std::move(deliver)),
+        finals_{std::move(deliver), cfg.scheme,
+                machine.topology().workers_per_proc()},
         topo_(machine.topology()),
         router_(make_mesh(topo_.procs(), cfg)) {
     if (topo_.workers_per_proc() > core::kMaxLocalWorkers) {
@@ -209,9 +208,10 @@ class RoutedDomain {
           handle(w.id()).on_routed(w, m);
         });
     // Final-hop delivery: a batch addressed to one specific worker.
-    ep_final_ = machine_.register_endpoint(
+    finals_.endpoint = machine_.register_endpoint(
         [this](rt::Worker& w, rt::Message&& m) {
-          handle(w.id()).deliver_batch(w, rt::decode_payload<Entry>(m));
+          finals_.deliver_batch(w, rt::decode_payload<Entry>(m),
+                                handle(w.id()).stats_);
         });
   }
 
@@ -230,11 +230,10 @@ class RoutedDomain {
 
   rt::Machine& machine_;
   core::TramConfig cfg_;
-  DeliverFn deliver_;
+  core::FinalHop<Item> finals_;
   util::Topology topo_;
   Router router_;
   EndpointId ep_routed_ = -1;
-  EndpointId ep_final_ = -1;
   std::vector<std::unique_ptr<Handle>> handles_;
 
  public:
@@ -453,13 +452,17 @@ class RoutedDomain {
       const auto entries =
           rt::decode_payload<Entry>(bytes.subspan(wire.header_bytes));
       if (wire.sorted) {
+        // Every entry ends here, grouped by local rank: as the segment
+        // counts say, or as one run at one worker per process.
+        core::SegmentHeader seg;
         if (wpp_ == 1) {
-          // Trivial grouping: the whole batch is our segment.
-          ++stats_.routed_subview_deliveries;
-          deliver_batch(w, entries);
-          return;
+          seg.counts[0] = static_cast<std::uint32_t>(entries.size());
+        } else {
+          seg = core::parse_segments(
+              bytes.subspan(sizeof(core::RoutedHeader)), sizeof(Entry), wpp_);
         }
-        scatter_sorted(w, msg, entries, wire.hdr.priority());
+        scatter(w, msg.payload, wire.header_bytes, seg.counts,
+                wire.hdr.priority());
         trace::instant(trace::Cat::kRoute, trace::kScatterSorted,
                        entries.size());
       } else {
@@ -470,42 +473,14 @@ class RoutedDomain {
       }
     }
 
-    /// Sorted last-hop delivery (wpp_ > 1): every entry terminates at
-    /// this process and arrives grouped by destination local rank —
-    /// deliver our own segment in place, forward each other rank's as a
-    /// refcounted sub-view of the inbound slab (TramDomain's WsP scatter
-    /// applied to the routed path; the slab recycles when the last
-    /// segment drops).
-    void scatter_sorted(rt::Worker& w, const rt::Message& msg,
-                        std::span<const Entry> entries, bool pri) {
+    /// Hand this process's workers a rank-grouped batch of finals (see
+    /// core::FinalHop::scatter_runs); every run counts as a sub-view
+    /// delivery, whether delivered in place or regrouped.
+    void scatter(rt::Worker& w, const util::PayloadRef& slab,
+                 std::size_t offset, const std::uint32_t* counts, bool pri) {
       auto& d = *domain_;
-      const core::SegmentHeader seg = core::parse_segments(
-          msg.payload.span().subspan(sizeof(core::RoutedHeader)),
-          sizeof(Entry), wpp_);
-      const LocalWorkerId own = rank_of(w.id());
-      std::size_t offset = 0;
-      for (int r = 0; r < wpp_; ++r) {
-        const std::uint32_t count = seg.counts[r];
-        if (count == 0) continue;
-        const auto segment = entries.subspan(offset, count);
-        const std::size_t seg_bytes_off =
-            sizeof(core::RoutedSortedHeader) + offset * sizeof(Entry);
-        offset += count;
-        ++stats_.routed_subview_deliveries;
-        if (r == own) {
-          deliver_batch(w, segment);
-          continue;
-        }
-        rt::Message m;
-        m.endpoint = d.ep_final_;
-        m.dst_worker = d.topo_.worker_at(self_proc_, r);
-        m.src_worker = w.id();
-        m.expedited = pri || d.cfg_.expedited;
-        m.payload = msg.payload.subref(seg_bytes_off,
-                                       count * sizeof(Entry));
-        ++stats_.regroup_msgs;
-        w.send(std::move(m));
-      }
+      stats_.routed_subview_deliveries += d.finals_.scatter_runs(
+          w, slab, offset, counts, pri || d.cfg_.expedited, stats_);
     }
 
     /// Unsorted hop message: classify every entry by (final local rank |
@@ -520,11 +495,9 @@ class RoutedDomain {
     void rebucket_message(rt::Worker& w, const core::RoutedWire& wire,
                           const rt::Message& msg,
                           std::span<const Entry> entries) {
-      auto& d = *domain_;
       const core::RoutedHeader& hdr = wire.hdr;
       Lane& lane = hdr.priority() ? pri_ : bulk_;
       const bool pri = lane.pri;
-      const LocalWorkerId own = rank_of(w.id());
       const auto next_ord = static_cast<std::uint8_t>(hdr.hop + 1);
       const std::size_t nbuckets =
           static_cast<std::size_t>(wpp_) + lane.slots.size();
@@ -560,20 +533,7 @@ class RoutedDomain {
       const std::uint32_t only = bucket_cursor_[0];
       if (only < static_cast<std::uint32_t>(wpp_) &&
           bucket_counts_[only] == total) {
-        ++stats_.routed_subview_deliveries;
-        if (static_cast<LocalWorkerId>(only) == own) {
-          deliver_batch(w, entries);
-          return;
-        }
-        rt::Message m;
-        m.endpoint = d.ep_final_;
-        m.dst_worker = d.topo_.worker_at(self_proc_, static_cast<int>(only));
-        m.src_worker = w.id();
-        m.expedited = pri || d.cfg_.expedited;
-        m.payload =
-            msg.payload.subref(wire.header_bytes, total * sizeof(Entry));
-        ++stats_.regroup_msgs;
-        w.send(std::move(m));
+        scatter(w, msg.payload, wire.header_bytes, bucket_counts_.data(), pri);
         return;
       }
 
@@ -622,49 +582,8 @@ class RoutedDomain {
         }
       }
 
-      // Finals: one batched delivery for our own rank, sub-views of the
-      // scratch slab for the rest. A run's start is recovered as
-      // cursor - count (bucket_starts_ walked forward in the scatter).
-      for (int r = 0; r < wpp_; ++r) {
-        const std::uint32_t count =
-            bucket_counts_[static_cast<std::size_t>(r)];
-        if (count == 0) continue;
-        const std::uint32_t start =
-            bucket_starts_[static_cast<std::size_t>(r)] - count;
-        const auto segment = std::span<const Entry>(fin + start, count);
-        // Count every segment handed off as a slab view (mirrors
-        // scatter_sorted, so the SMP metric is path-independent).
-        ++stats_.routed_subview_deliveries;
-        if (r == own) {
-          deliver_batch(w, segment);
-          continue;
-        }
-        rt::Message m;
-        m.endpoint = d.ep_final_;
-        m.dst_worker = d.topo_.worker_at(self_proc_, r);
-        m.src_worker = w.id();
-        m.expedited = pri || d.cfg_.expedited;
-        m.payload = scratch.subref(start * sizeof(Entry),
-                                   count * sizeof(Entry));
-        ++stats_.regroup_msgs;
-        w.send(std::move(m));
-      }
-    }
-
-    /// Final-hop delivery on the destination worker.
-    void deliver_batch(rt::Worker& w, std::span<const Entry> entries) {
-      auto& d = *domain_;
-      for (const Entry& e : entries) {
-        if (e.dest != w.id()) {
-          std::fprintf(stderr,
-                       "routed misroute: entry dest=%d delivered on "
-                       "worker=%d (mesh=%s)\n",
-                       e.dest, w.id(), d.mesh().to_string().c_str());
-          std::abort();
-        }
-        ++stats_.items_delivered;
-        d.deliver_(w, e.item);
-      }
+      // Finals: the scratch slab holds them grouped by local rank.
+      scatter(w, scratch, 0, bucket_counts_.data(), pri);
     }
 
     RoutedDomain* domain_;

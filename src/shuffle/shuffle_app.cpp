@@ -26,6 +26,28 @@ std::span<const std::byte> record_bytes(const Record* r, std::size_t n) {
   return std::as_bytes(std::span<const Record>(r, n));
 }
 
+// The two constructor checks, run before the app registers its domain and
+// hooks on the machine.
+
+std::uint64_t whole_records(const io::MappedFile& input) {
+  if (input.size() % sizeof(Record) != 0) {
+    throw std::runtime_error(
+        "ShuffleApp: input is not a whole number of records");
+  }
+  return input.size() / sizeof(Record);
+}
+
+std::uint64_t slice_bytes_for(std::uint64_t budget, std::uint64_t workers) {
+  const std::uint64_t slice = pow2_floor(budget / (workers + 1));
+  if (slice < 128) {
+    // One slice must hold ≥ 2 records and admit a ≥ 2-way spill merge
+    // (max fan-in is slice/64, see merge_worker).
+    throw std::runtime_error(
+        "ShuffleApp: mem budget below 128 bytes per worker slice");
+  }
+  return slice;
+}
+
 }  // namespace
 
 ShuffleApp::ShuffleApp(rt::Machine& machine, const ShuffleParams& params)
@@ -33,42 +55,20 @@ ShuffleApp::ShuffleApp(rt::Machine& machine, const ShuffleParams& params)
       params_(params),
       input_(params.input_path),
       partitioner_(static_cast<std::uint32_t>(machine.topology().workers())),
+      records_total_(whole_records(input_)),
+      slice_bytes_(slice_bytes_for(
+          params.mem_budget_bytes,
+          static_cast<std::uint64_t>(machine.topology().workers()))),
+      slice_records_(static_cast<std::size_t>(slice_bytes_) / sizeof(Record)),
       // The private pool is the budget ledger: max slab class = one slice,
       // so every acquire below is charged its exact power-of-two size.
       pool_(util::PayloadPool::Config{
           .min_slab_bytes = 64,
-          .max_slab_bytes = static_cast<std::size_t>(pow2_floor(
-              params.mem_budget_bytes /
-              (static_cast<std::uint64_t>(machine.topology().workers()) + 1))),
-          .max_slabs_per_class = 0}) {
-  if (input_.size() % sizeof(Record) != 0) {
-    throw std::runtime_error(
-        "ShuffleApp: input is not a whole number of records");
-  }
-  records_total_ = input_.size() / sizeof(Record);
-  const auto workers = static_cast<std::uint64_t>(machine.topology().workers());
-  slice_bytes_ = pow2_floor(params_.mem_budget_bytes / (workers + 1));
-  if (slice_bytes_ < 128) {
-    // One slice must hold ≥ 2 records and admit a ≥ 2-way spill merge
-    // (max fan-in is slice/64, see merge_worker).
-    throw std::runtime_error(
-        "ShuffleApp: mem budget below 128 bytes per worker slice");
-  }
-  slice_records_ = static_cast<std::size_t>(slice_bytes_) / sizeof(Record);
-
-  auto deliver = [this](rt::Worker& w, const Record& r) {
-    this->deliver(w, r);
-  };
-  if (core::is_routed(params_.tram.scheme)) {
-    routed_ = std::make_unique<route::RoutedDomain<Record>>(machine,
-                                                            params_.tram,
-                                                            deliver);
-  } else {
-    direct_ = std::make_unique<core::TramDomain<Record>>(machine, params_.tram,
-                                                         deliver);
-  }
-  sinks_.resize(static_cast<std::size_t>(workers));
-}
+          .max_slab_bytes = static_cast<std::size_t>(slice_bytes_),
+          .max_slabs_per_class = 0}),
+      sinks_(static_cast<std::size_t>(machine.topology().workers())),
+      domain_(machine, params.tram,
+              [this](rt::Worker& w, const Record& r) { deliver(w, r); }) {}
 
 void ShuffleApp::deliver(rt::Worker& w, const Record& r) {
   if (partitioner_.owner(r.key) != w.id()) {
@@ -116,16 +116,13 @@ std::string ShuffleApp::spill_path(WorkerId w, int pass) const {
 ShuffleResult ShuffleApp::run(std::uint64_t seed) {
   for (auto& s : sinks_) s = Sink{};  // drop prior buffers before re-arming
   pool_.reset_stats();
-  if (direct_) direct_->reset_stats();
-  if (routed_) routed_->reset_stats();
+  domain_.reset_stats();
 
   const auto workers = static_cast<std::uint64_t>(machine_.topology().workers());
   const std::uint64_t total = records_total_;
-  const bool routed = routed_ != nullptr;
   const auto result = machine_.run(
-      [this, total, workers, routed](rt::Worker& w) {
-        auto* direct = direct_ ? &direct_->on(w) : nullptr;
-        auto* mesh = routed_ ? &routed_->on(w) : nullptr;
+      [this, total, workers](rt::Worker& w) {
+        auto agg = domain_.on(w);
         const auto id = static_cast<std::uint64_t>(w.id());
         const std::uint64_t begin = total * id / workers;
         const std::uint64_t end = total * (id + 1) / workers;
@@ -139,31 +136,21 @@ ShuffleResult ShuffleApp::run(std::uint64_t seed) {
               reinterpret_cast<const Record*>(chunk.data());
           const std::size_t n = chunk.size() / sizeof(Record);
           for (std::size_t j = 0; j < n; ++j) {
-            const auto dest = partitioner_.owner(recs[j].key);
-            if (routed) {
-              mesh->insert(dest, recs[j]);
-            } else {
-              direct->insert(dest, recs[j]);
-            }
+            agg.insert(partitioner_.owner(recs[j].key), recs[j]);
             if (params_.progress_interval != 0 &&
                 ++i % params_.progress_interval == 0) {
               w.progress();
             }
           }
         }
-        if (routed) {
-          mesh->flush_all();
-        } else {
-          direct->flush_all();
-        }
+        agg.flush_all();
       },
       seed);
 
   ShuffleResult res;
   res.run = result;
-  res.tram = direct_ ? direct_->aggregate_stats() : routed_->aggregate_stats();
-  res.max_reserved_buffers = direct_ ? direct_->max_reserved_buffers()
-                                     : routed_->max_reserved_buffers();
+  res.tram = domain_.aggregate_stats();
+  res.max_reserved_buffers = domain_.max_reserved_buffers();
   res.records_in = total;
   res.budget_bytes = params_.mem_budget_bytes;
 

@@ -11,7 +11,7 @@
 ///   input file (mmap, chunked)                    sources
 ///        │ insert(owner(key), record)
 ///        ▼
-///   TramDomain / RoutedDomain (key-range partitioned)
+///   route::Domain, any scheme (key-range partitioned)
 ///        │ deliver on owner worker
 ///        ▼
 ///   staging slice (budgeted PayloadPool)          sinks
@@ -41,10 +41,9 @@
 #include <string>
 #include <vector>
 
-#include "core/tram.hpp"
 #include "io/mapped_file.hpp"
 #include "io/spill_file.hpp"
-#include "route/routed_domain.hpp"
+#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "shuffle/partitioner.hpp"
 #include "shuffle/record.hpp"
@@ -123,14 +122,12 @@ class ShuffleApp {
   ShuffleParams params_;
   io::MappedFile input_;
   Partitioner partitioner_;
-  util::PayloadPool pool_;
   std::uint64_t records_total_ = 0;
   std::uint64_t slice_bytes_ = 0;
   std::size_t slice_records_ = 0;
+  util::PayloadPool pool_;
   std::vector<Sink> sinks_;
-  /// Exactly one of the two is constructed, per params.tram.scheme.
-  std::unique_ptr<core::TramDomain<Record>> direct_;
-  std::unique_ptr<route::RoutedDomain<Record>> routed_;
+  route::Domain<Record> domain_;
 };
 
 /// Fill `path` with `records` pseudo-random records (splitmix64 keys,

@@ -33,7 +33,9 @@ INSTANTIATE_TEST_SUITE_P(Schemes, IgSchemes,
                                            core::Scheme::WW,
                                            core::Scheme::WPs,
                                            core::Scheme::WsP,
-                                           core::Scheme::PP),
+                                           core::Scheme::PP,
+                                           core::Scheme::Mesh2D,
+                                           core::Scheme::Mesh3D),
                          [](const auto& param_info) {
                            return std::string(core::to_string(param_info.param));
                          });
