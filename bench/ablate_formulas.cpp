@@ -6,6 +6,8 @@
 ///   - allocated buffer memory against the g*m*N[*t] formulas;
 ///   - the alpha-beta send-cost model against itself across buffer sizes
 ///     (the (z/g)*alpha + beta*b*z curve).
+/// Every check reads counters or the model, so the exit code is the
+/// number of failed checks.
 
 #include <cstdio>
 
@@ -109,6 +111,5 @@ int main(int argc, char** argv) {
   shapes.expect(monotone,
                 "modeled send cost decreases monotonically with buffer "
                 "size");
-  shapes.report();
-  return 0;
+  return shapes.report();
 }

@@ -200,12 +200,14 @@ struct FaultOptions {
 /// it.
 struct RoutedPointCounters {
   std::uint64_t tram_messages = 0;  // buffers shipped
-  /// Messages re-shipped by routing intermediates (0 for direct schemes).
+  /// Messages re-shipped by routing intermediates (0 for the schemes
+  /// without intermediate hops: everything but Mesh2D/Mesh3D).
   std::uint64_t forwarded_messages = 0;
-  /// Routed last-hop messages shipped pre-sorted (the zero-copy scatter
-  /// fast path; 0 for direct schemes).
+  /// Final messages shipped pre-sorted (the zero-copy scatter fast path):
+  /// every WsP message and a mesh's last hops; 0 for WPs, WW and PP.
   std::uint64_t sorted_messages = 0;
-  /// Final-hop segments handed on as refcounted sub-views (0 direct).
+  /// Runs of final batches handed on as refcounted sub-views (0 for None
+  /// and WW).
   std::uint64_t subview_deliveries = 0;
   std::uint64_t fabric_messages = 0;
   std::uint64_t fabric_bytes = 0;

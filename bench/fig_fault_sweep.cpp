@@ -30,7 +30,7 @@
 
 #include "apps/histogram.hpp"
 #include "bench_common.hpp"
-#include "route/virtual_mesh.hpp"
+#include "core/virtual_mesh.hpp"
 
 using namespace tram;
 
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       tram.buffer_items = g;
       std::string mesh = "-";
       if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
+        mesh = core::VirtualMesh::auto_factor(procs,
                                                core::mesh_ndims(scheme))
                    .to_string();
       }

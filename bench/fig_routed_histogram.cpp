@@ -1,6 +1,6 @@
 /// Routed-vs-direct histogram: the scaling experiment the paper's direct
 /// schemes cannot run. Sweeps the virtual process count and compares
-/// direct WPs against 2-D and 3-D mesh routing (src/route/) on the same
+/// direct WPs against 2-D and 3-D mesh routing (core/tram.hpp) on the same
 /// workload. Expectations: the direct scheme's live source buffers grow
 /// O(N) while the meshes hold O(d*N^(1/d)); per-buffer fill (items/msg)
 /// degrades for direct as N grows but stays flat for routed; routed pays
@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "core/virtual_mesh.hpp"
 #include "hist_common.hpp"
-#include "route/virtual_mesh.hpp"
 
 using namespace tram;
 
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       tram.buffer_items = g;
       std::string mesh = "-";
       if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
+        mesh = core::VirtualMesh::auto_factor(procs,
                                                core::mesh_ndims(scheme))
                    .to_string();
       }

@@ -8,7 +8,8 @@
 /// row is verified only when delivery was exactly-once (tram inserted ==
 /// delivered under quiescence) AND its event count matches the
 /// direct-scheme run bit-for-bit. CI's bench-smoke job fails on any
-/// `"verified": false` row. With --fault-drop/--fault-dup/--fault-delay
+/// `"verified": false` row, and on a nonzero exit code: the number of
+/// failed shape checks, which read only counters. With --fault-drop/--fault-dup/--fault-delay
 /// the same sweep runs over a lossy fabric through the reliability layer
 /// (src/fault/), and the verification must still hold.
 ///
@@ -20,7 +21,7 @@
 
 #include "apps/phold.hpp"
 #include "bench_common.hpp"
-#include "route/virtual_mesh.hpp"
+#include "core/virtual_mesh.hpp"
 #include "runtime/machine.hpp"
 
 using namespace tram;
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
       tram.buffer_items = 256;
       std::string mesh = "-";
       if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
+        mesh = core::VirtualMesh::auto_factor(procs,
                                                core::mesh_ndims(scheme))
                    .to_string();
       }
@@ -161,6 +162,5 @@ int main(int argc, char** argv) {
       shapes,
       "every configuration verified: exactly-once and event counts "
       "bit-for-bit equal to direct");
-  shapes.report();
-  return 0;
+  return shapes.report();
 }

@@ -8,7 +8,8 @@
 /// exactly once (tram inserted == delivered under quiescence), match
 /// Dijkstra, and converge to distances bit-for-bit identical to the
 /// direct-scheme run (FNV hash over the distance array). CI's bench-smoke
-/// job fails on any `"verified": false` row. With --fault-drop/--fault-dup/
+/// job fails on any `"verified": false` row, and on a nonzero exit code:
+/// the number of failed shape checks, which read only counters. With --fault-drop/--fault-dup/
 /// --fault-delay the same sweep runs over a lossy fabric through the
 /// reliability layer (src/fault/), and the verification must still hold.
 ///
@@ -18,7 +19,7 @@
 #include <cstdio>
 #include <string>
 
-#include "route/virtual_mesh.hpp"
+#include "core/virtual_mesh.hpp"
 #include "sssp_common.hpp"
 
 using namespace tram;
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
       tram.priority_buffer_items = 16;
       std::string mesh = "-";
       if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
+        mesh = core::VirtualMesh::auto_factor(procs,
                                                core::mesh_ndims(scheme))
                    .to_string();
       }
@@ -136,6 +137,5 @@ int main(int argc, char** argv) {
       "distances bit-for-bit equal to direct");
   shapes.expect(last_priority_msgs[1] > 0 && last_priority_msgs[2] > 0,
                 "under-threshold updates rode the routed priority path");
-  shapes.report();
-  return 0;
+  return shapes.report();
 }

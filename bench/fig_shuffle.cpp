@@ -9,7 +9,8 @@
 /// cell — the sorted stream does not depend on how records travelled.
 /// Each row also asserts exactly-once delivery and that the staging
 /// pool's high-water stayed under the budget. CI's bench-smoke job fails
-/// on any `"verified": false` row.
+/// on any `"verified": false` row, and on a nonzero exit code: the number
+/// of failed shape checks, which read only counters.
 ///
 /// With --fault-drop/--fault-dup/--fault-delay the same shuffle runs
 /// over a lossy fabric through the reliability layer (src/fault/), and
@@ -20,7 +21,7 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "route/virtual_mesh.hpp"
+#include "core/virtual_mesh.hpp"
 #include "shuffle/shuffle_app.hpp"
 
 using namespace tram;
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
       tram.buffer_items = 256;
       std::string mesh = "-";
       if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
+        mesh = core::VirtualMesh::auto_factor(procs,
                                                core::mesh_ndims(scheme))
                    .to_string();
       }
@@ -242,8 +243,8 @@ int main(int argc, char** argv) {
     shapes.expect(sweep.all_verified(),
                   "every cell verified against the reference CRC");
   }
-  shapes.report();
+  const int failures = shapes.report();
   std::remove(input_path.c_str());
   std::remove(base.output_path.c_str());
-  return 0;
+  return failures;
 }

@@ -8,7 +8,7 @@
 ///                               disabled row must sit on
 /// The disabled row is the one production pays for in untraced runs; it
 /// should be indistinguishable from the compiled-out row. The enabled row
-/// prices a span (maybe_now + complete), the unit the runtime/route/fault
+/// prices a span (maybe_now + complete), the unit the runtime/core/fault
 /// layers record per batch — not per item.
 
 #include <benchmark/benchmark.h>

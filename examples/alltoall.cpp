@@ -16,7 +16,7 @@
 #include <atomic>
 #include <cstdio>
 
-#include "route/domain.hpp"
+#include "core/tram.hpp"
 #include "runtime/machine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -53,11 +53,11 @@ int main(int argc, char** argv) {
     // Explicit extents only fit the 2-D mesh of this 4-process machine;
     // the 3-D mesh always auto-factors.
     if (scheme == core::Scheme::Mesh2D) cfg.route_dims = route_dims;
-    route::Domain<std::uint64_t> domain(
+    core::TramDomain<std::uint64_t> domain(
         machine, cfg, [&](rt::Worker&, const std::uint64_t&) { received++; });
 
     const auto result = machine.run([&](rt::Worker& self) {
-      auto agg = domain.on(self);
+      auto& agg = domain.on(self);
       for (WorkerId dest = 0; dest < W; ++dest) {
         if (dest == self.id()) continue;
         for (std::int64_t i = 0; i < per_pair; ++i) {
@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
     const std::uint64_t expected = static_cast<std::uint64_t>(W) *
                                    (W - 1) * per_pair;
     std::string name = core::to_string(scheme);
-    if (const auto* mesh = domain.mesh()) {
-      name += " (" + mesh->to_string() + ")";
+    if (core::is_routed(scheme)) {
+      name += " (" + domain.mesh().to_string() + ")";
     }
     table.add_row(
         {name,

@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "route/domain.hpp"
+#include "core/tram.hpp"
 #include "runtime/machine.hpp"
 #include "util/cli.hpp"
 
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   core::TramConfig cfg;
   cfg.scheme = *scheme;
   cfg.buffer_items = static_cast<std::uint32_t>(buffer);
-  route::Domain<std::uint64_t> tram(
+  core::TramDomain<std::uint64_t> tram(
       machine, cfg, [&](rt::Worker& w, const std::uint64_t& item) {
         counters[w.id()].value += item;
       });
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // 3. SPMD main: runs on every worker. insert() buffers the item; full
   //    buffers ship automatically; flush_all() ships the stragglers.
   const auto result = machine.run([&](rt::Worker& self) {
-    auto agg = tram.on(self);
+    auto& agg = tram.on(self);
     for (std::int64_t i = 0; i < updates; ++i) {
       const auto dest = static_cast<WorkerId>(self.rng().below(W));
       agg.insert(dest, 1);

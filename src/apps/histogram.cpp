@@ -27,7 +27,7 @@ HistogramResult HistogramApp::run(std::uint64_t seed) {
   const std::uint64_t total_bins = part_.total();
   const auto result = machine_.run(
       [this, total_bins](rt::Worker& w) {
-        auto agg = domain_.on(w);
+        auto& agg = domain_.on(w);
         for (std::uint64_t i = 0; i < params_.updates_per_worker; ++i) {
           const std::uint64_t bin = w.rng().below(total_bins);
           agg.insert(static_cast<WorkerId>(part_.owner(bin)), bin);

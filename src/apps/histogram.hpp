@@ -9,7 +9,7 @@
 /// benchmark isolates aggregation *overhead* (total time, message counts);
 /// latency is irrelevant here by design (paper section III-D).
 ///
-/// The app holds one route::Domain, so every scheme runs the same code:
+/// The app holds one core::TramDomain, so every scheme runs the same code:
 /// Scheme::Mesh2D/Mesh3D take the multi-hop message path under the same
 /// delivery contract (bench/fig_routed_histogram.cpp sweeps direct and
 /// routed side by side).
@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/tram.hpp"
 #include "graph/csr.hpp"
-#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 
 namespace tram::apps {
@@ -62,7 +62,7 @@ class HistogramApp {
   rt::Machine& machine_;
   HistogramParams params_;
   graph::BlockPartition part_;
-  route::Domain<std::uint64_t> domain_;
+  core::TramDomain<std::uint64_t> domain_;
   std::vector<std::vector<std::uint64_t>> tables_;
 };
 

@@ -48,7 +48,7 @@ IgResult IndexGatherApp::run(std::uint64_t seed) {
   const std::uint64_t total_entries = part_.total();
   const auto result = machine_.run(
       [this, total_entries](rt::Worker& w) {
-        auto req = requests_.on(w);
+        auto& req = requests_.on(w);
         for (std::uint64_t i = 0; i < params_.requests_per_worker; ++i) {
           const std::uint64_t index = w.rng().below(total_entries);
           req.insert(

@@ -66,7 +66,7 @@ PholdResult PholdApp::run(std::uint64_t seed) {
 
   const auto result = machine_.run(
       [this, seed](rt::Worker& w) {
-        auto agg = domain_.on(w);
+        auto& agg = domain_.on(w);
         // Seed the initial event population on our own LPs, each chain
         // from its own (seed, lp, k) stream — independent of worker
         // count so the chain set depends only on the topology's LP total.

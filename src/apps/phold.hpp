@@ -22,15 +22,15 @@
 /// counts bit-for-bit against a direct-scheme run (only the out-of-order
 /// rate, the latency-sensitive metric, varies with the scheme).
 ///
-/// The app holds one route::Domain, so Scheme::Mesh2D/Mesh3D run the same
+/// The app holds one core::TramDomain, so Scheme::Mesh2D/Mesh3D run the same
 /// workload over the multi-hop message path (bench/fig_routed_phold.cpp
 /// sweeps direct and routed side by side).
 
 #include <cstdint>
 #include <vector>
 
+#include "core/tram.hpp"
 #include "graph/csr.hpp"
-#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "util/spinlock.hpp"
 
@@ -86,7 +86,7 @@ class PholdApp {
   rt::Machine& machine_;
   PholdParams params_;
   graph::BlockPartition part_;  // LPs over workers
-  route::Domain<Event> domain_;
+  core::TramDomain<Event> domain_;
   std::vector<util::Padded<WorkerState>> state_;
 };
 

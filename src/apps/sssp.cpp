@@ -57,7 +57,7 @@ std::uint32_t SsspApp::distance(graph::Vertex v) const {
 void SsspApp::relax_edges(rt::Worker& w, WorkerState& st, graph::Vertex v,
                           std::uint32_t d) {
   ++st.relaxations;
-  auto agg = domain_.on(w);
+  auto& agg = domain_.on(w);
   const bool prioritize = params_.prioritize_urgent;
   const auto nbrs = params_.graph->neighbors(v);
   const auto wts = params_.graph->weights(v);

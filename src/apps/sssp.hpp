@@ -17,7 +17,7 @@
 /// stale predecessor — so lower-latency schemes show fewer wasted updates
 /// (PP < WPs < WW in the paper).
 ///
-/// The app holds one route::Domain, so Scheme::Mesh2D/Mesh3D run the same
+/// The app holds one core::TramDomain, so Scheme::Mesh2D/Mesh3D run the same
 /// threshold machinery over the multi-hop message path. With
 /// prioritize_urgent, under-threshold improvements ride the routed
 /// priority slots and overtake bulk at every hop
@@ -27,9 +27,9 @@
 #include <queue>
 #include <vector>
 
+#include "core/tram.hpp"
 #include "graph/csr.hpp"
 #include "graph/shortest_path.hpp"
-#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "util/spinlock.hpp"
 
@@ -106,7 +106,7 @@ class SsspApp {
   rt::Machine& machine_;
   SsspParams params_;
   graph::BlockPartition part_;
-  route::Domain<Update> domain_;
+  core::TramDomain<Update> domain_;
   std::vector<util::Padded<WorkerState>> state_;
   std::vector<std::uint64_t> reference_;  // Dijkstra distances (verify)
 };

@@ -27,7 +27,7 @@ struct TramConfig {
   /// Flush automatically whenever the owning worker goes idle. This is what
   /// bounds item latency for irregular applications (SSSP, PDES) — without
   /// it, the tail of a stream can sit in a partially-filled buffer forever.
-  /// Routed schemes require it (RoutedDomain rejects false): entries
+  /// Mesh2D/Mesh3D require it (TramDomain rejects false): entries
   /// re-aggregated at an intermediate hop have no other drain path.
   bool flush_on_idle = true;
 

@@ -8,16 +8,16 @@
 /// source: grouping the outgoing entries by destination local rank behind
 /// a SegmentHeader of per-rank counts lets the receiver scatter refcounted
 /// sub-views in O(t) instead of scanning g entries. The same sort serves
-/// the routed schemes' last hop (src/route/): the shipper of a
-/// final-dimension buffer knows every entry terminates at the target
-/// process, so it can pre-group exactly like a WsP source. Both ship the
-/// buffer's own slab, sorted in place, by moving the handle.
+/// every final mesh ship (WsP's on the 1-D mesh, a routed last hop): the
+/// shipper knows every entry terminates at the target process, so it
+/// pre-groups the buffer's own slab in place and ships it by moving the
+/// handle.
 ///
 /// FinalHop is the other half: how a batch that ends at a process reaches
-/// its workers. Whoever grouped the batch (a WsP source, a routed last-hop
-/// shipper, or the receiver itself for WPs/PP and routed finals, into one
-/// scratch slab), the receiving worker delivers its own run in place and
-/// ships each sibling's run as a refcounted sub-view of the same slab.
+/// its workers. Whoever grouped the batch (a sorting shipper, or the
+/// receiver itself for WPs, PP and mixed hop batches, into one scratch
+/// slab), the receiving worker delivers its own run in place and ships
+/// each sibling's run as a refcounted sub-view of the same slab.
 
 #include <cstddef>
 #include <cstdio>
@@ -74,9 +74,8 @@ void permute_sort_segments(Entry* data, std::size_t n, int t,
   }
 }
 
-/// The destination half of both domains (core::TramDomain and
-/// route::RoutedDomain): final delivery on a worker, and the scatter of a
-/// rank-grouped batch across the workers of its process.
+/// The destination half of TramDomain: final delivery on a worker, and
+/// the scatter of a rank-grouped batch across the workers of its process.
 template <typename Item>
 struct FinalHop {
   using Entry = WireEntry<Item>;

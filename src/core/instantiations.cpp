@@ -1,7 +1,6 @@
 /// Explicit instantiations of the TramDomain template for common item
 /// types: catches template compile errors at library build time and speeds
-/// up dependent TUs. (RoutedDomain has the same in
-/// route/instantiations.cpp — its own layer.)
+/// up dependent TUs.
 #include <cstdint>
 
 #include "core/tram.hpp"

@@ -1,6 +1,6 @@
-#include "route/router.hpp"
+#include "core/router.hpp"
 
-namespace tram::route {
+namespace tram::core {
 
 Router::Router(VirtualMesh mesh) : mesh_(mesh) {
   int offset = 0;
@@ -47,4 +47,4 @@ Router::Router(VirtualMesh mesh) : mesh_(mesh) {
   }
 }
 
-}  // namespace tram::route
+}  // namespace tram::core

@@ -9,7 +9,7 @@
 /// dimension-ordered (correct the lowest mismatched coordinate first), so
 /// it is deadlock-free in the classic k-ary mesh sense and — more
 /// importantly here — every forward strictly increases the dimension
-/// index, which intermediates assert on.
+/// index, which intermediates check.
 ///
 /// Buffer slots are laid out per dimension then per coordinate:
 ///
@@ -34,10 +34,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "route/virtual_mesh.hpp"
+#include "core/virtual_mesh.hpp"
 #include "util/types.hpp"
 
-namespace tram::route {
+namespace tram::core {
 
 class Router {
  public:
@@ -77,7 +77,8 @@ class Router {
   /// higher dimensions all have extent 1 (dimension order guarantees the
   /// lower ones already match). The shipper of such a slot pre-sorts the
   /// batch by destination local rank (RoutedHeader::kSortedMagic) so the
-  /// receiver scatters sub-views instead of copying.
+  /// receiver scatters sub-views instead of copying, unless the scheme
+  /// groups at the receiver (WPs, PP). On the 1-D mesh every slot is final.
   bool ships_final(int slot) const noexcept {
     return final_slot_[static_cast<std::size_t>(slot)] != 0;
   }
@@ -118,4 +119,4 @@ class Router {
   std::vector<std::uint8_t> final_slot_;
 };
 
-}  // namespace tram::route
+}  // namespace tram::core

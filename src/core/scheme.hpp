@@ -30,7 +30,9 @@ enum class Scheme {
   /// Topological routing over a virtual 2-D process mesh: the source
   /// worker keeps one buffer per mesh *coordinate* (O(2*sqrt(N)) buffers
   /// instead of the direct schemes' O(N)); messages hop dimension by
-  /// dimension and are re-aggregated at intermediates (src/route/).
+  /// dimension and are re-aggregated at intermediates. (WPs and WsP are
+  /// the same routing over the 1-D mesh, where every process is one hop
+  /// away; see tram.hpp.)
   Mesh2D,
   /// Same, over a 3-D mesh: O(3*cbrt(N)) buffers, up to 3 hops.
   Mesh3D,
@@ -44,12 +46,11 @@ std::optional<Scheme> parse_scheme(std::string_view name);
 std::vector<Scheme> all_schemes();
 /// The direct aggregating schemes (everything but None and the meshes).
 std::vector<Scheme> aggregating_schemes();
-/// The topologically routed schemes (handled by route::RoutedDomain).
+/// The multi-hop routed schemes.
 std::vector<Scheme> routed_schemes();
 
-/// True for schemes routed over a virtual mesh (multi-hop, re-aggregated
-/// at intermediates). These are driven by route::RoutedDomain, not
-/// TramDomain.
+/// True for schemes routed over a multi-hop virtual mesh (re-aggregated at
+/// intermediates).
 inline bool is_routed(Scheme s) {
   return s == Scheme::Mesh2D || s == Scheme::Mesh3D;
 }
@@ -63,13 +64,11 @@ inline int mesh_ndims(Scheme s) {
   }
 }
 
-/// True for schemes whose source-side buffers target processes (and whose
-/// receiver must therefore route items to individual workers).
-inline bool process_addressed(Scheme s) {
-  return s == Scheme::WPs || s == Scheme::WsP || s == Scheme::PP;
+/// True for the paper's receiver-grouped schemes (Figs. 5 and 7): the
+/// destination process, not the source, groups a batch's entries by
+/// destination worker. WsP and the meshes pre-sort their final ships.
+inline bool groups_at_receiver(Scheme s) {
+  return s == Scheme::WPs || s == Scheme::PP;
 }
-
-/// True for schemes that share source-side buffers across a process.
-inline bool shares_source_buffers(Scheme s) { return s == Scheme::PP; }
 
 }  // namespace tram::core

@@ -37,7 +37,8 @@ struct WorkerTramStats {
   std::uint64_t msgs_shipped = 0;
   /// Subset of msgs_shipped triggered by flush (partially full).
   std::uint64_t flush_msgs = 0;
-  /// Local regroup messages generated at the destination (WPs/WsP/PP).
+  /// Local regroup messages generated at the destination (every scheme
+  /// but None and WW).
   std::uint64_t regroup_msgs = 0;
   /// CAS retries while claiming PP slots (contention indicator).
   std::uint64_t pp_cas_retries = 0;
@@ -45,23 +46,25 @@ struct WorkerTramStats {
   std::uint64_t priority_items = 0;
   /// Expedited messages shipped by the priority path.
   std::uint64_t priority_msgs = 0;
-  /// Routed schemes: messages shipped along a mesh dimension (every hop's
-  /// ship, from sources and intermediates alike).
+  /// Messages a mesh slot shipped along a dimension: every ship of WPs,
+  /// WsP (the 1-D mesh) and Mesh2D/Mesh3D, from sources and intermediates
+  /// alike.
   std::uint64_t routed_hop_msgs = 0;
-  /// Routed schemes: messages shipped from an intermediate hop (subset of
-  /// routed_hop_msgs).
+  /// Messages shipped from an intermediate hop (subset of
+  /// routed_hop_msgs; 0 on the 1-D mesh).
   std::uint64_t routed_forward_msgs = 0;
-  /// Routed schemes: entries re-aggregated into a next-dimension buffer at
-  /// an intermediate. An item whose destination differs from its source in
+  /// Entries re-aggregated into a next-dimension buffer at an
+  /// intermediate. An item whose destination differs from its source in
   /// k mesh dimensions contributes k-1 here (d-1 worst case).
   std::uint64_t routed_forwarded_items = 0;
-  /// Routed schemes: last-hop messages shipped pre-sorted by destination
-  /// local rank (RoutedHeader::kSortedMagic — the WsP-over-mesh fast
-  /// path; subset of routed_hop_msgs).
+  /// Final messages shipped pre-sorted by destination local rank
+  /// (RoutedHeader::kSortedMagic): every WsP message and a mesh's last
+  /// hops; 0 for WPs, whose receiver groups (subset of routed_hop_msgs).
   std::uint64_t routed_sorted_msgs = 0;
-  /// Routed schemes: segments delivered or forwarded at the final process
-  /// as refcounted views of a slab (own-rank spans delivered in place plus
-  /// sub-view regroup messages) — zero-copy scatter adoption.
+  /// Runs of a final batch handed to the workers of its process as
+  /// refcounted views of one slab (own-rank runs delivered in place plus
+  /// sub-view regroup messages) — zero-copy scatter adoption. Counted for
+  /// every scheme but None and WW.
   std::uint64_t routed_subview_deliveries = 0;
   /// Always 0: nothing sets these two any more, because an intermediate
   /// copies each forwarded entry exactly once, into its next-hop slot, and

@@ -1,8 +1,8 @@
-#include "route/virtual_mesh.hpp"
+#include "core/virtual_mesh.hpp"
 
 #include <stdexcept>
 
-namespace tram::route {
+namespace tram::core {
 
 VirtualMesh::VirtualMesh(int procs, std::span<const int> dims)
     : procs_(procs), ndims_(static_cast<int>(dims.size())) {
@@ -73,4 +73,4 @@ std::string VirtualMesh::to_string() const {
   return s;
 }
 
-}  // namespace tram::route
+}  // namespace tram::core

@@ -5,16 +5,18 @@
 ///
 /// Topological routing (the TRAM line of work) stops paying one buffer per
 /// destination process: the N processes are factored into a d-dimensional
-/// virtual mesh (d = 2 or 3 here) and every process is a point in mixed
-/// radix — dimension 0 is the fastest-varying digit. A message corrects
-/// one coordinate per hop, so a source only ever aggregates toward the
-/// sum(dims_k - 1) processes that differ from it in exactly one
-/// coordinate: O(d * N^(1/d)) live buffers instead of O(N).
+/// virtual mesh (d = 2 or 3 for Mesh2D/Mesh3D) and every process is a
+/// point in mixed radix — dimension 0 is the fastest-varying digit. A
+/// message corrects one coordinate per hop, so a source only ever
+/// aggregates toward the sum(dims_k - 1) processes that differ from it in
+/// exactly one coordinate: O(d * N^(1/d)) live buffers instead of O(N).
+/// The paper's per-process schemes, WPs and WsP, are the d = 1 case: one
+/// hop, one buffer per destination process.
 ///
 /// The mesh is *virtual*: it does not have to match the physical
 /// interconnect. Extents come from --route-dims=AxB[xC] or are
 /// auto-factored as near-balanced as the process count allows (a prime N
-/// degenerates to 1 x N, which routes exactly like the direct schemes).
+/// degenerates to 1 x N, which routes exactly like the 1-D mesh).
 
 #include <array>
 #include <span>
@@ -22,7 +24,7 @@
 
 #include "util/types.hpp"
 
-namespace tram::route {
+namespace tram::core {
 
 class VirtualMesh {
  public:
@@ -89,4 +91,4 @@ class VirtualMesh {
   std::array<int, kMaxDims> strides_{1, 1, 1};
 };
 
-}  // namespace tram::route
+}  // namespace tram::core

@@ -17,27 +17,23 @@
 /// path. decode is the mirror image: rt::decode_payload views the same
 /// slab bytes as entries at the destination.
 ///
-/// WsP messages prepend a SegmentHeader: per-local-worker counts, so the
-/// receiver scatters pre-grouped segments in O(t) instead of scanning g
-/// items. parse_segments validates it against the entries that follow.
+/// A slot's message to a process (WPs, WsP, the meshes, PP's priority
+/// lane) prepends a RoutedHeader: the mesh dimension the message
+/// travelled along, its hop ordinal, and a flags byte whose kPriority bit
+/// marks batches from the priority path — so intermediates can validate
+/// dimension order, re-bucket urgent entries into priority slots, and
+/// stats can attribute traffic per hop. The entries that follow carry the
+/// *final* destination worker in WireEntry::dest — intermediates never
+/// rewrite entries, they only re-bucket them.
 ///
-/// Routed (mesh) messages prepend a RoutedHeader instead: the mesh
-/// dimension the message travelled along, its hop ordinal, and a flags
-/// byte whose kPriority bit marks batches from the priority path — so
-/// intermediates can validate dimension order, re-bucket urgent entries
-/// into priority slots, and stats can attribute traffic per hop. The
-/// entries that follow carry the *final* destination worker in
-/// WireEntry::dest — intermediates never rewrite entries, they only
-/// re-bucket them.
-///
-/// A routed message whose every entry terminates at the target process
-/// (the last hop) is shipped *pre-sorted* by destination local rank and
-/// marked RoutedHeader::kSortedMagic: the receiver scatters refcounted
-/// sub-views per rank instead of copying (WsP's design applied to the
-/// routed path). With more than one worker per process the sorted header
-/// carries a SegmentHeader of per-rank counts (RoutedSortedHeader); with
+/// A message whose every entry terminates at the target process (a final
+/// ship: every WsP message, a mesh's last hop) is shipped *pre-sorted* by
+/// destination local rank and marked RoutedHeader::kSortedMagic: the
+/// receiver scatters refcounted sub-views per rank instead of copying.
+/// With more than one worker per process the sorted header carries a
+/// SegmentHeader of per-rank counts (RoutedSortedHeader, 264 bytes); with
 /// one worker per process the grouping is trivial — a single segment — so
-/// the 8-byte RoutedHeader suffices and the slab still ships in place.
+/// the 8-byte RoutedHeader suffices. PP's shared buffers ship headerless.
 
 #include <cassert>
 #include <cstdint>
@@ -60,18 +56,18 @@ struct WireEntry {
   Item item{};
 };
 
-/// Fixed-size prefix of a WsP message: entry counts per destination local
-/// rank. kMaxLocalWorkers bounds workers-per-process (the paper uses up to
-/// 32; 64 leaves headroom).
+/// Entry counts per destination local rank of a pre-sorted batch.
+/// kMaxLocalWorkers bounds workers-per-process (the paper uses up to 32;
+/// 64 leaves headroom).
 inline constexpr int kMaxLocalWorkers = 64;
 
 struct SegmentHeader {
   std::uint32_t counts[kMaxLocalWorkers] = {};
 };
 
-/// Fixed-size prefix of every routed (mesh) message. sizeof must stay a
-/// multiple of alignof(WireEntry) (8) so the entries that follow decode
-/// aligned in place.
+/// Fixed-size prefix of every slot message to a process. sizeof must
+/// stay a multiple of alignof(WireEntry) (8) so the entries that follow
+/// decode aligned in place.
 struct RoutedHeader {
   /// Guards against a routed payload landing on a direct endpoint.
   /// kSortedMagic additionally marks the payload pre-sorted by
@@ -102,7 +98,7 @@ struct RoutedHeader {
 };
 static_assert(sizeof(RoutedHeader) == 8);
 
-/// Prefix of a sorted (last-hop) routed message when the receiving process
+/// Prefix of a sorted (final) message when the receiving process
 /// has more than one worker: the per-rank counts the scatter walks. Both
 /// header sizes are multiples of alignof(WireEntry) (8), so the entries
 /// decode aligned in place either way.
@@ -155,8 +151,8 @@ inline RoutedWire parse_routed_header(std::span<const std::byte> bytes,
   return w;
 }
 
-/// Parse and validate the SegmentHeader of a pre-sorted batch (WsP, or a
-/// sorted routed last hop into a multi-worker process). `bytes` starts at
+/// Parse and validate the SegmentHeader of a pre-sorted batch into a
+/// multi-worker process. `bytes` starts at
 /// the header and runs to the end of the payload, entries of entry_size
 /// bytes following the header. The counts of the first `ranks` local ranks
 /// must cover those entries exactly: more would read past the payload,
@@ -195,7 +191,7 @@ inline SegmentHeader parse_segments(std::span<const std::byte> bytes,
 /// A buffer may reserve fixed header space at the front of the slab
 /// (set_header_bytes): entries encode after it, the caller stamps the
 /// header just before take(), and the slab still ships by moving the
-/// handle — this is how WsP and routed messages carry their headers without
+/// handle — this is how messages to a process carry their headers without
 /// a second allocation or copy.
 template <typename Entry>
   requires std::is_trivially_copyable_v<Entry>

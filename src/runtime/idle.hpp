@@ -38,8 +38,8 @@
 ///
 /// A worker runs every idle hook it holds on every 8th spin round and on
 /// every yield and park round, so a due request or a buffered item waits
-/// at most one nap. The cadence is the same for every hook: TramLib's and
-/// RoutedDomain's flush-on-idle, SsspApp's delta-stepping threshold
+/// at most one nap. The cadence is the same for every hook: TramLib's
+/// flush-on-idle, SsspApp's delta-stepping threshold
 /// advance, and open-loop request generators. A non-SMP worker is also
 /// its process's comm pump, so it yields where an SMP thread would park.
 ///

@@ -17,7 +17,7 @@
 /// analogue): all application mains returned, every runtime message sent
 /// has been handled, and every registered pending counter (aggregation
 /// buffers, deferred work) reads zero — stable across a settle window.
-/// Multi-hop routed traffic (src/route/) is covered by the same counting:
+/// Multi-hop routed traffic (core/tram.hpp) is covered by the same counting:
 /// entries re-aggregated at an intermediate raise that worker's pending
 /// counter before the inbound message counts as handled, so the machine
 /// can never look quiescent while forwarded entries sit in a

@@ -35,7 +35,7 @@ struct Message {
   bool expedited = false;
   /// Transport hops already taken by the payload's content: 0 for a ship
   /// off the originating worker, >0 when a topological-routing
-  /// intermediate re-ships re-aggregated entries (src/route/). Transports
+  /// intermediate re-ships re-aggregated entries (core/tram.hpp). Transports
   /// count hops > 0 sends as forwarded traffic.
   std::uint8_t hops = 0;
   util::PayloadRef payload;

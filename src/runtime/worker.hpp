@@ -80,8 +80,8 @@ class Worker {
   /// for at most kIdleNapNs, and less when next_arrival_ns() lies within
   /// a nap plus kWakeLeadNs, so it runs its hooks at least once per nap; a
   /// message a hook sends to its own worker unparks it at once. TramLib
-  /// and RoutedDomain register flush-on-idle here, SsspApp its
-  /// delta-stepping threshold advance.
+  /// registers flush-on-idle here, SsspApp its delta-stepping threshold
+  /// advance.
   void add_idle_hook(std::function<void(Worker&)> hook) {
     idle_hooks_.push_back(std::move(hook));
   }

@@ -122,7 +122,7 @@ ShuffleResult ShuffleApp::run(std::uint64_t seed) {
   const std::uint64_t total = records_total_;
   const auto result = machine_.run(
       [this, total, workers](rt::Worker& w) {
-        auto agg = domain_.on(w);
+        auto& agg = domain_.on(w);
         const auto id = static_cast<std::uint64_t>(w.id());
         const std::uint64_t begin = total * id / workers;
         const std::uint64_t end = total * (id + 1) / workers;

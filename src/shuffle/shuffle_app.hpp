@@ -11,7 +11,7 @@
 ///   input file (mmap, chunked)                    sources
 ///        │ insert(owner(key), record)
 ///        ▼
-///   route::Domain, any scheme (key-range partitioned)
+///   core::TramDomain, any scheme (key-range partitioned)
 ///        │ deliver on owner worker
 ///        ▼
 ///   staging slice (budgeted PayloadPool)          sinks
@@ -41,9 +41,9 @@
 #include <string>
 #include <vector>
 
+#include "core/tram.hpp"
 #include "io/mapped_file.hpp"
 #include "io/spill_file.hpp"
-#include "route/domain.hpp"
 #include "runtime/machine.hpp"
 #include "shuffle/partitioner.hpp"
 #include "shuffle/record.hpp"
@@ -127,7 +127,7 @@ class ShuffleApp {
   std::size_t slice_records_ = 0;
   util::PayloadPool pool_;
   std::vector<Sink> sinks_;
-  route::Domain<Record> domain_;
+  core::TramDomain<Record> domain_;
 };
 
 /// Fill `path` with `records` pseudo-random records (splitmix64 keys,

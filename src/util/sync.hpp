@@ -7,14 +7,13 @@
 /// spinlock, PayloadPool refcounts) is templated on a Sync policy that
 /// supplies its atomics. The exception is util::Parker, whose futex wait
 /// blocks in the kernel where the token scheduler below cannot follow
-/// (parker.hpp says how it is checked instead). Three policies exist:
+/// (parker.hpp says how it is checked instead). Two policies exist:
 ///
 ///  - RealSync: std::atomic with the memory orders written at each call
 ///    site. This is what ships; the relaxed orders on the hot paths are
-///    only legal because the other two policies exist to check them.
-///  - ConservativeSync: every operation upgraded to seq_cst. The
-///    "before" baseline for the micro-benchmarks, so each relaxation
-///    lands with a measured delta rather than an assertion of speed.
+///    only legal because DebugSync exists to check them (and
+///    bench/micro_queues.cpp times each against an all-seq_cst policy of
+///    its own, so a relaxation lands with a measured delta).
 ///  - DebugSync: seq_cst plus a call into DebugScheduler::sync_point()
 ///    before every atomic operation. Under DebugScheduler::run() exactly
 ///    one thread executes at a time and every atomic op is a potential
@@ -143,16 +142,6 @@ struct RealSync {
   using Atomic = std::atomic<T>;
   static void fence(std::memory_order mo) noexcept {
     std::atomic_thread_fence(mo);
-  }
-};
-
-/// Everything seq_cst: the measured "before" for each relaxation.
-struct ConservativeSync {
-  static constexpr bool kDebug = false;
-  template <typename T>
-  using Atomic = sync_detail::SeqCstAtomic<T, /*kYield=*/false>;
-  static void fence(std::memory_order) noexcept {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 };
 

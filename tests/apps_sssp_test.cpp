@@ -58,8 +58,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{core::Scheme::PP, 256, 4, true},
                       Param{core::Scheme::WW, 1, 1000000, false},
                       Param{core::Scheme::WPs, 4096, 1, false},
-                      // Routed schemes: same workload through
-                      // route::RoutedDomain (multi-hop message path).
+                      // Routed schemes: same workload over the
+                      // multi-hop message path.
                       Param{core::Scheme::Mesh2D, 64, 16, false},
                       Param{core::Scheme::Mesh3D, 64, 16, false},
                       Param{core::Scheme::Mesh2D, 64, 16, true}),

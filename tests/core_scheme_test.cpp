@@ -37,13 +37,10 @@ TEST(Scheme, ParseIsCaseInsensitive) {
 }
 
 TEST(Scheme, Predicates) {
-  EXPECT_FALSE(process_addressed(Scheme::None));
-  EXPECT_FALSE(process_addressed(Scheme::WW));
-  EXPECT_TRUE(process_addressed(Scheme::WPs));
-  EXPECT_TRUE(process_addressed(Scheme::WsP));
-  EXPECT_TRUE(process_addressed(Scheme::PP));
-  EXPECT_TRUE(shares_source_buffers(Scheme::PP));
-  EXPECT_FALSE(shares_source_buffers(Scheme::WPs));
+  EXPECT_TRUE(groups_at_receiver(Scheme::WPs));
+  EXPECT_TRUE(groups_at_receiver(Scheme::PP));
+  EXPECT_FALSE(groups_at_receiver(Scheme::WsP));
+  EXPECT_FALSE(groups_at_receiver(Scheme::Mesh2D));
   EXPECT_FALSE(is_routed(Scheme::WPs));
   EXPECT_TRUE(is_routed(Scheme::Mesh2D));
   EXPECT_TRUE(is_routed(Scheme::Mesh3D));

@@ -11,6 +11,7 @@
 #include "core/grouping.hpp"
 #include "core/tram.hpp"
 #include "core/wire.hpp"
+#include "net/packet.hpp"
 #include "runtime/machine.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
@@ -113,7 +114,8 @@ TEST_P(TramSchemes, ExactlyOnceDeliveryToCorrectWorker) {
 
 /// Without flush, short streams stay buffered (pending > 0 would hang QD),
 /// so flush-on-idle must ship them; with explicit flush and idle flushing
-/// disabled, exactly the explicit flush ships them.
+/// disabled, exactly the explicit flush ships them. (The multi-hop meshes
+/// keep idle flushing, which alone drains their intermediate hops.)
 TEST_P(TramSchemes, ExplicitFlushShipsPartials) {
   const Param p = GetParam();
   if (p.scheme == Scheme::None) GTEST_SKIP() << "None never buffers";
@@ -125,7 +127,7 @@ TEST_P(TramSchemes, ExplicitFlushShipsPartials) {
   TramConfig cfg;
   cfg.scheme = p.scheme;
   cfg.buffer_items = p.buffer;
-  cfg.flush_on_idle = false;
+  cfg.flush_on_idle = core::is_routed(p.scheme);
   TramDomain<std::uint64_t> tram(
       machine, cfg,
       [&](Worker&, const std::uint64_t&) { delivered++; });
@@ -160,7 +162,7 @@ TEST_P(TramSchemes, MessageCountWithinBounds) {
   TramConfig cfg;
   cfg.scheme = p.scheme;
   cfg.buffer_items = p.buffer;
-  cfg.flush_on_idle = false;
+  cfg.flush_on_idle = core::is_routed(p.scheme);
   TramDomain<std::uint64_t> tram(machine, cfg,
                                  [](Worker&, const std::uint64_t&) {});
   machine.run([&](Worker& w) {
@@ -212,7 +214,11 @@ TEST_P(TramSchemes, AllocatedMemoryWithinFormula) {
   });
   const std::uint64_t m = sizeof(core::WireEntry<std::uint64_t>);
   const std::uint64_t formula_total =
-      core::buffer_bytes_per_process(p.scheme, p.buffer, m, N, t) * N;
+      core::is_routed(p.scheme)
+          ? core::routed_buffer_bytes_per_core(p.buffer, m,
+                                               tram.mesh().dims()) *
+                W
+          : core::buffer_bytes_per_process(p.scheme, p.buffer, m, N, t) * N;
   EXPECT_LE(tram.allocated_buffer_bytes(), formula_total);
   EXPECT_GT(tram.allocated_buffer_bytes(), 0u);
 }
@@ -262,7 +268,15 @@ INSTANTIATE_TEST_SUITE_P(
         // Wide SMP processes.
         Param{Scheme::WPs, 256, 2, 1, 8},
         Param{Scheme::WsP, 256, 2, 1, 8},
-        Param{Scheme::PP, 256, 2, 1, 8}),
+        Param{Scheme::PP, 256, 2, 1, 8},
+        // The multi-hop meshes on the canonical shape (2x2 and 1x2x2),
+        // at a buffer extreme, over a 2x2x2 mesh of single-worker
+        // processes (up to three hops), and across wide SMP processes.
+        Param{Scheme::Mesh2D, 64, 2, 2, 2},
+        Param{Scheme::Mesh3D, 64, 2, 2, 2},
+        Param{Scheme::Mesh2D, 1, 2, 2, 2},
+        Param{Scheme::Mesh3D, 16, 4, 2, 1},
+        Param{Scheme::Mesh2D, 256, 2, 1, 8}),
     [](const ::testing::TestParamInfo<Param>& param_info) {
       return param_info.param.label();
     });
@@ -300,7 +314,7 @@ TEST(TramDomain, RegroupMessagesOnlyForProcessAddressedSchemes) {
       h.flush_all();
     });
     const auto stats = tram.aggregate_stats();
-    if (core::process_addressed(s)) {
+    if (s != Scheme::WW) {
       EXPECT_GT(stats.regroup_msgs, 0u) << core::to_string(s);
     } else {
       EXPECT_EQ(stats.regroup_msgs, 0u) << core::to_string(s);
@@ -346,8 +360,8 @@ TEST(TramDomain, TwoPpDomainsWithDifferentItemTypesCoexist) {
 }
 
 TEST(TramDomain, RejectsTooManyWorkersPerProc) {
-  // kMaxLocalWorkers bounds the WsP segment header; constructing a domain
-  // on a wider process must fail loudly (the machine itself allows it).
+  // kMaxLocalWorkers bounds a sorted batch's segment counts; constructing
+  // a domain on a wider process must fail loudly (the machine allows it).
   Machine wide(Topology(1, 1, core::kMaxLocalWorkers + 1),
                RuntimeConfig::testing());
   TramConfig cfg;
@@ -372,6 +386,66 @@ TEST(TramDomain, ResetStatsClearsCounters) {
   tram.reset_stats();
   EXPECT_EQ(tram.aggregate_stats().items_inserted, 0u);
   EXPECT_EQ(tram.aggregate_stats().msgs_shipped, 0u);
+}
+
+/// The wire form of WW, WPs and WsP in closed form. Two processes of t
+/// workers; every worker inserts k items to each worker of the other
+/// process and flushes once (idle flushing off), so every message crosses
+/// the fabric, and every buffer ships ceil(items / g) messages. Each
+/// message carries net::Packet::kHeaderBytes, the scheme's own header and
+/// 16-byte entries: WW none (it ships to the destination worker), WPs the
+/// 8-byte RoutedHeader (its receiver groups), WsP the RoutedHeader alone
+/// at t = 1 and with the per-rank segment counts at t > 1.
+TEST(TramDomain, WireFormShipsClosedFormBytes) {
+  static_assert(sizeof(core::RoutedHeader) == 8);
+  static_assert(sizeof(core::RoutedSortedHeader) == 264);
+  constexpr std::uint32_t g = 8;
+  constexpr std::uint64_t k = 12;
+  const std::uint64_t entry = sizeof(core::WireEntry<std::uint64_t>);
+  for (const std::uint64_t t : {1u, 4u}) {
+    for (const Scheme s : {Scheme::WW, Scheme::WPs, Scheme::WsP}) {
+      Machine machine(Topology(1, 2, static_cast<int>(t)),
+                      RuntimeConfig::testing());
+      TramConfig cfg;
+      cfg.scheme = s;
+      cfg.buffer_items = g;
+      cfg.flush_on_idle = false;
+      TramDomain<std::uint64_t> tram(machine, cfg,
+                                     [](Worker&, const std::uint64_t&) {});
+      const Topology& topo = machine.topology();
+      const auto res = machine.run([&](Worker& w) {
+        auto& h = tram.on(w);
+        const ProcId other = 1 - topo.proc_of_worker(w.id());
+        for (std::uint64_t i = 0; i < k; ++i) {
+          for (LocalWorkerId r = 0; r < topo.workers_per_proc(); ++r) {
+            h.insert(topo.worker_at(other, r), i);
+          }
+        }
+        h.flush_all();
+      });
+
+      // Buffers per source worker, items per buffer, header per message.
+      std::uint64_t buffers = 1, items = k * t, header = 0;
+      if (s == Scheme::WW) {
+        buffers = t;
+        items = k;
+      } else if (s == Scheme::WPs || t == 1) {
+        header = sizeof(core::RoutedHeader);
+      } else {
+        header = sizeof(core::RoutedSortedHeader);
+      }
+      const std::uint64_t sources = 2 * t;
+      const std::uint64_t msgs = sources * buffers * ((items + g - 1) / g);
+      const std::string where =
+          std::string(core::to_string(s)) + " t=" + std::to_string(t);
+      EXPECT_EQ(tram.aggregate_stats().msgs_shipped, msgs) << where;
+      EXPECT_EQ(res.fabric_messages, msgs) << where;
+      EXPECT_EQ(res.fabric_bytes,
+                msgs * (net::Packet::kHeaderBytes + header) +
+                    sources * k * t * entry)
+          << where;
+    }
+  }
 }
 
 /// The wire entry is the paper's <item, dest_w> record and nothing else.

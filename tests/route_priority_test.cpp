@@ -1,4 +1,4 @@
-/// Tests for the routed priority path (RoutedDomain::insert_priority):
+/// Tests for the routed priority path (TramDomain::insert_priority):
 /// priority items inserted *after* bulk must still deliver first across
 /// multi-hop routes — for Mesh2D and Mesh3D — because the RoutedHeader
 /// priority bit re-buckets them into priority slots at every
@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "core/tram.hpp"
 #include "core/wire.hpp"
-#include "route/routed_domain.hpp"
 #include "runtime/machine.hpp"
 
 namespace {
@@ -63,7 +63,7 @@ TEST_P(RoutedPriorityOrdering, PriorityInsertedAfterBulkDeliversFirst) {
   constexpr std::uint64_t kBulk = 64;
   constexpr std::uint64_t kUrgent = 8;
   std::vector<std::uint64_t> order;  // written only by the far worker
-  route::RoutedDomain<std::uint64_t> domain(
+  core::TramDomain<std::uint64_t> domain(
       machine, cfg, [&](rt::Worker& w, const std::uint64_t& v) {
         ASSERT_EQ(w.id(), param.far);
         order.push_back(v);
@@ -125,7 +125,7 @@ void run_priority_exchange(core::Scheme scheme, const util::Topology& topo,
   cfg.scheme = scheme;
   cfg.buffer_items = 16;
   cfg.priority_buffer_items = 4;
-  route::RoutedDomain<std::uint64_t> domain(
+  core::TramDomain<std::uint64_t> domain(
       machine, cfg, [&](rt::Worker& w, const std::uint64_t& item) {
         ASSERT_EQ(static_cast<WorkerId>(item % 1'000'000), w.id());
         auto& tally = item >= 1'000'000 ? urgent : bulk;
@@ -187,7 +187,7 @@ TEST(RoutedPriority, MixedExchangeExactlyOnceNonSmp) {
 
 /// flush_all ships the partial priority slot before the partial bulk
 /// one, and counts both as flush messages — the same counts
-/// Priority.FlushShipsPriorityPartialsFirst pins for TramDomain.
+/// Priority.FlushShipsPriorityPartialsFirst pins for WPs.
 TEST(RoutedPriority, FlushShipsPriorityPartialsFirst) {
   auto rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.dedicated_comm = false;
@@ -199,7 +199,7 @@ TEST(RoutedPriority, FlushShipsPriorityPartialsFirst) {
   cfg.buffer_items = 1024;
   cfg.priority_buffer_items = 1024;  // nothing ships before flush
   std::vector<std::uint64_t> order;  // written only by worker 1
-  route::RoutedDomain<std::uint64_t> domain(
+  core::TramDomain<std::uint64_t> domain(
       machine, cfg,
       [&](rt::Worker&, const std::uint64_t& v) { order.push_back(v); });
   machine.run([&](rt::Worker& w) {
@@ -224,7 +224,7 @@ TEST(RoutedPriority, FallsBackWhenDisabled) {
   cfg.scheme = core::Scheme::Mesh2D;
   cfg.buffer_items = 16;
   cfg.priority_buffer_items = 0;  // disabled
-  route::RoutedDomain<std::uint64_t> domain(
+  core::TramDomain<std::uint64_t> domain(
       machine, cfg, [&](rt::Worker&, const std::uint64_t&) { got++; });
   machine.run([&](rt::Worker& w) {
     auto& h = domain.on(w);

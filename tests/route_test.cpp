@@ -1,8 +1,9 @@
-/// Tests for the topological routing subsystem (src/route/): mesh
-/// factorization and coordinates, dimension-ordered next-hop chains, the
-/// full multi-hop delivery lifecycle across schemes x transports x SMP
-/// modes, forwarded-hop accounting, and the O(d*N^(1/d)) live-buffer
-/// bound against direct WPs.
+/// Tests for topological routing (core/virtual_mesh.hpp, core/router.hpp
+/// and TramDomain's mesh path): mesh factorization and coordinates,
+/// dimension-ordered next-hop chains, the full delivery lifecycle over the
+/// 1-D mesh of WPs/WsP and the multi-hop meshes across transports x SMP
+/// modes, forwarded-hop accounting, and the O(d*N^(1/d)) live-buffer bound
+/// against WPs's O(N).
 
 #include <gtest/gtest.h>
 
@@ -14,20 +15,19 @@
 #include <string>
 #include <vector>
 
+#include "core/router.hpp"
 #include "core/tram.hpp"
 #include "core/tram_stats.hpp"
+#include "core/virtual_mesh.hpp"
 #include "core/wire.hpp"
-#include "route/routed_domain.hpp"
-#include "route/router.hpp"
-#include "route/virtual_mesh.hpp"
 #include "runtime/machine.hpp"
 #include "util/timebase.hpp"
 
 namespace {
 
 using namespace tram;
-using route::Router;
-using route::VirtualMesh;
+using core::Router;
+using core::VirtualMesh;
 
 TEST(VirtualMesh, AutoFactorBalanced) {
   EXPECT_EQ(VirtualMesh::auto_factor(64, 2).to_string(), "8x8");
@@ -252,9 +252,9 @@ ExchangeResult run_exchange(core::Scheme scheme, const util::Topology& topo,
   core::TramConfig cfg;
   cfg.scheme = scheme;
   cfg.buffer_items = g;
-  route::RoutedDomain<std::uint64_t> domain(
+  core::TramDomain<std::uint64_t> domain(
       machine, cfg, [&](rt::Worker& w, const std::uint64_t& item) {
-        // The item encodes its intended destination; RoutedDomain already
+        // The item encodes its intended destination; TramDomain already
         // aborts on a misrouted WireEntry, this checks end-to-end intent.
         ASSERT_EQ(static_cast<WorkerId>(item % 1000), w.id());
         received[static_cast<std::size_t>(w.id())].fetch_add(
@@ -284,9 +284,14 @@ ExchangeResult run_exchange(core::Scheme scheme, const util::Topology& topo,
   }
   EXPECT_EQ(res.stats.items_inserted, expected_per_worker * W);
   EXPECT_EQ(res.stats.items_delivered, expected_per_worker * W);
-  // The last hop always ships pre-sorted (the local slot at minimum), and
-  // every sorted batch is consumed as zero-copy sub-views.
-  EXPECT_GT(res.stats.routed_sorted_msgs, 0u);
+  // The last hop ships pre-sorted (the local slot at minimum) unless the
+  // receiver groups (WPs), and every final batch is consumed as zero-copy
+  // sub-views.
+  if (scheme == core::Scheme::WPs) {
+    EXPECT_EQ(res.stats.routed_sorted_msgs, 0u);
+  } else {
+    EXPECT_GT(res.stats.routed_sorted_msgs, 0u);
+  }
   EXPECT_GT(res.stats.routed_subview_deliveries, 0u);
   EXPECT_LE(res.stats.routed_sorted_msgs, res.stats.routed_hop_msgs);
   // A routed message is one aggregation buffer: no ship, at a source or
@@ -296,11 +301,12 @@ ExchangeResult run_exchange(core::Scheme scheme, const util::Topology& topo,
 }
 
 TEST(RoutedDomain, DeliversExactlyOnceSmpModeledFabric) {
-  // 8 workers over 4 processes; both mesh shapes.
-  run_exchange(core::Scheme::Mesh2D, util::Topology(2, 2, 2),
-               rt::RuntimeConfig::testing());
-  run_exchange(core::Scheme::Mesh3D, util::Topology(2, 2, 2),
-               rt::RuntimeConfig::testing());
+  // 8 workers over 4 processes: the 1-D mesh and both mesh shapes.
+  for (const auto scheme : {core::Scheme::WPs, core::Scheme::WsP,
+                            core::Scheme::Mesh2D, core::Scheme::Mesh3D}) {
+    run_exchange(scheme, util::Topology(2, 2, 2),
+                 rt::RuntimeConfig::testing());
+  }
   // 8 processes x 2 workers: a 2x2x2 mesh, where items cross up to three
   // hops, so SMP intermediates forward too.
   const auto res = run_exchange(core::Scheme::Mesh3D,
@@ -313,11 +319,17 @@ TEST(RoutedDomain, DeliversExactlyOnceNonSmp) {
   auto cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   const util::Topology topo(8, 1, 1);  // 8 single-worker processes
-  // 2x4 and 2x2x2 meshes: every case forwards through intermediates.
-  for (const auto scheme : {core::Scheme::Mesh2D, core::Scheme::Mesh3D}) {
-    EXPECT_GT(run_exchange(scheme, topo, cfg).stats.routed_forwarded_items,
-              0u)
-        << core::to_string(scheme);
+  // The 2x4 and 2x2x2 meshes forward through intermediates; on the 1-D
+  // mesh of WPs and WsP every process is one hop away.
+  for (const auto scheme : {core::Scheme::WPs, core::Scheme::WsP,
+                            core::Scheme::Mesh2D, core::Scheme::Mesh3D}) {
+    const auto fwd =
+        run_exchange(scheme, topo, cfg).stats.routed_forwarded_items;
+    if (core::is_routed(scheme)) {
+      EXPECT_GT(fwd, 0u) << core::to_string(scheme);
+    } else {
+      EXPECT_EQ(fwd, 0u) << core::to_string(scheme);
+    }
   }
 }
 
@@ -327,19 +339,19 @@ TEST(RoutedDomain, ExplicitDimsHonored) {
   core::TramConfig cfg;
   cfg.scheme = core::Scheme::Mesh2D;
   cfg.route_dims = {3, 2, 0};
-  route::RoutedDomain<std::uint64_t> domain(machine, cfg,
-                                            [](rt::Worker&, auto&) {});
+  core::TramDomain<std::uint64_t> domain(machine, cfg,
+                                         [](rt::Worker&, auto&) {});
   EXPECT_EQ(domain.mesh().to_string(), "3x2");
   // Dims that do not factor the process count are rejected.
   cfg.route_dims = {4, 2, 0};
-  EXPECT_THROW(route::RoutedDomain<std::uint64_t>(machine, cfg,
-                                                  [](rt::Worker&, auto&) {}),
+  EXPECT_THROW(core::TramDomain<std::uint64_t>(machine, cfg,
+                                               [](rt::Worker&, auto&) {}),
                std::invalid_argument);
   // More extents than the scheme has dimensions: a mismatched
   // --scheme/--route-dims pair, not a topology to silently truncate.
   cfg.route_dims = {3, 2, 1};
-  EXPECT_THROW(route::RoutedDomain<std::uint64_t>(machine, cfg,
-                                                  [](rt::Worker&, auto&) {}),
+  EXPECT_THROW(core::TramDomain<std::uint64_t>(machine, cfg,
+                                               [](rt::Worker&, auto&) {}),
                std::invalid_argument);
 }
 
@@ -352,23 +364,21 @@ TEST(RoutedDomain, RejectsUnsupportedConfigKnobs) {
   // flush_on_idle=false would strand intermediate-hop buffers forever
   // (quiescence would hang); the constructor must refuse it.
   cfg.flush_on_idle = false;
-  EXPECT_THROW(route::RoutedDomain<std::uint64_t>(machine, cfg, nop),
+  EXPECT_THROW(core::TramDomain<std::uint64_t>(machine, cfg, nop),
                std::invalid_argument);
+  // The 1-D mesh has no intermediate hops, so WPs and WsP drain through
+  // an explicit flush alone.
+  for (const auto scheme : {core::Scheme::WPs, core::Scheme::WsP}) {
+    cfg.scheme = scheme;
+    EXPECT_NO_THROW(core::TramDomain<std::uint64_t>(machine, cfg, nop))
+        << core::to_string(scheme);
+  }
   // The priority knob is implemented for routed schemes (see
   // route_priority_test.cpp); it must construct cleanly.
+  cfg.scheme = core::Scheme::Mesh2D;
   cfg.flush_on_idle = true;
   cfg.priority_buffer_items = 8;
-  EXPECT_NO_THROW(route::RoutedDomain<std::uint64_t>(machine, cfg, nop));
-}
-
-TEST(TramDomain, RejectsRoutedSchemes) {
-  rt::Machine machine(util::Topology(2, 1, 1),
-                      rt::RuntimeConfig::testing());
-  core::TramConfig cfg;
-  cfg.scheme = core::Scheme::Mesh2D;
-  EXPECT_THROW(core::TramDomain<std::uint64_t>(machine, cfg,
-                                               [](rt::Worker&, auto&) {}),
-               std::invalid_argument);
+  EXPECT_NO_THROW(core::TramDomain<std::uint64_t>(machine, cfg, nop));
 }
 
 /// Forwarded-hop accounting: on a mesh, an item whose destination differs
@@ -419,7 +429,8 @@ TEST(RoutedDomain, LiveBufferBoundAt64Processes) {
   const std::uint64_t per_dest = 2;
   const std::uint32_t g = 8;
 
-  // Direct WPs: every worker ends up reserving one buffer per process.
+  // WPs: every worker ends up reserving one buffer per process, the
+  // live-buffer count of its 1-D mesh.
   std::uint64_t direct_reserved = 0;
   {
     rt::Machine machine(topo, cfg);
@@ -440,6 +451,8 @@ TEST(RoutedDomain, LiveBufferBoundAt64Processes) {
     EXPECT_EQ(received.load(),
               per_dest * static_cast<std::uint64_t>(P) * P);
     direct_reserved = domain.max_reserved_buffers();
+    EXPECT_EQ(direct_reserved,
+              core::routed_buffers_per_core(domain.mesh().dims()));
     EXPECT_EQ(direct_reserved, static_cast<std::uint64_t>(P));
   }
 
@@ -475,7 +488,7 @@ TEST(RoutedDomain, LatencyTracksAcrossHops) {
   cfg.buffer_items = 4;
   std::atomic<std::uint64_t> start_ns{0};
   std::atomic<std::uint64_t> count{0}, total_ns{0}, stale{0};
-  route::RoutedDomain<std::uint64_t> domain(
+  core::TramDomain<std::uint64_t> domain(
       machine, cfg, [&](rt::Worker&, const std::uint64_t& birth_ns) {
         if (birth_ns < start_ns.load()) stale++;  // stamp was rewritten
         total_ns += util::now_ns() - birth_ns;

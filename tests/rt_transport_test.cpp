@@ -120,7 +120,9 @@ TEST(Transport, AllSchemesDeliverEveryItem) {
   // The pooled aggregation stack end to end, per scheme, over the
   // zero-cost fabric: every inserted item must reach its destination
   // worker.
-  for (const auto scheme : core::all_schemes()) {
+  auto schemes = core::all_schemes();
+  for (const auto s : core::routed_schemes()) schemes.push_back(s);
+  for (const auto scheme : schemes) {
     Machine m(Topology(2, 2, 2), RuntimeConfig::testing());
     const int workers = m.topology().workers();
     std::vector<util::Padded<std::atomic<std::uint64_t>>> received(
