@@ -4,11 +4,11 @@
 /// \brief Fault-injection knobs for the transport chain (src/fault/).
 ///
 /// An all-zero config (the default) means the Machine builds the exact
-/// transport it built before this subsystem existed — no decorators, no
+/// transport it built before this subsystem existed — no decorator, no
 /// headers, no per-message cost. Any nonzero fault knob makes the Machine
-/// wrap the base transport in FaultyTransport (injects the faults) and
-/// ReliableTransport (restores exactly-once on top of them); the two are
-/// always installed together, because a lossy fabric without the recovery
+/// wrap the base transport in ReliableTransport, which injects the faults
+/// into its own wire copies and restores exactly-once on top of them:
+/// one layer does both, because a lossy fabric without the recovery
 /// protocol would simply hang quiescence on the first dropped packet.
 
 #include <cstdint>
@@ -28,8 +28,9 @@ struct FaultConfig {
   /// below 1 reorder packets against their undelayed peers, which is what
   /// exercises the receiver's out-of-order dedup window.
   double delay_rate = 1.0;
-  /// Seed of the fault schedule. The fate of every (channel, seq, attempt)
-  /// is a pure function of this seed — schedules replay bit-for-bit.
+  /// Seed of the fault schedule. The fate of every (channel, kind, seq,
+  /// attempt) is a pure function of this seed — schedules replay
+  /// bit-for-bit.
   std::uint64_t seed = 0x7a31;
 
   /// Retransmit timeout. 0 derives it from the machine's cost model:
@@ -54,7 +55,7 @@ struct FaultConfig {
   std::uint32_t window_max = 64;
 
   /// Whether any fault is configured (and thus whether the Machine
-  /// installs the faulty + reliable transport decorators).
+  /// installs ReliableTransport).
   bool enabled() const noexcept {
     return drop_rate > 0.0 || dup_rate > 0.0 || delay_ns > 0;
   }

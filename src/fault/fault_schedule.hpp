@@ -7,10 +7,13 @@
 /// attempt): no stream state is consumed, so the schedule does not depend
 /// on thread interleaving or on how many acks/retransmits happened to be
 /// sent in between — the same seed replays the same fates for the same
-/// packet identities, every run. Keying on the ReliableHeader identity
-/// (rather than a per-source draw counter) is also what keeps retransmits
-/// honest: attempt k+1 of a sequence number draws a fresh fate, so a
-/// dropped packet is not doomed to be re-dropped forever.
+/// packet identities, every run. ReliableTransport asks it about each
+/// wire copy as it emits one, keyed on the identity it already holds: the
+/// channel, the sequence number, and the attempt its retransmit queue
+/// counts (SendEntry::rtx_count), not a header re-parsed off the wire.
+/// That attempt count is also what keeps retransmits honest: attempt k+1
+/// of a sequence number draws a fresh fate, so a dropped packet is not
+/// doomed to be re-dropped forever.
 ///
 /// Scope of the guarantee: *first-attempt data fates* are bit-for-bit
 /// reproducible whenever the application's send sequence is (seq numbers
@@ -28,7 +31,7 @@
 
 namespace tram::fault {
 
-/// What the fabric does to one injected packet. drop and dup compose: a
+/// What the fault layer does to one wire copy. drop and dup compose: a
 /// packet can be dropped *and* duplicated, in which case exactly one copy
 /// survives — the dedup window's favourite corner case.
 struct Fate {

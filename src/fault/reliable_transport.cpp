@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 
 #include "runtime/machine.hpp"
@@ -61,10 +62,11 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
                                      FaultConfig cfg)
     : machine_(machine),
       inner_(std::move(inner)),
-      procs_(machine.topology().procs()) {
+      procs_(machine.topology().procs()),
+      sched_(cfg) {
   cfg.validate();
   // Virtual-time timeout: a few modeled one-way latencies plus whatever
-  // extra delay the fault layer injects, floored for zero-cost models.
+  // extra delay the fault schedule injects, floored for zero-cost models.
   const auto& cost = machine.config().cost;
   const auto modeled = static_cast<std::uint64_t>(
       cost.alpha_remote_ns + cost.inject_ns);
@@ -84,6 +86,7 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
   const std::size_t n = static_cast<std::size_t>(procs_) *
                         static_cast<std::size_t>(procs_);
   for (std::size_t i = 0; i < n; ++i) ch_[i].cwnd = window_init_;
+  src_ = std::make_unique<Source[]>(static_cast<std::size_t>(procs_));
 }
 
 std::uint64_t ReliableTransport::rto_for(const Channel& c) const noexcept {
@@ -189,10 +192,10 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
     rev.ack_deadline_ns = 0;
     owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  transmit(src_proc, fwd, std::move(e));
+  transmit(src_proc, dst, fwd, std::move(e));
 }
 
-void ReliableTransport::transmit(ProcId src_proc, Channel& c,
+void ReliableTransport::transmit(ProcId src, ProcId dst, Channel& c,
                                  SendEntry&& e) {
   const std::uint64_t now = util::now_ns();
   e.first_send_ns = now;
@@ -200,18 +203,43 @@ void ReliableTransport::transmit(ProcId src_proc, Channel& c,
   fetch_max(max_inflight_msgs_, c.inflight_msgs);
   if (c.probe_deadline_ns == 0) c.probe_deadline_ns = now + rto_for(c);
   rt::Message wire = e.msg;  // shares the framed slab
+  const std::uint32_t seq = e.seq;
   c.unacked.push_back(std::move(e));
-  inner_->send(src_proc, std::move(wire));
+  emit(src, dst, ReliableHeader::kData, seq, /*attempt=*/0, std::move(wire));
 }
 
-void ReliableTransport::drain_paced(ProcId src_proc, Channel& c) {
+void ReliableTransport::drain_paced(ProcId src, ProcId dst, Channel& c) {
   // Paced entries were stamped at submit time; their piggybacked ack may
   // be slightly stale, which is harmless (acks are monotonic).
   while (!c.paced.empty() && window_admits(c)) {
     SendEntry e = std::move(c.paced.front());
     c.paced.pop_front();
-    transmit(src_proc, c, std::move(e));
+    transmit(src, dst, c, std::move(e));
   }
+}
+
+void ReliableTransport::emit(ProcId src, ProcId dst, std::uint8_t kind,
+                             std::uint32_t seq, std::uint32_t attempt,
+                             rt::Message&& m) {
+  const Fate fate = sched_.fate(src, dst, kind, seq, attempt);
+  if (fate.drop) drops_.fetch_add(1, std::memory_order_relaxed);
+  if (fate.dup) dups_.fetch_add(1, std::memory_order_relaxed);
+  const int copies = (fate.drop ? 0 : 1) + (fate.dup ? 1 : 0);
+  if (copies == 0) return;
+  if (fate.extra_delay_ns == 0) {
+    if (copies == 2) inner_->send(src, rt::Message(m));  // shares the slab
+    inner_->send(src, std::move(m));
+    return;
+  }
+  delays_.fetch_add(1, std::memory_order_relaxed);
+  // Counted in flight before they leave the inner transport's sight;
+  // src's own poll() releases them.
+  held_total_.fetch_add(static_cast<std::uint64_t>(copies),
+                        std::memory_order_acq_rel);
+  Source& s = src_[static_cast<std::size_t>(src)];
+  const std::uint64_t due = util::now_ns() + fate.extra_delay_ns;
+  if (copies == 2) s.held.push_back(Held{due, rt::Message(m)});
+  s.held.push_back(Held{due, std::move(m)});
 }
 
 void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
@@ -278,7 +306,8 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
       ++e.rtx_count;
       rtx_bytes += e.bytes;
       ++fast_n;
-      inner_->send(data_src, rt::Message(e.msg));  // shares the slab
+      emit(data_src, data_dst, ReliableHeader::kData, e.seq, e.rtx_count,
+           rt::Message(e.msg));  // shares the slab
     }
     if (fast_n != 0) {
       loss_event(c, /*timeout=*/false);
@@ -322,7 +351,7 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
     }
   }
   // Freed window space admits paced traffic.
-  drain_paced(data_src, c);
+  drain_paced(data_src, data_dst, c);
 }
 
 bool ReliableTransport::on_inbound(rt::Process& proc, rt::Message& m) {
@@ -373,10 +402,26 @@ void ReliableTransport::send_standalone_ack(ProcId from, ProcId to,
   m.payload = util::PayloadPool::global().acquire(sizeof h);
   std::memcpy(m.payload.data(), &h, sizeof h);
   acks_sent_.fetch_add(1, std::memory_order_relaxed);
-  inner_->send(from, std::move(m));
+  // An ack has no sequence number; a per-source ordinal gives each its
+  // own fate.
+  emit(from, to, ReliableHeader::kAck,
+       src_[static_cast<std::size_t>(from)].ack_ordinal++, /*attempt=*/0,
+       std::move(m));
 }
 
 std::size_t ReliableTransport::poll(rt::Process& proc) {
+  const ProcId p = proc.id();
+  auto& held = src_[static_cast<std::size_t>(p)].held;
+  if (!held.empty()) {
+    const std::uint64_t now = util::now_ns();
+    while (!held.empty() && held.front().due_ns <= now) {
+      inner_->send(p, std::move(held.front().m));
+      held.pop_front();
+      // Only once the copy is inside the inner transport, so in_flight()
+      // never momentarily loses sight of it.
+      held_total_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+  }
   const std::size_t delivered = inner_->poll(proc);
   // Nothing unacked and no ack owed anywhere: the channel scan below
   // would find no work — two atomic loads instead of an O(procs) walk on
@@ -386,7 +431,6 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
       owed_acks_total_.load(std::memory_order_acquire) == 0) {
     return delivered;
   }
-  const ProcId p = proc.id();
   const std::uint64_t now = util::now_ns();
   // Once the machine is stopping, any ack still owed is redundant (its
   // data is already acked — in_flight() was zero when QD fired) and the
@@ -408,7 +452,8 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
         e.fast_rtxed = false;  // eligible again next SACK round
         ++n;
         rtx_bytes += e.bytes;
-        inner_->send(p, rt::Message(e.msg));  // shares the slab
+        emit(p, d, ReliableHeader::kData, e.seq, e.rtx_count,
+             rt::Message(e.msg));  // shares the slab
       }
       loss_event(out, /*timeout=*/true);
       out.probe_deadline_ns = now + rto_for(out);
@@ -424,7 +469,7 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
     // Belt and braces for pacing: acks normally drain the queue, but an
     // admission opened outside the ack path must not strand paced
     // entries.
-    drain_paced(p, out);
+    drain_paced(p, d, out);
     if (stopping) continue;
     // Standalone ack owed on the inbound channel (d -> p) once the
     // piggyback window has lapsed.
@@ -441,6 +486,8 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
 
 std::uint64_t ReliableTransport::next_due_ns(ProcId p) const {
   std::uint64_t due = inner_->next_due_ns(p);
+  const auto& held = src_[static_cast<std::size_t>(p)].held;
+  if (!held.empty()) due = min_due(due, held.front().due_ns);
   if (unacked_total_.load(std::memory_order_acquire) == 0 &&
       owed_acks_total_.load(std::memory_order_acquire) == 0) {
     return due;
@@ -459,22 +506,10 @@ std::uint64_t ReliableTransport::next_due_ns(ProcId p) const {
 
 std::uint64_t ReliableTransport::in_flight() const {
   // Unacked messages — transmitted (may need re-shipping) or paced (not
-  // yet shipped at all): the machine is not quiescent until every one is
-  // confirmed delivered.
+  // yet shipped at all) — and held copies: the machine is not quiescent
+  // until every one is confirmed delivered.
   return unacked_total_.load(std::memory_order_acquire) +
-         inner_->in_flight();
-}
-
-std::uint64_t ReliableTransport::total_messages() const {
-  return inner_->total_messages();
-}
-
-std::uint64_t ReliableTransport::total_bytes() const {
-  return inner_->total_bytes();
-}
-
-std::uint64_t ReliableTransport::total_forwarded() const {
-  return inner_->total_forwarded();
+         held_total_.load(std::memory_order_acquire) + inner_->in_flight();
 }
 
 std::uint64_t ReliableTransport::debug_srtt_ns(ProcId src,
@@ -495,34 +530,17 @@ void ReliableTransport::reset() {
   const std::size_t n = static_cast<std::size_t>(procs_) *
                         static_cast<std::size_t>(procs_);
   for (std::size_t i = 0; i < n; ++i) {
-    Channel& c = ch_[i];
-    c.next_seq = 0;
-    c.unacked.clear();
-    c.paced.clear();
-    c.probe_deadline_ns = 0;
-    c.cwnd = window_init_;
-    c.inflight_msgs = 0;
-    c.srtt_ns = 0;
-    c.rttvar_ns = 0;
-    c.rtt_valid = false;
-    c.backoff_shift = 0;
-    c.in_recovery = false;
-    c.recovery_end_seq = 0;
-    c.cum = 0;
-    c.ooo.clear();
-    c.owes_ack = false;
-    c.ack_deadline_ns = 0;
+    ch_[i] = Channel{};
+    ch_[i].cwnd = window_init_;
   }
-  unacked_total_.store(0, std::memory_order_relaxed);
-  owed_acks_total_.store(0, std::memory_order_relaxed);
-  retransmits_.store(0, std::memory_order_relaxed);
-  dup_drops_.store(0, std::memory_order_relaxed);
-  acks_sent_.store(0, std::memory_order_relaxed);
-  fast_retransmits_.store(0, std::memory_order_relaxed);
-  rto_fires_.store(0, std::memory_order_relaxed);
-  rtx_bytes_.store(0, std::memory_order_relaxed);
-  paced_msgs_.store(0, std::memory_order_relaxed);
-  max_inflight_msgs_.store(0, std::memory_order_relaxed);
+  for (int p = 0; p < procs_; ++p) src_[static_cast<std::size_t>(p)] = {};
+  for (std::atomic<std::uint64_t>* a :
+       {&unacked_total_, &owed_acks_total_, &held_total_, &drops_, &dups_,
+        &delays_, &retransmits_, &dup_drops_, &acks_sent_,
+        &fast_retransmits_, &rto_fires_, &rtx_bytes_, &paced_msgs_,
+        &max_inflight_msgs_}) {
+    a->store(0, std::memory_order_relaxed);
+  }
   inner_->reset();
 }
 

@@ -1,16 +1,27 @@
 #pragma once
 ///
 /// \file reliable_transport.hpp
-/// \brief Exactly-once delivery over a faulty transport, with SACK-based
-/// recovery, an adaptive retransmit timer, and AIMD send-window pacing.
+/// \brief Seeded fault injection and, over it, exactly-once delivery with
+/// SACK-based recovery, an adaptive retransmit timer, and AIMD
+/// send-window pacing.
+///
+/// Faults: every wire copy this layer hands to the transport below asks
+/// FaultSchedule::fate about its identity (src, dst, kind, seq, attempt)
+/// and is dropped, sent twice, or held for delay_ns. The attempt is the
+/// one the retransmit queue counts (SendEntry::rtx_count: 0 on the first
+/// transmit); a standalone ack takes a per-source ordinal as its seq. A
+/// held copy waits in its source's FIFO, which poll() drains before the
+/// inner poll. Every hold lasts the same delay_ns on a monotonic clock,
+/// so FIFO order is due order; held copies count in in_flight(), and the
+/// oldest one's due time in next_due_ns().
 ///
 /// The protocol, per directed (src, dst) process channel:
 ///
 ///  - send: stamp a ReliableHeader — a fresh per-channel sequence number
 ///    plus the reverse channel's cumulative ack and SACK bitmap
 ///    (piggybacking) — in front of the payload, keep the framed slab
-///    (refcounted, no copy) in the channel's retransmit queue, and hand
-///    the message to the faulty layer below. Messages past the congestion
+///    (refcounted, no copy) in the channel's retransmit queue, and emit
+///    the message through the fault schedule. Messages past the congestion
 ///    window are *paced*: queued sender-side (still counted by
 ///    in_flight(), so quiescence detection cannot fire under them) and
 ///    transmitted as acks open the window.
@@ -50,14 +61,16 @@
 ///    (ack, sack) and cancels the owed standalone ack.
 ///
 /// Quiescence integration: in_flight() adds the count of unacked data
-/// messages — transmitted *and* paced — to the inner transport's, so the
-/// machine can declare quiescence neither while a dropped packet still
-/// needs re-shipping nor while pacing holds data back.
+/// messages — transmitted *and* paced — and of held copies to the inner
+/// transport's, so the machine can declare quiescence neither while a
+/// dropped packet still needs re-shipping, nor while pacing holds data
+/// back, nor while a delayed copy waits to be sent.
 ///
 /// Threading: the single-owner rule of runtime/transport.hpp holds, so no
-/// channel field is locked. A retransmit or a paced entry goes to the
-/// layer below from the loop that picks it: the modeled transport never
-/// delivers synchronously, so that send cannot re-enter this layer.
+/// channel field and no held FIFO is locked. A retransmit or a paced
+/// entry goes to the layer below from the loop that picks it: the modeled
+/// transport never delivers synchronously, so that send cannot re-enter
+/// this layer.
 /// Deadlines are armed by the thread that acts on them, which re-reads
 /// next_due_ns() before it parks. Only the totals and counters below are
 /// atomic, for the QD thread, the trace sampler and reporters.
@@ -69,6 +82,7 @@
 #include <set>
 
 #include "fault/fault_config.hpp"
+#include "fault/fault_schedule.hpp"
 #include "fault/reliable_wire.hpp"
 #include "runtime/transport.hpp"
 
@@ -85,13 +99,22 @@ class ReliableTransport final : public rt::Transport,
   std::size_t poll(rt::Process& proc) override;
   std::uint64_t next_due_ns(ProcId p) const override;
   std::uint64_t in_flight() const override;
-  std::uint64_t total_messages() const override;
-  std::uint64_t total_bytes() const override;
-  std::uint64_t total_forwarded() const override;
   void reset() override;
 
   // -- rt::DeliveryInterceptor --
   bool on_inbound(rt::Process& proc, rt::Message& m) override;
+
+  /// Fault counters (tram_stats' FaultStats block): wire copies the
+  /// schedule dropped, sent twice, or held.
+  std::uint64_t drops_injected() const noexcept {
+    return drops_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t dups_injected() const noexcept {
+    return dups_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t delays_injected() const noexcept {
+    return delays_.load(std::memory_order_relaxed);
+  }
 
   /// Reliability counters (tram_stats' FaultStats block).
   std::uint64_t retransmits() const noexcept {
@@ -138,8 +161,10 @@ class ReliableTransport final : public rt::Transport,
   /// the cumulative ack passes it.
   struct SendEntry {
     std::uint32_t seq = 0;
-    std::uint32_t rtx_count = 0;   ///< Karn: entries with rtx>0 never
-                                   ///< contribute RTT samples.
+    std::uint32_t rtx_count = 0;   ///< retransmits so far: the attempt
+                                   ///< its latest wire copy drew a fate
+                                   ///< for. Karn: entries with rtx>0
+                                   ///< never contribute RTT samples.
     std::uint32_t bytes = 0;       ///< framed size, for rtx_bytes
     bool sacked = false;
     bool fast_rtxed = false;  ///< one fast retransmit per entry per
@@ -174,6 +199,20 @@ class ReliableTransport final : public rt::Transport,
     std::uint64_t ack_deadline_ns = 0;
   };
 
+  /// A wire copy the fault schedule delayed, waiting for its due time.
+  struct Held {
+    std::uint64_t due_ns = 0;
+    rt::Message m;
+  };
+
+  /// Per-source fault state, owned by that source's pump thread.
+  struct Source {
+    std::deque<Held> held;  ///< FIFO; every hold is delay_ns, so due
+                            ///< times ascend
+    std::uint32_t ack_ordinal = 0;  ///< the next standalone ack's seq
+                                    ///< for the fault schedule
+  };
+
   Channel& ch(ProcId s, ProcId d) const noexcept {
     return ch_[static_cast<std::size_t>(s) *
                    static_cast<std::size_t>(procs_) +
@@ -195,14 +234,18 @@ class ReliableTransport final : public rt::Transport,
   /// retransmit the holes, grow/shrink the window, then drain pacing.
   void apply_ack(ProcId data_src, ProcId data_dst, std::uint32_t ack,
                  std::uint64_t sack);
-  /// First transmit of an admitted entry on src_proc's channel c: count
-  /// it in flight, arm the probe, queue it for retransmission, and hand a
-  /// copy (sharing the framed slab) to the layer below.
-  void transmit(ProcId src_proc, Channel& c, SendEntry&& e);
+  /// First transmit of an admitted entry on channel c = (src -> dst):
+  /// count it in flight, arm the probe, queue it for retransmission, and
+  /// emit a copy (sharing the framed slab).
+  void transmit(ProcId src, ProcId dst, Channel& c, SendEntry&& e);
   /// Transmit paced entries while the window admits them.
-  void drain_paced(ProcId src_proc, Channel& c);
+  void drain_paced(ProcId src, ProcId dst, Channel& c);
   void send_standalone_ack(ProcId from, ProcId to, std::uint32_t ack,
                            std::uint64_t sack);
+  /// Hand one wire copy to the layer below as its fate says: drop it,
+  /// send it twice, and/or hold it in src's FIFO for delay_ns.
+  void emit(ProcId src, ProcId dst, std::uint8_t kind, std::uint32_t seq,
+            std::uint32_t attempt, rt::Message&& m);
 
   rt::Machine& machine_;
   std::unique_ptr<rt::Transport> inner_;
@@ -212,7 +255,9 @@ class ReliableTransport final : public rt::Transport,
   std::uint32_t window_init_ = 0;
   std::uint32_t window_max_ = 0;
   bool adaptive_ = true;
+  FaultSchedule sched_;
   std::unique_ptr<Channel[]> ch_;
+  std::unique_ptr<Source[]> src_;
   /// Unacked data messages, transmitted or paced — the reliability
   /// layer's contribution to in_flight().
   std::atomic<std::uint64_t> unacked_total_{0};
@@ -221,6 +266,11 @@ class ReliableTransport final : public rt::Transport,
   /// idle machine pays two atomic loads per pump iteration, not an
   /// O(procs) walk.
   std::atomic<std::uint64_t> owed_acks_total_{0};
+  /// Held copies over all sources, for in_flight().
+  std::atomic<std::uint64_t> held_total_{0};
+  std::atomic<std::uint64_t> drops_{0};
+  std::atomic<std::uint64_t> dups_{0};
+  std::atomic<std::uint64_t> delays_{0};
   std::atomic<std::uint64_t> retransmits_{0};
   std::atomic<std::uint64_t> dup_drops_{0};
   std::atomic<std::uint64_t> acks_sent_{0};

@@ -95,6 +95,9 @@ std::uint64_t Fabric::send(Packet&& p) {
   if (same_node) {
     src_ctr.local_messages_sent.fetch_add(1, std::memory_order_relaxed);
   }
+  if (p.hops > 0) {
+    src_ctr.forwarded_sent.fetch_add(1, std::memory_order_relaxed);
+  }
   total_pushed_.fetch_add(1, std::memory_order_relaxed);
 
   ingress_[p.dst_proc]->queue.push(std::move(p));
@@ -107,20 +110,13 @@ void Fabric::note_received(ProcId dst, const Packet&) {
   total_popped_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint64_t Fabric::total_messages_sent() const {
-  std::uint64_t total = 0;
+std::uint64_t Fabric::total(
+    std::atomic<std::uint64_t> FabricCounters::*field) const {
+  std::uint64_t sum = 0;
   for (const auto& c : counters_) {
-    total += c->value.messages_sent.load(std::memory_order_relaxed);
+    sum += (c->value.*field).load(std::memory_order_relaxed);
   }
-  return total;
-}
-
-std::uint64_t Fabric::total_bytes_sent() const {
-  std::uint64_t total = 0;
-  for (const auto& c : counters_) {
-    total += c->value.bytes_sent.load(std::memory_order_relaxed);
-  }
-  return total;
+  return sum;
 }
 
 std::uint64_t Fabric::in_flight() const {
@@ -146,6 +142,7 @@ void Fabric::reset() {
     c->value.bytes_sent.store(0, std::memory_order_relaxed);
     c->value.messages_received.store(0, std::memory_order_relaxed);
     c->value.local_messages_sent.store(0, std::memory_order_relaxed);
+    c->value.forwarded_sent.store(0, std::memory_order_relaxed);
   }
 }
 

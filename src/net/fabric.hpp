@@ -42,6 +42,10 @@ struct FabricCounters {
   std::atomic<std::uint64_t> bytes_sent{0};
   std::atomic<std::uint64_t> messages_received{0};
   std::atomic<std::uint64_t> local_messages_sent{0};  // same-node subset
+  /// Subset of messages_sent with Packet::hops > 0: traffic re-shipped by
+  /// a topological-routing intermediate rather than an originating
+  /// worker.
+  std::atomic<std::uint64_t> forwarded_sent{0};
 };
 
 class Fabric {
@@ -62,9 +66,16 @@ class Fabric {
   /// Counters for one process (src side of sent, dst side of received).
   FabricCounters& counters(ProcId p) { return counters_[p]->value; }
 
-  /// Sum of messages sent across all processes.
-  std::uint64_t total_messages_sent() const;
-  std::uint64_t total_bytes_sent() const;
+  /// Sums of the per-process sent counters across all processes.
+  std::uint64_t total_messages_sent() const {
+    return total(&FabricCounters::messages_sent);
+  }
+  std::uint64_t total_bytes_sent() const {
+    return total(&FabricCounters::bytes_sent);
+  }
+  std::uint64_t total_forwarded_sent() const {
+    return total(&FabricCounters::forwarded_sent);
+  }
   /// Per-link contention counters (all zero unless the cost model sets
   /// link_per_msg_ns/link_per_byte_ns): total time cross-node messages
   /// occupied destination ingress links, and the worst single queueing
@@ -87,6 +98,8 @@ class Fabric {
   struct IngressSlot {
     util::MpscQueue<Packet> queue;
   };
+
+  std::uint64_t total(std::atomic<std::uint64_t> FabricCounters::*field) const;
 
   util::Topology topo_;
   CostModel model_;

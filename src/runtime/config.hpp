@@ -21,10 +21,10 @@ struct RuntimeConfig {
   net::CostModel cost = net::CostModel::delta_like();
 
   /// Fault injection (src/fault/). All-zero (the default) leaves the
-  /// modeled-fabric transport undecorated — no decorators, no reliability
-  /// headers, no per-message cost. Any nonzero knob wraps it in the
-  /// FaultyTransport + ReliableTransport pair, which injects the faults
-  /// and restores exactly-once delivery on top of them.
+  /// modeled-fabric transport undecorated — no decorator, no reliability
+  /// headers, no per-message cost. Any nonzero knob wraps it in
+  /// ReliableTransport, which injects the faults and restores
+  /// exactly-once delivery on top of them.
   fault::FaultConfig fault;
 
   /// Comm-thread occupancy per message sent / received, nanoseconds. This

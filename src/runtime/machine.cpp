@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "core/tram_stats.hpp"
-#include "fault/faulty_transport.hpp"
 #include "fault/reliable_transport.hpp"
 #include "runtime/comm_thread.hpp"
 #include "runtime/transport.hpp"
@@ -30,14 +29,10 @@ Machine::Machine(util::Topology topo, RuntimeConfig cfg)
   std::unique_ptr<Transport> base =
       std::make_unique<ModeledFabricTransport>(*this, fabric_);
   if (cfg_.fault.enabled()) {
-    // Faults and the recovery protocol install together: a lossy fabric
+    // One layer injects the faults and recovers from them: a lossy fabric
     // without reliability would hang quiescence on the first drop.
-    cfg_.fault.validate();
-    auto faulty = std::make_unique<fault::FaultyTransport>(
-        *this, std::move(base), cfg_.fault);
-    faulty_ = faulty.get();
     auto reliable = std::make_unique<fault::ReliableTransport>(
-        *this, std::move(faulty), cfg_.fault);
+        *this, std::move(base), cfg_.fault);
     reliable_ = reliable.get();
     interceptor_ = reliable_;
     transport_ = std::move(reliable);
@@ -69,12 +64,10 @@ EndpointId Machine::register_endpoint(Handler h) {
 
 core::FaultStats Machine::fault_stats() const {
   core::FaultStats s;
-  if (faulty_ != nullptr) {
-    s.faults_injected_drop = faulty_->drops_injected();
-    s.faults_injected_dup = faulty_->dups_injected();
-    s.faults_injected_delay = faulty_->delays_injected();
-  }
   if (reliable_ != nullptr) {
+    s.faults_injected_drop = reliable_->drops_injected();
+    s.faults_injected_dup = reliable_->dups_injected();
+    s.faults_injected_delay = reliable_->delays_injected();
     s.retransmits = reliable_->retransmits();
     s.dup_drops = reliable_->dup_drops();
     s.acks_sent = reliable_->acks_sent();
@@ -252,9 +245,9 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
 
   RunResult res;
   res.wall_s = static_cast<double>(t_end - t0) * 1e-9;
-  res.fabric_messages = transport_->total_messages();
-  res.fabric_bytes = transport_->total_bytes();
-  res.forwarded_messages = transport_->total_forwarded();
+  res.fabric_messages = fabric_.total_messages_sent();
+  res.fabric_bytes = fabric_.total_bytes_sent();
+  res.forwarded_messages = fabric_.total_forwarded_sent();
   res.runtime_messages = total_sent();
   running_ = false;
   return res;

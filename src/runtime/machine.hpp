@@ -41,7 +41,6 @@ namespace tram::core {
 struct FaultStats;
 }
 namespace tram::fault {
-class FaultyTransport;
 class ReliableTransport;
 }
 
@@ -60,17 +59,17 @@ class Machine {
 
   const util::Topology& topology() const noexcept { return topo_; }
   const RuntimeConfig& config() const noexcept { return cfg_; }
-  /// The simulated interconnect the base transport drives.
+  /// The simulated interconnect the base transport drives. It counts the
+  /// traffic RunResult reports.
   net::Fabric& fabric() noexcept { return fabric_; }
   /// The transport carrying all cross-process traffic (see transport.hpp).
-  /// With cfg.fault enabled this is the reliability decorator chain;
-  /// otherwise exactly the base transport.
+  /// With cfg.fault enabled this is ReliableTransport over the base
+  /// transport; otherwise exactly the base transport.
   Transport& transport() noexcept { return *transport_; }
   EndpointRegistry& endpoints() noexcept { return endpoints_; }
 
-  /// The fault-injection / reliability layers, or nullptr when
+  /// The fault-injection and reliability layer, or nullptr when
   /// cfg.fault is all-zero (the undecorated fast path).
-  fault::FaultyTransport* fault_layer() const noexcept { return faulty_; }
   fault::ReliableTransport* reliability() const noexcept {
     return reliable_;
   }
@@ -92,7 +91,9 @@ class Machine {
   struct RunResult {
     /// Start barrier to first observed quiescence, seconds.
     double wall_s = 0.0;
-    /// Fabric-level (aggregated) messages and bytes.
+    /// Fabric-level (aggregated) messages and bytes: every copy that
+    /// reached the fabric, so a dropped packet is absent and a duplicated
+    /// one counts twice.
     std::uint64_t fabric_messages = 0;
     std::uint64_t fabric_bytes = 0;
     /// Subset of fabric_messages re-shipped by topological-routing
@@ -158,9 +159,8 @@ class Machine {
   RuntimeConfig cfg_;
   net::Fabric fabric_;
   std::unique_ptr<Transport> transport_;
-  /// Non-owning views into the decorator chain held by transport_
-  /// (nullptr when fault injection is off).
-  fault::FaultyTransport* faulty_ = nullptr;
+  /// Non-owning views of the decorator held by transport_ (nullptr when
+  /// fault injection is off).
   fault::ReliableTransport* reliable_ = nullptr;
   DeliveryInterceptor* interceptor_ = nullptr;
   EndpointRegistry endpoints_;

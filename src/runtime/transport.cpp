@@ -48,8 +48,6 @@ void ModeledFabricTransport::send(ProcId src_proc, Message&& m) {
   util::spin_for_ns(
       static_cast<std::uint64_t>(cfg.comm_per_msg_send_ns + byte_cost));
 
-  if (m.hops > 0) forwarded_.fetch_add(1, std::memory_order_relaxed);
-
   net::Packet p;
   p.src_proc = src_proc;
   p.dst_proc = message_dst_proc(machine_, m);
@@ -138,21 +136,6 @@ std::uint64_t ModeledFabricTransport::in_flight() const {
   return fabric_.in_flight();
 }
 
-std::uint64_t ModeledFabricTransport::total_messages() const {
-  return fabric_.total_messages_sent();
-}
-
-std::uint64_t ModeledFabricTransport::total_bytes() const {
-  return fabric_.total_bytes_sent();
-}
-
-std::uint64_t ModeledFabricTransport::total_forwarded() const {
-  return forwarded_.load(std::memory_order_relaxed);
-}
-
-void ModeledFabricTransport::reset() {
-  forwarded_.store(0, std::memory_order_relaxed);
-  fabric_.reset();
-}
+void ModeledFabricTransport::reset() { fabric_.reset(); }
 
 }  // namespace tram::rt

@@ -12,6 +12,10 @@
 /// that is due. CostModel::zero() (RuntimeConfig::testing()) makes every
 /// arrival due at once. The fault layer (src/fault/) decorates it.
 ///
+/// The seam is five calls: send, poll, next_due_ns, in_flight and reset.
+/// Traffic counters are not among them: they live on the net::Fabric the
+/// Machine owns, which counts every packet that reaches it.
+///
 /// poll() also tells each worker when its next packet lands. A
 /// process-addressed packet gets its worker (Process::pick_delivery_worker)
 /// as it is drained into the heap, not at delivery, so every held packet
@@ -29,11 +33,10 @@
 /// the same way, the sender-side fields belonging to the source's thread
 /// and the receiver-side fields to the destination's. send() never
 /// delivers synchronously, so no layer is re-entered from below. Only
-/// in_flight(), the counters and the workers' arrival hints are read from
-/// other threads (the QD thread, the trace sampler, reporters, the
-/// workers), and those are atomics.
+/// in_flight(), the fault layer's counters and the workers' arrival hints
+/// are read from other threads (the QD thread, the trace sampler,
+/// reporters, the workers), and those are atomics.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -75,14 +78,6 @@ class Transport {
   /// detection: the machine cannot be quiescent while this is nonzero).
   virtual std::uint64_t in_flight() const = 0;
 
-  /// Aggregate traffic counters (RunResult reporting).
-  virtual std::uint64_t total_messages() const = 0;
-  virtual std::uint64_t total_bytes() const = 0;
-  /// Subset of total_messages() sent with Message::hops > 0: traffic
-  /// re-shipped by a topological-routing intermediate rather than an
-  /// originating worker.
-  virtual std::uint64_t total_forwarded() const = 0;
-
   /// Reset counters and clocks between runs (machine quiesced).
   virtual void reset() = 0;
 };
@@ -120,9 +115,6 @@ class ModeledFabricTransport final : public Transport {
   std::size_t poll(Process& proc) override;
   std::uint64_t next_due_ns(ProcId p) const override;
   std::uint64_t in_flight() const override;
-  std::uint64_t total_messages() const override;
-  std::uint64_t total_bytes() const override;
-  std::uint64_t total_forwarded() const override;
   void reset() override;
 
  private:
@@ -145,7 +137,6 @@ class ModeledFabricTransport final : public Transport {
   Machine& machine_;
   net::Fabric& fabric_;
   std::vector<std::unique_ptr<ProcState>> states_;
-  std::atomic<std::uint64_t> forwarded_{0};
 };
 
 }  // namespace tram::rt

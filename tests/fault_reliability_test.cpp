@@ -51,11 +51,6 @@ std::vector<FaultMode> fault_modes() {
 const std::vector<core::Scheme> kSchemes = {
     core::Scheme::WsP, core::Scheme::Mesh2D, core::Scheme::Mesh3D};
 
-struct TransportCase {
-  const char* name;
-};
-const std::vector<TransportCase> kTransports = {{"ModeledFabric"}};
-
 /// Non-SMP deterministic-cost config with the given faults.
 rt::RuntimeConfig faulty_runtime(const fault::FaultConfig& f) {
   rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
@@ -109,24 +104,20 @@ TEST(FaultReliability, HistogramExactlyOnceAndBitForBit) {
     }
   }
 
-  for (const auto& transport : kTransports) {
-    for (const auto scheme : kSchemes) {
-      for (const auto& mode : fault_modes()) {
-        const std::string what = std::string("histogram ") +
-                                 transport.name + " " +
-                                 core::to_string(scheme) + " " + mode.name;
-        rt::Machine machine(topo, faulty_runtime(mode.cfg));
-        apps::HistogramApp app(machine, histogram_params(scheme));
-        const auto res = app.run();
-        EXPECT_TRUE(res.verified) << what;
-        EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered)
-            << what;
-        for (WorkerId w = 0; w < topo.workers(); ++w) {
-          EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
-              << what << " worker " << w;
-        }
-        expect_faults_observed(machine.fault_stats(), mode.cfg, what);
+  for (const auto scheme : kSchemes) {
+    for (const auto& mode : fault_modes()) {
+      const std::string what = std::string("histogram ") +
+                               core::to_string(scheme) + " " + mode.name;
+      rt::Machine machine(topo, faulty_runtime(mode.cfg));
+      apps::HistogramApp app(machine, histogram_params(scheme));
+      const auto res = app.run();
+      EXPECT_TRUE(res.verified) << what;
+      EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+      for (WorkerId w = 0; w < topo.workers(); ++w) {
+        EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
+            << what << " worker " << w;
       }
+      expect_faults_observed(machine.fault_stats(), mode.cfg, what);
     }
   }
 }
@@ -169,22 +160,18 @@ TEST(FaultReliability, SsspDistanceHashBitForBit) {
     ref_hash = distance_hash(app, g);
   }
 
-  for (const auto& transport : kTransports) {
-    for (const auto scheme : kSchemes) {
-      for (const auto& mode : fault_modes()) {
-        const std::string what = std::string("sssp ") + transport.name +
-                                 " " + core::to_string(scheme) + " " +
-                                 mode.name;
-        params.tram.scheme = scheme;
-        rt::Machine machine(topo, faulty_runtime(mode.cfg));
-        apps::SsspApp app(machine, params);
-        const auto res = app.run();
-        EXPECT_TRUE(res.verified) << what;  // matches Dijkstra
-        EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered)
-            << what;
-        EXPECT_EQ(distance_hash(app, g), ref_hash) << what;
-        expect_faults_observed(machine.fault_stats(), mode.cfg, what);
-      }
+  for (const auto scheme : kSchemes) {
+    for (const auto& mode : fault_modes()) {
+      const std::string what =
+          std::string("sssp ") + core::to_string(scheme) + " " + mode.name;
+      params.tram.scheme = scheme;
+      rt::Machine machine(topo, faulty_runtime(mode.cfg));
+      apps::SsspApp app(machine, params);
+      const auto res = app.run();
+      EXPECT_TRUE(res.verified) << what;  // matches Dijkstra
+      EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+      EXPECT_EQ(distance_hash(app, g), ref_hash) << what;
+      expect_faults_observed(machine.fault_stats(), mode.cfg, what);
     }
   }
 }
@@ -216,20 +203,16 @@ TEST(FaultReliability, PholdEventCountBitForBit) {
     ASSERT_GT(ref_events, 0u);
   }
 
-  for (const auto& transport : kTransports) {
-    for (const auto scheme : kSchemes) {
-      for (const auto& mode : fault_modes()) {
-        const std::string what = std::string("phold ") + transport.name +
-                                 " " + core::to_string(scheme) + " " +
-                                 mode.name;
-        rt::Machine machine(topo, faulty_runtime(mode.cfg));
-        apps::PholdApp app(machine, phold_params(scheme));
-        const auto res = app.run();
-        EXPECT_EQ(res.events_processed, ref_events) << what;
-        EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered)
-            << what;
-        expect_faults_observed(machine.fault_stats(), mode.cfg, what);
-      }
+  for (const auto scheme : kSchemes) {
+    for (const auto& mode : fault_modes()) {
+      const std::string what =
+          std::string("phold ") + core::to_string(scheme) + " " + mode.name;
+      rt::Machine machine(topo, faulty_runtime(mode.cfg));
+      apps::PholdApp app(machine, phold_params(scheme));
+      const auto res = app.run();
+      EXPECT_EQ(res.events_processed, ref_events) << what;
+      EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+      expect_faults_observed(machine.fault_stats(), mode.cfg, what);
     }
   }
 }
@@ -256,29 +239,25 @@ TEST(FaultReliability, SmpSortedScatterSurvivesFaults) {
     }
   }
 
-  for (const auto& transport : kTransports) {
-    fault::FaultConfig f;
-    f.drop_rate = 0.04;
-    f.dup_rate = 0.04;
-    f.delay_ns = 30'000;
-    f.delay_rate = 0.5;
-    f.seed = 21;
-    rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
-    cfg.fault = f;  // SMP: dedicated comm threads drive the protocol
-    const std::string what =
-        std::string("smp histogram Mesh2D ") + transport.name;
-    rt::Machine machine(topo, cfg);
-    apps::HistogramApp app(machine,
-                           histogram_params(core::Scheme::Mesh2D));
-    const auto res = app.run();
-    EXPECT_TRUE(res.verified) << what;
-    EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
-    for (WorkerId w = 0; w < topo.workers(); ++w) {
-      EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
-          << what << " worker " << w;
-    }
-    expect_faults_observed(machine.fault_stats(), f, what);
+  fault::FaultConfig f;
+  f.drop_rate = 0.04;
+  f.dup_rate = 0.04;
+  f.delay_ns = 30'000;
+  f.delay_rate = 0.5;
+  f.seed = 21;
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
+  cfg.fault = f;  // SMP: dedicated comm threads drive the protocol
+  const std::string what = "smp histogram Mesh2D";
+  rt::Machine machine(topo, cfg);
+  apps::HistogramApp app(machine, histogram_params(core::Scheme::Mesh2D));
+  const auto res = app.run();
+  EXPECT_TRUE(res.verified) << what;
+  EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+  for (WorkerId w = 0; w < topo.workers(); ++w) {
+    EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
+        << what << " worker " << w;
   }
+  expect_faults_observed(machine.fault_stats(), f, what);
 }
 
 // ---- same seed, same results ----

@@ -13,29 +13,36 @@
 ///    count in in_flight(), so QD cannot fire under them);
 ///  - the AIMD window step by step, with no machine run and no clock
 ///    assertion: a ReliableTransport over a recording stub, fed crafted
-///    ack headers through on_inbound.
+///    ack headers through on_inbound;
+///  - over the same stub, the fault schedule deciding every wire copy:
+///    which copies reach the layer below for a first transmit and for a
+///    retransmit, and delayed copies held in order until their due time.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/histogram.hpp"
 #include "core/scheme.hpp"
 #include "core/tram_stats.hpp"
 #include "fault/fault_config.hpp"
+#include "fault/fault_schedule.hpp"
 #include "fault/reliable_transport.hpp"
 #include "fault/reliable_wire.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/transport.hpp"
 #include "util/payload_pool.hpp"
+#include "util/timebase.hpp"
 
 namespace {
 
@@ -218,9 +225,6 @@ class RecordingTransport final : public rt::Transport {
   std::size_t poll(rt::Process&) override { return 0; }
   std::uint64_t next_due_ns(ProcId) const override { return 0; }
   std::uint64_t in_flight() const override { return 0; }
-  std::uint64_t total_messages() const override { return sent_.size(); }
-  std::uint64_t total_bytes() const override { return 0; }
-  std::uint64_t total_forwarded() const override { return 0; }
   void reset() override { sent_.clear(); }
 
  private:
@@ -333,6 +337,111 @@ TEST(FaultWindow, TimeoutRestartsAtWindowInit) {
   // A second timeout in the same episode does not go lower.
   while (rig.rel.rto_fires() == 1) rig.rel.poll(rig.machine.process(0));
   EXPECT_DOUBLE_EQ(rig.cwnd(), 4.0);
+}
+
+// ---- the fault schedule decides every wire copy ----
+
+/// The data sequence numbers of the copies that reached the layer below,
+/// in the order they arrived.
+std::vector<std::uint32_t> wire_seqs(const std::vector<rt::Message>& sent) {
+  std::vector<std::uint32_t> seqs;
+  for (const rt::Message& m : sent) {
+    const auto h = fault::parse_reliable_header(m.payload.span());
+    EXPECT_EQ(h.kind, fault::ReliableHeader::kData);
+    seqs.push_back(h.seq);
+  }
+  return seqs;
+}
+
+/// The copies of seqs [0, n) on channel 0 -> 1 that the schedule lets
+/// through at `attempt`, in order, adding its drops and dups to the tallies.
+std::vector<std::uint32_t> scheduled_seqs(const fault::FaultSchedule& sched,
+                                          std::uint32_t n,
+                                          std::uint32_t attempt,
+                                          std::uint64_t& drops,
+                                          std::uint64_t& dups) {
+  std::vector<std::uint32_t> seqs;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const fault::Fate fate =
+        sched.fate(0, 1, fault::ReliableHeader::kData, s, attempt);
+    drops += fate.drop ? 1 : 0;
+    dups += fate.dup ? 1 : 0;
+    const int copies = (fate.drop ? 0 : 1) + (fate.dup ? 1 : 0);
+    for (int c = 0; c < copies; ++c) seqs.push_back(s);
+  }
+  return seqs;
+}
+
+/// A first transmit draws the fate of attempt 0, and a retransmit the
+/// fate of the entry's retransmit count: the copies that reach the layer
+/// below are exactly those FaultSchedule::fate lets through, and the
+/// injection counters tally its drops and dups.
+TEST(FaultFates, WireCopiesFollowTheSchedule) {
+  constexpr std::uint32_t kSeqs = 32;
+  fault::FaultConfig f;
+  f.drop_rate = 0.2;
+  f.dup_rate = 0.2;
+  f.seed = 5;
+  f.rto_ns = 1;         // pinned: any poll after a send is past the deadline
+  f.window_init = kSeqs;  // the whole batch transmits at once
+  const fault::FaultSchedule sched(f);
+  bool any_drop = false;
+  bool any_dup = false;
+  for (std::uint32_t s = 0; s < kSeqs; ++s) {
+    const fault::Fate fate =
+        sched.fate(0, 1, fault::ReliableHeader::kData, s, 0);
+    any_drop = any_drop || fate.drop;
+    any_dup = any_dup || fate.dup;
+  }
+  ASSERT_TRUE(any_drop && any_dup) << "seed must drop and dup a first send";
+
+  WindowRig rig(f);
+  std::uint64_t drops = 0;
+  std::uint64_t dups = 0;
+  rig.send(static_cast<int>(kSeqs));
+  EXPECT_EQ(wire_seqs(rig.sent), scheduled_seqs(sched, kSeqs, 0, drops, dups));
+  EXPECT_EQ(rig.rel.drops_injected(), drops);
+  EXPECT_EQ(rig.rel.dups_injected(), dups);
+
+  // One timer round re-ships every unacked entry as attempt 1.
+  rig.sent.clear();
+  while (rig.rel.rto_fires() == 0) rig.rel.poll(rig.machine.process(0));
+  EXPECT_EQ(rig.rel.retransmits(), kSeqs);
+  EXPECT_EQ(wire_seqs(rig.sent), scheduled_seqs(sched, kSeqs, 1, drops, dups));
+  EXPECT_EQ(rig.rel.drops_injected(), drops);
+  EXPECT_EQ(rig.rel.dups_injected(), dups);
+  EXPECT_EQ(rig.rel.delays_injected(), 0u);
+}
+
+/// Every copy held for 1 ms: nothing reaches the layer below, the held
+/// copies count in flight and name the next deadline, and a poll past it
+/// releases them in send order.
+TEST(FaultFates, HeldCopiesWaitAndLeaveInOrder) {
+  constexpr std::uint32_t kMsgs = 4;  // within window_init: all transmit
+  fault::FaultConfig f;
+  f.delay_ns = 1'000'000;
+  f.delay_rate = 1.0;
+  f.rto_ns = 1'000'000'000;  // pinned far out: no timer fires meanwhile
+  WindowRig rig(f);
+  const std::uint64_t t0 = util::now_ns();
+  rig.send(static_cast<int>(kMsgs));
+  const std::uint64_t t1 = util::now_ns();
+  EXPECT_TRUE(rig.sent.empty());
+  EXPECT_EQ(rig.rel.delays_injected(), kMsgs);
+  // Each message counts once unacked and once as a held copy.
+  EXPECT_EQ(rig.rel.in_flight(), 2u * kMsgs);
+  const std::uint64_t due = rig.rel.next_due_ns(0);
+  EXPECT_GE(due, t0 + f.delay_ns);
+  EXPECT_LE(due, t1 + f.delay_ns);
+
+  while (util::now_ns() < t1 + f.delay_ns) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  rig.rel.poll(rig.machine.process(0));
+  std::vector<std::uint32_t> in_order(kMsgs);
+  for (std::uint32_t s = 0; s < kMsgs; ++s) in_order[s] = s;
+  EXPECT_EQ(wire_seqs(rig.sent), in_order);
+  EXPECT_EQ(rig.rel.in_flight(), std::uint64_t{kMsgs});  // unacked only
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 /// points:
 ///   max_inflight_msgs      — ReliableTransport::reset() (Machine::run)
 ///   peak_outstanding_bytes — PayloadPool::reset_stats()
-///   max_link_queue_ns      — Fabric::reset() (FabricTransport::reset,
-///                            also invoked at Machine::run start)
+///   max_link_queue_ns      — Fabric::reset() (ModeledFabricTransport::
+///                            reset, also invoked at Machine::run start)
 /// Each case drives a heavy scenario, re-arms, drives a light one, and
 /// asserts the counter reports the light scenario — a stale high-water
 /// would still show the heavy peak.
