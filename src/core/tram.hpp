@@ -103,13 +103,6 @@
 
 namespace tram::core {
 
-/// Sequence for SharedStore keys of PP state. Must be shared across ALL
-/// TramDomain<T> instantiations: a function-local static inside the
-/// template would give every item type its own counter, making two domains
-/// of different item types collide on the same key — and SharedStore would
-/// then hand one domain the other's buffers under the wrong type.
-inline std::atomic<std::uint64_t> tram_pp_domain_seq{0};
-
 template <typename Item>
   requires std::is_trivially_copyable_v<Item>
 class TramDomain {
@@ -142,19 +135,13 @@ class TramDomain {
           "buffers (multi-hop routing requires idle flushing)");
     }
     register_endpoints();
-    // Per-process shared PP state (allocated through the process's shared
-    // store: PP's cross-worker buffers are process-local shared memory).
+    // Per-process shared PP state: PP's cross-worker buffers are
+    // process-local shared memory.
     if (cfg_.scheme == Scheme::PP) {
-      const std::string key =
-          "tram_pp_domain_" +
-          std::to_string(tram_pp_domain_seq.fetch_add(1));
       pp_states_.resize(static_cast<std::size_t>(topo_.procs()));
-      for (ProcId p = 0; p < topo_.procs(); ++p) {
-        pp_states_[p] = machine.process(p).shared().template get_or_create<PpState>(
-            key, [&] {
-              return new PpState(static_cast<std::uint32_t>(topo_.procs()),
-                                 cfg_.buffer_items);
-            });
+      for (auto& pp : pp_states_) {
+        pp = std::make_unique<PpState>(
+            static_cast<std::uint32_t>(topo_.procs()), cfg_.buffer_items);
       }
     }
     handles_.reserve(static_cast<std::size_t>(topo_.workers()));
@@ -298,7 +285,7 @@ class TramDomain {
   Router router_;
   EndpointId ep_routed_ = -1;
   EndpointId ep_pp_ = -1;
-  std::vector<std::shared_ptr<PpState>> pp_states_;
+  std::vector<std::unique_ptr<PpState>> pp_states_;
   std::vector<std::unique_ptr<Handle>> handles_;
 
  public:

@@ -1,7 +1,5 @@
 #include "runtime/comm_thread.hpp"
 
-#include <algorithm>
-
 #include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/process.hpp"
@@ -52,28 +50,16 @@ void CommThread::run() {
     }
     const std::uint64_t due = transport_.next_due_ns(proc_.id());
     if (machine_.stopping() && due == 0) return;
-    const std::uint32_t round = idle_round++;
-    if (due != 0) {
-      // Packets queued for a future arrival: wait just until the earliest.
-      // Park for long gaps (burning a shared core would distort every
-      // other thread's timing more than a few us of wakeup latency
-      // distorts this packet's), waking kWakeLeadNs early for that
-      // latency. The park needs no cap: a worker's egress push, a new
-      // arrival or an earlier deadline unparks it.
-      const std::uint64_t now = util::now_ns();
-      if (due > now) {
-        const std::uint64_t park_ns =
-            park_budget_ns(now, due, util::Parker::kForever);
-        if (park_ns > 0) {
-          idle_wait(IdleAction::kPark, parker, park_ns);
-        } else {
-          util::spin_for_ns(std::min(due - now, kDueSpinNs));
-        }
-      }
-      continue;
+    // Walk the idle ladder; only its park step reads the due time. No
+    // park needs a shorter cap: a worker's egress push, a new arrival or
+    // an earlier deadline unparks this thread.
+    const CommIdleStep step = comm_idle_step(
+        idle_round++, spin, due == 0 ? 0 : util::now_ns(), due);
+    if (step.action == IdleAction::kSpin && step.ns > 0) {
+      util::spin_for_ns(step.ns);
+    } else {
+      idle_wait(step.action, parker, step.ns);
     }
-    idle_wait(idle_step(round, /*may_park=*/true, spin).action, parker,
-              util::Parker::kForever);
   }
 }
 

@@ -16,17 +16,20 @@
 ///      charges the send cost and models the network);
 ///   2. Transport::poll delivers every due inbound message to the
 ///      destination worker's inbox (charging the receive cost);
-///   3. when nothing was ready: park on Process::comm_parker() until
-///      kWakeLeadNs before the transport's next due time (a modeled
-///      arrival, a retransmit probe, a delayed ack), or spin toward it in
-///      chunks of at most kDueSpinNs once it is within kParkMinGapNs
-///      (rt::park_budget_ns, the rule the workers park toward their
-///      arrival hints by); with nothing due, walk the idle ladder shared
-///      with the workers (runtime/idle.hpp), whose park has no timeout.
+///   3. when nothing was ready: walk the idle ladder shared with the
+///      workers (runtime/idle.hpp, rt::comm_idle_step). With something
+///      due (a modeled arrival, a retransmit probe, a delayed ack) it
+///      skips the spin rounds and yields 16 rounds; with nothing due it
+///      spins and yields as the workers do. Only the park step reads the
+///      transport's next due time: park on Process::comm_parker() until
+///      kWakeLeadNs before it, or spin toward it in chunks of at most
+///      kDueSpinNs once it is within kParkMinGapNs (rt::park_budget_ns,
+///      the rule the workers park toward their arrival hints by); with
+///      nothing due, park with no timeout.
 ///      A worker's egress push and an arrival from another process
 ///      (Machine::wake_comm) unpark it. Deadlines the transport arms while
 ///      this thread sends or polls need no wake: it re-reads next_due_ns()
-///      before every park. The thread sleeps with a 1 ns timer slack.
+///      before every idle step. The thread sleeps with a 1 ns timer slack.
 
 #include <cstdint>
 

@@ -20,21 +20,28 @@
 /// Parking ends when whoever gives the thread work unparks it (see
 /// Worker::enqueue, Machine::wake_comm). A worker parks for at most
 /// kIdleNapNs, because its idle hooks have deadlines the runtime cannot
-/// see; the comm thread parks until its transport's next due time, or
-/// with no timeout when nothing is due. Runtime threads run with a 1 ns
-/// timer slack (util::tighten_timer_slack), so a timed park lasts about
-/// as long as asked.
+/// see. Runtime threads run with a 1 ns timer slack
+/// (util::tighten_timer_slack), so a timed park lasts about as long as
+/// asked.
 ///
 /// A thread that knows when its next work lands parks toward it:
 /// park_budget_ns() ends the park kWakeLeadNs before that due time, and
-/// a due time at most kParkMinGapNs away is not worth a park at all. The
-/// comm thread's due time is its transport's next_due_ns(); inside the
-/// gap it spins in chunks of at most kDueSpinNs and polls again. A
-/// worker's is the arrival hint its process's pump publishes
+/// a due time at most kParkMinGapNs away is not worth a park at all. A
+/// worker's due time is the arrival hint its process's pump publishes
 /// (Worker::next_arrival_ns, set by ModeledFabricTransport::poll); inside
 /// the gap the worker takes its ladder's non-park action instead (spin
 /// when Machine::idle_spin(), else yield), so it is awake when the packet
 /// lands and the delivery needs no futex wake.
+///
+/// The comm thread's due time is its transport's next_due_ns(), and
+/// comm_idle_step() reads it only at the park step. With something due
+/// the comm thread skips the spin phase (its own deadline wakes it, and a
+/// spinner holds the CPU its workers need) but still yields 16 rounds, so
+/// a worker's egress push soon after the pump came up empty finds it
+/// awake, and where runtime threads outnumber the CPUs a worker runs in
+/// the time a spin toward the due time would hold the CPU. Then it parks
+/// toward the due time, spins toward it in chunks of at most kDueSpinNs
+/// inside the gap, or parks with no timeout when nothing is due.
 ///
 /// A worker runs every idle hook it holds on every 8th spin round and on
 /// every yield and park round, so a due request or a buffered item waits
@@ -43,14 +50,12 @@
 /// advance, and open-loop request generators. A non-SMP worker is also
 /// its process's comm pump, so it yields where an SMP thread would park.
 ///
-/// idle_step() and park_budget_ns() are pure functions, testable without
-/// a clock; idle_wait() carries a step out.
+/// idle_step(), park_budget_ns() and comm_idle_step() are pure functions,
+/// testable without a clock; idle_wait() carries a step out.
 
 #include <cstdint>
 
-namespace tram::util {
-class Parker;
-}
+#include "util/parker.hpp"
 
 namespace tram::rt {
 
@@ -110,6 +115,38 @@ constexpr std::uint64_t park_budget_ns(std::uint64_t now, std::uint64_t due,
   if (due <= now + kParkMinGapNs) return 0;
   const std::uint64_t lead_ns = due - now - kWakeLeadNs;
   return lead_ns < cap_ns ? lead_ns : cap_ns;
+}
+
+/// An idle comm thread's step: a park's timeout (util::Parker::kForever:
+/// until unparked), or how long a spin lasts (0: one cpu_relax() before
+/// the next poll).
+struct CommIdleStep {
+  IdleAction action;
+  std::uint64_t ns;
+};
+
+/// The comm thread's step for idle round `round` when its transport's
+/// next due time is `due` (util::now_ns() clock, read as `now`; 0 =
+/// nothing due). spin is Machine::idle_spin(). The ladder comes first:
+/// with nothing due it is idle_step()'s, and with something due it skips
+/// the spin rounds. Only the park step reads `due`:
+///  - nothing due: park until unparked;
+///  - `due` passed: poll again at once;
+///  - `due` more than kParkMinGapNs away: park until kWakeLeadNs before
+///    it (park_budget_ns);
+///  - otherwise spin toward it for at most kDueSpinNs.
+constexpr CommIdleStep comm_idle_step(std::uint32_t round, bool spin,
+                                      std::uint64_t now,
+                                      std::uint64_t due) noexcept {
+  const IdleAction action =
+      idle_step(round, /*may_park=*/true, spin && due == 0).action;
+  if (action != IdleAction::kPark) return {action, 0};
+  if (due == 0) return {IdleAction::kPark, util::Parker::kForever};
+  if (due <= now) return {IdleAction::kSpin, 0};
+  const std::uint64_t park_ns =
+      park_budget_ns(now, due, util::Parker::kForever);
+  if (park_ns > 0) return {IdleAction::kPark, park_ns};
+  return {IdleAction::kSpin, due - now < kDueSpinNs ? due - now : kDueSpinNs};
 }
 
 /// Carry out one idle action. A park waits on `parker` for at most

@@ -102,7 +102,6 @@ void Machine::clear_worker_hooks() {
   for (auto& proc : procs_) {
     for (auto& w : proc->workers_) w->clear_hooks();
   }
-  for (auto& proc : procs_) proc->shared().clear();
 }
 
 void Machine::quiescence_wait(std::uint64_t& t_end_ns) {

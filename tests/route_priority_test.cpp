@@ -98,7 +98,7 @@ TEST_P(RoutedPriorityOrdering, PriorityInsertedAfterBulkDeliversFirst) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MeshesAndTransports, RoutedPriorityOrdering,
+    Meshes, RoutedPriorityOrdering,
     ::testing::Values(
         // 3x3 mesh: 0 -> 8 differs in both dimensions (2 hops).
         OrderParam{core::Scheme::Mesh2D, 9, 8, 2},

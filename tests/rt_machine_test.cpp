@@ -397,6 +397,62 @@ TEST(IdleLadder, ParkBudgetForEveryCase) {
   static_assert(rt::park_budget_ns(kNow, kNow + 25'000, kNap) == 15'000);
 }
 
+/// The comm thread's idle step, case by case, under both values of spin
+/// unless a row names one. With something due it skips the spin rounds
+/// and yields until round 16; then it parks until 10 us before the due
+/// time, spins toward it for at most 2 us inside the min gap, or polls
+/// again at once when it has passed. With nothing due it walks the
+/// workers' ladder and parks with no timeout.
+TEST(IdleLadder, CommThreadStepForEveryCase) {
+  using rt::IdleAction;
+  constexpr std::uint64_t kNow = 10'000'000'000;
+  constexpr std::uint64_t kSecond = 1'000'000'000;
+  enum class Spin { kBoth, kOn, kOff };
+  struct Case {
+    const char* what;
+    Spin spin;
+    std::uint32_t round;
+    std::uint64_t due;
+    IdleAction action;
+    std::uint64_t ns;
+  };
+  const std::vector<Case> cases = {
+      {"due in 1 s, round 0", Spin::kBoth, 0, kNow + kSecond,
+       IdleAction::kYield, 0},
+      {"due in 1 s, round 15", Spin::kBoth, 15, kNow + kSecond,
+       IdleAction::kYield, 0},
+      {"nothing due, round 0", Spin::kOn, 0, 0, IdleAction::kSpin, 0},
+      {"nothing due, round 0", Spin::kOff, 0, 0, IdleAction::kYield, 0},
+      {"nothing due, round 16", Spin::kOn, 16, 0, IdleAction::kSpin, 0},
+      {"nothing due, round 16", Spin::kOff, 16, 0, IdleAction::kPark,
+       util::Parker::kForever},
+      {"due in 1 s, round 16", Spin::kBoth, 16, kNow + kSecond,
+       IdleAction::kPark, kSecond - rt::kWakeLeadNs},
+      {"due in 15 us + 1 ns, round 16", Spin::kBoth, 16, kNow + 15'001,
+       IdleAction::kPark, 5'001},
+      {"due in 10 us, round 16", Spin::kBoth, 16, kNow + 10'000,
+       IdleAction::kSpin, rt::kDueSpinNs},
+      {"due in 1 us, round 16", Spin::kBoth, 16, kNow + 1'000,
+       IdleAction::kSpin, 1'000},
+      {"due now, round 16", Spin::kBoth, 16, kNow, IdleAction::kSpin, 0},
+      {"due passed a second ago, round 16", Spin::kBoth, 16, kNow - kSecond,
+       IdleAction::kSpin, 0},
+      {"nothing due, round 272", Spin::kBoth, 272, 0, IdleAction::kPark,
+       util::Parker::kForever},
+  };
+  for (const Case& c : cases) {
+    for (const bool spin : {true, false}) {
+      if (c.spin != Spin::kBoth && (c.spin == Spin::kOn) != spin) continue;
+      const rt::CommIdleStep step =
+          rt::comm_idle_step(c.round, spin, kNow, c.due);
+      EXPECT_EQ(step.action, c.action) << c.what << ", spin " << spin;
+      EXPECT_EQ(step.ns, c.ns) << c.what << ", spin " << spin;
+    }
+  }
+  static_assert(rt::comm_idle_step(16, true, kNow, kNow + kSecond).action ==
+                IdleAction::kPark);
+}
+
 /// An SMP Machine spins its idle threads exactly when every runtime
 /// thread (workers plus one comm thread per process) has a CPU of the
 /// affinity mask: one topology sized from the mask on each side. Non-SMP
@@ -414,74 +470,115 @@ TEST(IdleLadder, SpinsOnlyWhenRuntimeThreadsFitTheCpus) {
   EXPECT_FALSE(Machine(Topology(1, 1, cpus), testing_cfg()).idle_spin());
 }
 
-/// Oversubscribed SMP ping-pong over the modeled fabric: idle threads
-/// yield instead of spinning, and a comm thread with nothing due parks
-/// with no timeout. Each worker sends its ball from an idle hook only
-/// after 32 idle rounds (16 yields, then parks), by which time both comm
-/// threads have parked too, so only unparks move traffic: a lost wake-up
-/// (an egress push or a fabric arrival that leaves its comm thread
-/// asleep) hangs the run. Every ping and pong must arrive exactly once.
-TEST(IdleLadder, OversubscribedPingPongDeliversEveryMessageOnce) {
+/// Oversubscribed SMP ping-pong over the modeled fabric, `balls` balls
+/// per pair: worker w < cpus pings worker w + cpus in the other process,
+/// and each ball makes kRounds round trips. A worker sends a ball from an
+/// idle hook only after 32 idle rounds of holding it (16 yields, then
+/// parks), by which time its comm thread has walked its own yields and
+/// parked: only unparks and the comm threads' timed parks move traffic.
+/// The pinger holds every ball at the start, and ball b leaves after
+/// (b + 1) * 32 idle rounds, one hold behind the ball before it. Every
+/// ping and pong must arrive exactly once.
+void ping_pong_delivers_every_message_once(const RuntimeConfig& cfg,
+                                           int balls) {
   const int cpus = util::available_cpus();
   const Topology topo(2, 1, cpus);  // 2 * cpus workers + 2 comm threads
-  Machine m(topo, testing_cfg());
+  Machine m(topo, cfg);
   ASSERT_FALSE(m.idle_spin());
   constexpr int kRounds = 64;
   constexpr int kIdleRoundsBeforeSend = 32;
   const int pairs = cpus;  // worker w < pairs pings worker w + pairs
-  const auto workers = static_cast<std::size_t>(topo.workers());
-  // Per (pinging worker, round): pings seen by the partner, pongs seen by
-  // the pinging worker.
-  std::vector<std::atomic<int>> pings(static_cast<std::size_t>(pairs) *
-                                      kRounds);
-  std::vector<std::atomic<int>> pongs(pings.size());
-  // Per worker: the round of the ball it holds (-1: none), and its idle
-  // hook rounds since it got the ball (its own thread only).
-  std::vector<std::atomic<int>> holding(workers);
-  std::vector<int> idle_rounds(workers, 0);
-  for (auto& h : holding) h.store(-1);
-  auto slot = [](int pinger, int round) {
-    return static_cast<std::size_t>(pinger) * kRounds +
-           static_cast<std::size_t>(round);
+  const auto nballs = static_cast<std::size_t>(balls);
+  auto slot = [&](WorkerId w, int ball) {
+    return static_cast<std::size_t>(w) * nballs +
+           static_cast<std::size_t>(ball);
   };
+  auto flight = [&](WorkerId pinger, int ball, int round) {
+    return slot(pinger, ball) * kRounds + static_cast<std::size_t>(round);
+  };
+  // Per flight: pings seen by the partner, pongs seen by the pinging
+  // worker.
+  std::vector<std::atomic<int>> pings(static_cast<std::size_t>(pairs) *
+                                      nballs * kRounds);
+  std::vector<std::atomic<int>> pongs(pings.size());
+  // Per (worker, ball): the round it holds (-1: none), and its idle hook
+  // rounds since it got the ball (the worker's own thread only).
+  const auto slots = static_cast<std::size_t>(topo.workers()) * nballs;
+  std::vector<std::atomic<int>> holding(slots);
+  std::vector<int> idle_rounds(slots, 0);
+  for (auto& h : holding) h.store(-1);
   const EndpointId ep = m.register_endpoint([&](Worker& w, Message&& msg) {
-    const int round = rt::decode_payload<int>(msg)[0];
-    const auto self = static_cast<std::size_t>(w.id());
+    const int tag = rt::decode_payload<int>(msg)[0];
+    const int ball = tag / kRounds;
+    const int round = tag % kRounds;
+    const std::size_t self = slot(w.id(), ball);
     if (w.id() >= pairs) {
-      pings[slot(w.id() - pairs, round)]++;
+      pings[flight(w.id() - pairs, ball, round)]++;
       holding[self].store(round);  // return it as the pong
     } else {
-      pongs[slot(w.id(), round)]++;
+      pongs[flight(w.id(), ball, round)]++;
       if (round + 1 < kRounds) holding[self].store(round + 1);
     }
     idle_rounds[self] = 0;
   });
   for (WorkerId id = 0; id < topo.workers(); ++id) {
-    const auto self = static_cast<std::size_t>(id);
-    m.worker(id).add_idle_hook([&, self](Worker& w) {
-      const int round = holding[self].load();
-      if (round < 0 || ++idle_rounds[self] < kIdleRoundsBeforeSend) return;
-      Message msg;
-      msg.endpoint = ep;
-      msg.dst_worker = w.id() < pairs ? w.id() + pairs : w.id() - pairs;
-      msg.src_worker = w.id();
-      msg.payload = rt::encode_payload<int>(round);
-      w.send(std::move(msg));
-      holding[self].store(-1);  // the reply lands on this thread, later
+    m.worker(id).add_idle_hook([&, id](Worker& w) {
+      for (int ball = 0; ball < balls; ++ball) {
+        const std::size_t self = slot(id, ball);
+        const int round = holding[self].load();
+        if (round < 0 || ++idle_rounds[self] < kIdleRoundsBeforeSend) {
+          continue;
+        }
+        Message msg;
+        msg.endpoint = ep;
+        msg.dst_worker = w.id() < pairs ? w.id() + pairs : w.id() - pairs;
+        msg.src_worker = w.id();
+        msg.payload = rt::encode_payload<int>(ball * kRounds + round);
+        w.send(std::move(msg));
+        holding[self].store(-1);  // the reply lands on this thread, later
+      }
     });
-    m.worker(id).add_pending_counter(
-        [&, self] { return holding[self].load() < 0 ? 0u : 1u; });
+    m.worker(id).add_pending_counter([&, id] {
+      std::uint64_t held = 0;
+      for (int ball = 0; ball < balls; ++ball) {
+        held += holding[slot(id, ball)].load() < 0 ? 0u : 1u;
+      }
+      return held;
+    });
   }
   const auto res = m.run([&](Worker& w) {
-    if (w.id() < pairs) holding[static_cast<std::size_t>(w.id())].store(0);
+    if (w.id() >= pairs) return;
+    for (int ball = 0; ball < balls; ++ball) {
+      idle_rounds[slot(w.id(), ball)] = -kIdleRoundsBeforeSend * ball;
+      holding[slot(w.id(), ball)].store(0);
+    }
   });
   for (std::size_t i = 0; i < pings.size(); ++i) {
-    ASSERT_EQ(pings[i].load(), 1) << "ping slot " << i;
-    ASSERT_EQ(pongs[i].load(), 1) << "pong slot " << i;
+    ASSERT_EQ(pings[i].load(), 1) << "ping flight " << i;
+    ASSERT_EQ(pongs[i].load(), 1) << "pong flight " << i;
   }
   EXPECT_EQ(res.runtime_messages, 2u * pings.size());
   EXPECT_EQ(res.fabric_messages, 2u * pings.size());
   m.clear_worker_hooks();
+}
+
+/// With a zero-cost fabric nothing is ever due, so each comm thread parks
+/// with no timeout: a lost wake-up (an egress push or a fabric arrival
+/// that leaves its comm thread asleep) hangs the run.
+TEST(IdleLadder, OversubscribedPingPongDeliversEveryMessageOnce) {
+  ping_pong_delivers_every_message_once(testing_cfg(), 1);
+}
+
+/// With a 100 us remote alpha and two balls per pair, other balls are
+/// often in flight toward a worker's process while it holds one, so its
+/// comm thread holds a due arrival and has parked toward it when the push
+/// comes: the push must end a timed park. On a 4-vCPU VM about 40% of the
+/// pushes found their comm thread parked toward a due time, 30% parked
+/// with nothing due and 30% awake (an instrumented build, 3 runs).
+TEST(IdleLadder, OversubscribedPingPongWithDueArrivalsDeliversEveryMessageOnce) {
+  RuntimeConfig cfg = testing_cfg();
+  cfg.cost.alpha_remote_ns = 100'000.0;
+  ping_pong_delivers_every_message_once(cfg, 2);
 }
 
 /// Worker threads sleep with a 1 ns timer slack, so a nap lasts about as
