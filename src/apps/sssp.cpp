@@ -118,7 +118,8 @@ void SsspApp::on_idle(rt::Worker& w) {
     //
     // Decrement only after the entry is fully processed: any messages or
     // re-deferrals it produces are already visible to quiescence
-    // detection, so there is no instant at which this work is invisible.
+    // detection, so there is no instant at which this work is invisible
+    // (the contract at rt::Worker::add_pending_counter).
     st.deferred_count.fetch_sub(1, std::memory_order_release);
   }
 }

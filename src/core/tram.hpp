@@ -64,11 +64,12 @@
 /// Every wire record carries its final destination worker
 /// (WireEntry::dest), so intermediates never rewrite entries. Quiescence
 /// holds across hops because a re-bucketed entry raises this worker's
-/// pending counter before the inbound message counts as handled, and
-/// flush-on-idle drains intermediate buffers exactly like source buffers
-/// (so the multi-hop meshes reject flush_on_idle = false). Under a lossy
-/// fabric the reliability layer dedups retransmitted hop batches before
-/// on_routed sees them, and the worker stats count each ship once.
+/// pending counter before the inbound message counts as handled (the
+/// contract at rt::Worker::add_pending_counter), and flush-on-idle drains
+/// intermediate buffers exactly like source buffers (so the multi-hop
+/// meshes reject flush_on_idle = false). Under a lossy fabric the
+/// reliability layer dedups retransmitted hop batches before on_routed
+/// sees them, and the worker stats count each ship once.
 ///
 /// Urgent items (insert_priority, cfg.priority_buffer_items > 0) ride the
 /// priority lane: the same slot layout sized to the small priority buffer,

@@ -105,20 +105,24 @@ void Machine::clear_worker_hooks() {
 }
 
 void Machine::quiescence_wait(std::uint64_t& t_end_ns) {
-  // Counting QD: mains done, every sent message handled, no buffered work.
-  // The (handled, sent) read order makes a single positive sample sound at
-  // the instant handled was read; the stability window guards the pending
-  // counters, which are application-maintained and may lag a flush by a few
-  // instructions.
+  // Counting QD: every worker quiet, every sent message handled, no
+  // buffered work. The (handled, sent) read order, handled with acquire,
+  // makes a single positive sample sound at the instant handled was read;
+  // the stability window guards the pending counters, which are
+  // application-maintained and may lag a flush by a few instructions.
+  // While a worker has work there is nothing to sample: park until the
+  // last worker to go quiet unparks (note_quiet). Every wake is followed
+  // by a sample and a 20 us sleep, so this thread wakes no more often
+  // than a plain poll would.
   const int total_workers = topo_.workers();
   std::uint64_t first_ok_ns = 0;
   std::uint64_t first_ok_sent = 0;
   for (;;) {
+    const bool quiet =
+        quiet_workers_.load(std::memory_order_acquire) == total_workers;
     const std::uint64_t h = total_handled();
     const std::uint64_t s = total_sent();
-    const bool ok = mains_done_.load(std::memory_order_acquire) ==
-                        total_workers &&
-                    h == s && total_pending() == 0 &&
+    const bool ok = quiet && h == s && total_pending() == 0 &&
                     transport_->in_flight() == 0;
     const std::uint64_t now = util::now_ns();
     trace::instant(trace::Cat::kRuntime, trace::kQdRound, s - h,
@@ -135,6 +139,7 @@ void Machine::quiescence_wait(std::uint64_t& t_end_ns) {
       first_ok_ns = 0;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(20));
+    if (!quiet) qd_parker_.park_for(util::Parker::kForever);
   }
 }
 
@@ -146,7 +151,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   stop_.store(false, std::memory_order_release);
   sent_.store(0, std::memory_order_relaxed);
   handled_.store(0, std::memory_order_relaxed);
-  mains_done_.store(0, std::memory_order_relaxed);
+  quiet_workers_.store(0, std::memory_order_relaxed);
   // A previous run must have drained completely: leftover messages would be
   // dispatched into the new run's state (and their payloads may alias
   // recycled pool slabs). Fail loudly rather than corrupt.
@@ -220,7 +225,6 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
         trace::set_thread_name("worker " + std::to_string(w->id()));
         start_barrier_->arrive_and_wait();
         main_fn(*w);
-        mains_done_.fetch_add(1, std::memory_order_acq_rel);
         w->scheduler_loop();
         w->owner_thread_.store(0, std::memory_order_relaxed);
       });

@@ -14,14 +14,16 @@
 ///   // result.wall_s covers start-barrier to global quiescence.
 ///
 /// Termination is counting-based quiescence detection (Charm++ QD
-/// analogue): all application mains returned, every runtime message sent
-/// has been handled, and every registered pending counter (aggregation
-/// buffers, deferred work) reads zero — stable across a settle window.
-/// Multi-hop routed traffic (core/tram.hpp) is covered by the same counting:
-/// entries re-aggregated at an intermediate raise that worker's pending
-/// counter before the inbound message counts as handled, so the machine
-/// can never look quiescent while forwarded entries sit in a
-/// next-dimension buffer or a re-shipped message is in flight.
+/// analogue): every worker is quiet (its main returned, a round of its
+/// idle hooks left its pending counters at zero, and it has dispatched
+/// nothing since), every runtime message sent has been handled, every
+/// registered pending counter (aggregation buffers, deferred work) reads
+/// zero and the transport holds nothing — stable across a settle window. The thread that called run() samples
+/// these counters only while every worker is quiet: otherwise it parks
+/// with no timeout, and the worker whose change of state makes every
+/// worker quiet unparks it (note_quiet). Pending counters follow one
+/// contract (Worker::add_pending_counter), which also covers multi-hop
+/// routed traffic (core/tram.hpp).
 
 #include <atomic>
 #include <barrier>
@@ -35,6 +37,7 @@
 #include "runtime/endpoint.hpp"
 #include "runtime/process.hpp"
 #include "runtime/worker.hpp"
+#include "util/parker.hpp"
 #include "util/topology.hpp"
 
 namespace tram::core {
@@ -117,8 +120,22 @@ class Machine {
   void note_sent() noexcept {
     sent_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// Release: pairs with total_handled()'s acquire, so a sample that
+  /// reads handled before sent sees every send a counted handler made.
   void note_handled() noexcept {
-    handled_.fetch_add(1, std::memory_order_relaxed);
+    handled_.fetch_add(1, std::memory_order_release);
+  }
+  /// A worker's scheduler loop reports each change of its quiet state:
+  /// quiet once a round of its idle hooks leaves its pending counters at
+  /// zero, busy again when progress() dispatches a message. The change
+  /// that makes every worker quiet unparks the quiescence detector.
+  void note_quiet(bool quiet) noexcept {
+    if (!quiet) {
+      quiet_workers_.fetch_sub(1, std::memory_order_relaxed);
+    } else if (quiet_workers_.fetch_add(1, std::memory_order_release) + 1 ==
+               topo_.workers()) {
+      qd_parker_.unpark();
+    }
   }
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
@@ -145,7 +162,7 @@ class Machine {
     return sent_.load(std::memory_order_relaxed);
   }
   std::uint64_t total_handled() const noexcept {
-    return handled_.load(std::memory_order_relaxed);
+    return handled_.load(std::memory_order_acquire);
   }
 
   /// Remove all idle hooks and pending counters from every worker (between
@@ -169,7 +186,10 @@ class Machine {
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> handled_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<int> mains_done_{0};
+  /// Workers whose scheduler loop counts them quiet (note_quiet).
+  std::atomic<int> quiet_workers_{0};
+  /// Where the thread that called run() sleeps while a worker has work.
+  util::Parker qd_parker_;
   bool running_ = false;
   bool idle_spin_ = true;
 

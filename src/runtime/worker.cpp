@@ -139,17 +139,29 @@ void Worker::scheduler_loop() {
   const bool smp = machine_.config().dedicated_comm;
   const bool spin = machine_.idle_spin();
   std::uint32_t idle_round = 0;
+  // Whether this worker counts toward Machine::note_quiet's quiet count.
+  bool quiet = false;
   while (!machine_.stopping()) {
     if (!smp) pump_comm_inline();
     const std::size_t n = progress();
     if (n > 0) {
       idle_round = 0;
+      if (quiet) {
+        quiet = false;
+        machine_.note_quiet(false);
+      }
       continue;
     }
     // Idle: let the application flush / advance deferred work, then back
     // off along the idle ladder so oversubscribed runs do not thrash.
     const IdleStep step = idle_step(idle_round++, /*may_park=*/smp, spin);
-    if (step.run_hooks) run_idle_hooks();
+    if (step.run_hooks) {
+      run_idle_hooks();
+      if (quiet != (pending() == 0)) {
+        quiet = !quiet;
+        machine_.note_quiet(quiet);
+      }
+    }
     IdleAction action = step.action;
     std::uint64_t nap = kIdleNapNs;
     if (action == IdleAction::kPark) {

@@ -88,7 +88,14 @@ class Worker {
 
   /// Register a counter of application-level pending work (buffered items,
   /// deferred updates). The machine is quiescent only when all pending
-  /// counters are zero.
+  /// counters are zero, so every counter keeps one contract:
+  ///  - raise it before work leaves the counters' view: before the inbound
+  ///    message that brought the work counts as handled, and before a
+  ///    buffer hands the work on;
+  ///  - lower it only after the sends that the work caused are counted
+  ///    (send() counts a message before it leaves);
+  ///  - the owning worker reads its counters after each round of its idle
+  ///    hooks to decide whether it is quiet (Machine::note_quiet).
   void add_pending_counter(std::function<std::uint64_t()> counter) {
     pending_counters_.push_back(std::move(counter));
   }

@@ -11,8 +11,10 @@
 
 #include "runtime/idle.hpp"
 #include "runtime/machine.hpp"
+#include "trace/trace.hpp"
 #include "util/parker.hpp"
 #include "util/spinlock.hpp"
+#include "util/timebase.hpp"
 #include "util/topology.hpp"
 
 namespace {
@@ -257,6 +259,82 @@ TEST(Machine, PendingCounterDefersQuiescence) {
   EXPECT_EQ(pending.load(), 0u);
   EXPECT_EQ(released.load(), 1);
   m.clear_worker_hooks();
+}
+
+#if TRAM_TRACE
+/// While a worker holds pending work, the thread that called run() parks
+/// instead of sampling the QD counters: worker 0 holds a pending counter
+/// at 1 until its idle hook sees 20 ms pass, and the caller's ring records
+/// a few `qd round` instants per run. A 20 us poll records hundreds.
+TEST(Machine, QuiescenceSleepsWhileWorkIsPending) {
+  constexpr std::uint64_t kHoldNs = 20'000'000;
+  trace::set_enabled(false);
+  trace::clear();
+  trace::set_enabled(true);
+  trace::set_thread_name("run caller");
+  for (const bool smp : {true, false}) {
+    RuntimeConfig cfg = testing_cfg();
+    cfg.dedicated_comm = smp;
+    Machine m(Topology(2, 1, 1), cfg);
+    std::atomic<std::uint64_t> held{1};
+    std::uint64_t main_end_ns = 0;  // worker 0's thread only
+    m.worker(0).add_pending_counter([&held] { return held.load(); });
+    m.worker(0).add_idle_hook([&](Worker&) {
+      if (util::now_ns() - main_end_ns >= kHoldNs) held.store(0);
+    });
+    m.run([&](Worker& w) {
+      if (w.id() == 0) main_end_ns = util::now_ns();
+    });
+    EXPECT_EQ(held.load(), 0u) << "smp " << smp;
+    m.clear_worker_hooks();
+  }
+  trace::set_enabled(false);
+  std::size_t qd_rounds = 0;
+  for (const auto& ring : trace::snapshot_rings()) {
+    if (ring.name != "run caller") continue;
+    for (const trace::Event& e : ring.events) {
+      qd_rounds += e.id == trace::kQdRound ? 1 : 0;
+    }
+  }
+  trace::clear();
+  EXPECT_GE(qd_rounds, 4u);  // two clean samples end each run
+  EXPECT_LE(qd_rounds, 20u);
+}
+#endif
+
+/// Every worker goes quiet at nearly the same instant, run after run:
+/// each main sends one message to every other worker and returns, so the
+/// increments of the quiet count race for the one that wakes the
+/// quiescence detector. Every run must end, with every message counted.
+/// Non-SMP workers never park and pump their own transport between idle
+/// rounds, so both modes run.
+TEST(Machine, QuiescenceEndsWhenWorkersGoQuietTogether) {
+  for (const bool smp : {true, false}) {
+    RuntimeConfig cfg = testing_cfg();
+    cfg.dedicated_comm = smp;
+    Machine m(smp ? Topology(2, 1, 2) : Topology(2, 1, 1), cfg);
+    const int workers = m.topology().workers();
+    const auto expected = static_cast<std::uint64_t>(workers * (workers - 1));
+    std::atomic<std::uint64_t> got{0};
+    const EndpointId ep =
+        m.register_endpoint([&got](Worker&, Message&&) { got++; });
+    for (int run = 0; run < 200; ++run) {
+      got.store(0);
+      const auto res = m.run([&](Worker& w) {
+        for (WorkerId dst = 0; dst < workers; ++dst) {
+          if (dst == w.id()) continue;
+          Message msg;
+          msg.endpoint = ep;
+          msg.dst_worker = dst;
+          msg.src_worker = w.id();
+          w.send(std::move(msg));
+        }
+      });
+      ASSERT_EQ(res.runtime_messages, expected)
+          << "smp " << smp << " run " << run;
+      ASSERT_EQ(got.load(), expected) << "smp " << smp << " run " << run;
+    }
+  }
 }
 
 TEST(Machine, ClearWorkerHooksRemovesThem) {
