@@ -11,7 +11,7 @@
 /// must still verify (exactly-once table totals), and the fault counters
 /// land in the JSON. Without fault flags the bench additionally checks
 /// that the default all-zero FaultConfig engaged none of the fault
-/// machinery (FaultConfig.AllZeroLeavesTransportUndecorated checks the
+/// machinery (FaultConfig.AllZeroInstallsNoReliabilityStage checks the
 /// same structurally).
 ///
 /// Runs non-SMP (one worker per process) so the process count is the only
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
                   "fewer, fatter buffers: routed messages carry more "
                   "items than direct at the largest scale");
     // Zero-cost guarantee for FaultConfig{} (all zero): the default
-    // config installs no decorators and counts nothing.
+    // config installs no reliability stage and counts nothing.
     const auto& f = cells[last][0].point.faults;
     shapes.expect(f.faults_injected_drop == 0 && f.retransmits == 0 &&
                       f.dup_drops == 0 && f.acks_sent == 0,

@@ -94,12 +94,12 @@ struct WorkerTramStats {
 };
 
 /// Fault-injection and reliability counters (src/fault/), filled
-/// machine-wide by rt::Machine::fault_stats() from ReliableTransport,
+/// machine-wide by rt::Machine::fault_stats() from fault::Reliability,
 /// except the two link counters, which come from the net::Fabric. The
 /// rest are zero when fault injection is off — the zero-fault path never
 /// touches this machinery.
 struct FaultStats {
-  /// Wire copies the fault schedule swallowed / sent twice / held back.
+  /// Wire copies the fault schedule swallowed / sent twice / delayed.
   std::uint64_t faults_injected_drop = 0;
   std::uint64_t faults_injected_dup = 0;
   std::uint64_t faults_injected_delay = 0;

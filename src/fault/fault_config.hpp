@@ -1,15 +1,16 @@
 #pragma once
 ///
 /// \file fault_config.hpp
-/// \brief Fault-injection knobs for the transport chain (src/fault/).
+/// \brief Fault-injection knobs for the transport's reliability stage
+/// (src/fault/).
 ///
-/// An all-zero config (the default) means the Machine builds the exact
-/// transport it built before this subsystem existed — no decorator, no
-/// headers, no per-message cost. Any nonzero fault knob makes the Machine
-/// wrap the base transport in ReliableTransport, which injects the faults
-/// into its own wire copies and restores exactly-once on top of them:
-/// one layer does both, because a lossy fabric without the recovery
-/// protocol would simply hang quiescence on the first dropped packet.
+/// An all-zero config (the default) means the transport installs no
+/// stage — no headers, no per-message cost beyond one null check. Any
+/// nonzero fault knob makes it install fault::Reliability, which injects
+/// the faults into its own wire copies and restores exactly-once on top
+/// of them: one stage does both, because a lossy fabric without the
+/// recovery protocol would simply hang quiescence on the first dropped
+/// packet.
 
 #include <cstdint>
 #include <stdexcept>
@@ -21,8 +22,9 @@ struct FaultConfig {
   double drop_rate = 0.0;
   /// Probability that a packet is injected twice.
   double dup_rate = 0.0;
-  /// Extra holding time applied to delayed packets, nanoseconds. Faults
-  /// are injected only when this (or a rate above) is nonzero.
+  /// Extra latency added to a delayed packet's modeled arrival,
+  /// nanoseconds. Faults are injected only when this (or a rate above) is
+  /// nonzero.
   std::uint64_t delay_ns = 0;
   /// Fraction of packets that pay delay_ns (1.0 = every packet). Values
   /// below 1 reorder packets against their undelayed peers, which is what
@@ -35,7 +37,7 @@ struct FaultConfig {
 
   /// Retransmit timeout. 0 derives it from the machine's cost model:
   /// a few modeled round trips plus the injected delay (see
-  /// ReliableTransport), floored so zero-cost test models still converge.
+  /// fault::Reliability), floored so zero-cost test models still converge.
   /// When 0 the timer adapts to the measured per-channel RTT (Jacobson
   /// srtt/rttvar, exponential backoff on repeat loss); a nonzero value
   /// pins it, so experiments that fix rto_ns replay with an exactly known
@@ -54,8 +56,8 @@ struct FaultConfig {
   std::uint32_t window_init = 8;
   std::uint32_t window_max = 64;
 
-  /// Whether any fault is configured (and thus whether the Machine
-  /// installs ReliableTransport).
+  /// Whether any fault is configured (and thus whether the transport
+  /// installs fault::Reliability).
   bool enabled() const noexcept {
     return drop_rate > 0.0 || dup_rate > 0.0 || delay_ns > 0;
   }
@@ -73,8 +75,8 @@ struct FaultConfig {
     if (delay_rate < 0.0 || delay_rate > 1.0) {
       throw std::invalid_argument("FaultConfig: delay_rate must be in [0, 1]");
     }
-    // A held packet blocks quiescence for its full delay; anything past a
-    // minute is a wrapped negative or a typo, not an experiment.
+    // A delayed packet blocks quiescence for its full delay; anything past
+    // a minute is a wrapped negative or a typo, not an experiment.
     if (delay_ns > 60'000'000'000ULL) {
       throw std::invalid_argument(
           "FaultConfig: delay_ns must be at most 60s");

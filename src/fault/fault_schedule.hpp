@@ -7,7 +7,7 @@
 /// attempt): no stream state is consumed, so the schedule does not depend
 /// on thread interleaving or on how many acks/retransmits happened to be
 /// sent in between — the same seed replays the same fates for the same
-/// packet identities, every run. ReliableTransport asks it about each
+/// packet identities, every run. fault::Reliability asks it about each
 /// wire copy as it emits one, keyed on the identity it already holds: the
 /// channel, the sequence number, and the attempt its retransmit queue
 /// counts (SendEntry::rtx_count), not a header re-parsed off the wire.

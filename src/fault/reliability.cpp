@@ -1,4 +1,4 @@
-#include "fault/reliable_transport.hpp"
+#include "fault/reliability.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "runtime/machine.hpp"
-#include "runtime/process.hpp"
+#include "runtime/transport.hpp"
 #include "trace/trace.hpp"
 #include "util/payload_pool.hpp"
 #include "util/timebase.hpp"
@@ -57,17 +57,15 @@ void fetch_max(std::atomic<std::uint64_t>& a, std::uint64_t v) noexcept {
 }
 }  // namespace
 
-ReliableTransport::ReliableTransport(rt::Machine& machine,
-                                     std::unique_ptr<rt::Transport> inner,
-                                     FaultConfig cfg)
-    : machine_(machine),
-      inner_(std::move(inner)),
-      procs_(machine.topology().procs()),
+Reliability::Reliability(rt::Transport& transport, FaultConfig cfg)
+    : transport_(transport),
+      machine_(transport.machine_),
+      procs_(machine_.topology().procs()),
       sched_(cfg) {
   cfg.validate();
   // Virtual-time timeout: a few modeled one-way latencies plus whatever
   // extra delay the fault schedule injects, floored for zero-cost models.
-  const auto& cost = machine.config().cost;
+  const auto& cost = machine_.config().cost;
   const auto modeled = static_cast<std::uint64_t>(
       cost.alpha_remote_ns + cost.inject_ns);
   const std::uint64_t derived_rto =
@@ -86,10 +84,11 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
   const std::size_t n = static_cast<std::size_t>(procs_) *
                         static_cast<std::size_t>(procs_);
   for (std::size_t i = 0; i < n; ++i) ch_[i].cwnd = window_init_;
-  src_ = std::make_unique<Source[]>(static_cast<std::size_t>(procs_));
+  ack_ordinal_ =
+      std::make_unique<std::uint32_t[]>(static_cast<std::size_t>(procs_));
 }
 
-std::uint64_t ReliableTransport::rto_for(const Channel& c) const noexcept {
+std::uint64_t Reliability::rto_for(const Channel& c) const noexcept {
   if (!adaptive_) return rto_ns_;
   std::uint64_t base = c.rtt_valid ? c.srtt_ns + 4 * c.rttvar_ns : rto_ns_;
   base = std::clamp(base, kMinRtoNs, kMaxRtoNs);
@@ -100,12 +99,11 @@ std::uint64_t ReliableTransport::rto_for(const Channel& c) const noexcept {
   return backed;
 }
 
-bool ReliableTransport::window_admits(const Channel& c) const noexcept {
+bool Reliability::window_admits(const Channel& c) const noexcept {
   return c.inflight_msgs < static_cast<std::uint32_t>(c.cwnd);
 }
 
-void ReliableTransport::rtt_sample(Channel& c,
-                                   std::uint64_t sample_ns) noexcept {
+void Reliability::rtt_sample(Channel& c, std::uint64_t sample_ns) noexcept {
   if (!c.rtt_valid) {
     c.srtt_ns = sample_ns;
     c.rttvar_ns = sample_ns / 2;
@@ -122,7 +120,7 @@ void ReliableTransport::rtt_sample(Channel& c,
       (abs_err - static_cast<std::int64_t>(c.rttvar_ns)) / 4);
 }
 
-void ReliableTransport::loss_event(Channel& c, bool timeout) const noexcept {
+void Reliability::loss_event(Channel& c, bool timeout) const noexcept {
   if (!c.in_recovery) {
     // One multiplicative decrease per recovery episode: every seq
     // transmitted so far belongs to this episode, losses among them share
@@ -143,7 +141,7 @@ void ReliableTransport::loss_event(Channel& c, bool timeout) const noexcept {
   }
 }
 
-void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
+void Reliability::send(ProcId src_proc, rt::Message&& m) {
   const ProcId dst = rt::message_dst_proc(machine_, m);
   Channel& fwd = ch(src_proc, dst);
   Channel& rev = ch(dst, src_proc);
@@ -170,13 +168,8 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   SendEntry e;
   e.seq = h.seq;
   e.bytes = static_cast<std::uint32_t>(framed.size());
-  e.msg.endpoint = m.endpoint;
-  e.msg.dst_worker = m.dst_worker;
-  e.msg.src_worker = m.src_worker;
-  e.msg.dst_proc_hint = m.dst_proc_hint;
-  e.msg.expedited = m.expedited;
-  e.msg.hops = m.hops;
-  e.msg.payload = std::move(framed);
+  m.payload = std::move(framed);
+  e.msg = std::move(m);
   unacked_total_.fetch_add(1, std::memory_order_acq_rel);
   // Transmit now only if nothing is already paced (seq order on the wire
   // queue) and the window has room; otherwise pace.
@@ -195,8 +188,8 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   transmit(src_proc, dst, fwd, std::move(e));
 }
 
-void ReliableTransport::transmit(ProcId src, ProcId dst, Channel& c,
-                                 SendEntry&& e) {
+void Reliability::transmit(ProcId src, ProcId dst, Channel& c,
+                           SendEntry&& e) {
   const std::uint64_t now = util::now_ns();
   e.first_send_ns = now;
   ++c.inflight_msgs;
@@ -208,7 +201,7 @@ void ReliableTransport::transmit(ProcId src, ProcId dst, Channel& c,
   emit(src, dst, ReliableHeader::kData, seq, /*attempt=*/0, std::move(wire));
 }
 
-void ReliableTransport::drain_paced(ProcId src, ProcId dst, Channel& c) {
+void Reliability::drain_paced(ProcId src, ProcId dst, Channel& c) {
   // Paced entries were stamped at submit time; their piggybacked ack may
   // be slightly stale, which is harmless (acks are monotonic).
   while (!c.paced.empty() && window_admits(c)) {
@@ -218,32 +211,27 @@ void ReliableTransport::drain_paced(ProcId src, ProcId dst, Channel& c) {
   }
 }
 
-void ReliableTransport::emit(ProcId src, ProcId dst, std::uint8_t kind,
-                             std::uint32_t seq, std::uint32_t attempt,
-                             rt::Message&& m) {
+void Reliability::emit(ProcId src, ProcId dst, std::uint8_t kind,
+                       std::uint32_t seq, std::uint32_t attempt,
+                       rt::Message&& m) {
   const Fate fate = sched_.fate(src, dst, kind, seq, attempt);
   if (fate.drop) drops_.fetch_add(1, std::memory_order_relaxed);
   if (fate.dup) dups_.fetch_add(1, std::memory_order_relaxed);
   const int copies = (fate.drop ? 0 : 1) + (fate.dup ? 1 : 0);
   if (copies == 0) return;
-  if (fate.extra_delay_ns == 0) {
-    if (copies == 2) inner_->send(src, rt::Message(m));  // shares the slab
-    inner_->send(src, std::move(m));
-    return;
+  if (fate.extra_delay_ns != 0) {
+    delays_.fetch_add(1, std::memory_order_relaxed);
   }
-  delays_.fetch_add(1, std::memory_order_relaxed);
-  // Counted in flight before they leave the inner transport's sight;
-  // src's own poll() releases them.
-  held_total_.fetch_add(static_cast<std::uint64_t>(copies),
-                        std::memory_order_acq_rel);
-  Source& s = src_[static_cast<std::size_t>(src)];
-  const std::uint64_t due = util::now_ns() + fate.extra_delay_ns;
-  if (copies == 2) s.held.push_back(Held{due, rt::Message(m)});
-  s.held.push_back(Held{due, std::move(m)});
+  // A delayed copy leaves now and arrives late; a second copy shares the
+  // slab.
+  if (copies == 2) {
+    transport_.inject(src, rt::Message(m), fate.extra_delay_ns);
+  }
+  transport_.inject(src, std::move(m), fate.extra_delay_ns);
 }
 
-void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
-                                  std::uint32_t ack, std::uint64_t sack) {
+void Reliability::apply_ack(ProcId data_src, ProcId data_dst,
+                            std::uint32_t ack, std::uint64_t sack) {
   Channel& c = ch(data_src, data_dst);
   const std::uint64_t now = util::now_ns();
   std::uint64_t settled = 0;  // newly acked-or-sacked: leaves in_flight()
@@ -354,8 +342,7 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
   drain_paced(data_src, data_dst, c);
 }
 
-bool ReliableTransport::on_inbound(rt::Process& proc, rt::Message& m) {
-  const ProcId dst = proc.id();
+bool Reliability::on_inbound(ProcId dst, rt::Message& m) {
   const ReliableHeader h = parse_reliable_header(m.payload.span());
   const auto src = static_cast<ProcId>(h.src_proc);
 
@@ -387,9 +374,8 @@ bool ReliableTransport::on_inbound(rt::Process& proc, rt::Message& m) {
   return true;
 }
 
-void ReliableTransport::send_standalone_ack(ProcId from, ProcId to,
-                                            std::uint32_t ack,
-                                            std::uint64_t sack) {
+void Reliability::send_standalone_ack(ProcId from, ProcId to,
+                                      std::uint32_t ack, std::uint64_t sack) {
   ReliableHeader h;
   h.kind = ReliableHeader::kAck;
   h.src_proc = static_cast<std::uint16_t>(from);
@@ -405,31 +391,18 @@ void ReliableTransport::send_standalone_ack(ProcId from, ProcId to,
   // An ack has no sequence number; a per-source ordinal gives each its
   // own fate.
   emit(from, to, ReliableHeader::kAck,
-       src_[static_cast<std::size_t>(from)].ack_ordinal++, /*attempt=*/0,
+       ack_ordinal_[static_cast<std::size_t>(from)]++, /*attempt=*/0,
        std::move(m));
 }
 
-std::size_t ReliableTransport::poll(rt::Process& proc) {
-  const ProcId p = proc.id();
-  auto& held = src_[static_cast<std::size_t>(p)].held;
-  if (!held.empty()) {
-    const std::uint64_t now = util::now_ns();
-    while (!held.empty() && held.front().due_ns <= now) {
-      inner_->send(p, std::move(held.front().m));
-      held.pop_front();
-      // Only once the copy is inside the inner transport, so in_flight()
-      // never momentarily loses sight of it.
-      held_total_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-  const std::size_t delivered = inner_->poll(proc);
+void Reliability::poll(ProcId p) {
   // Nothing unacked and no ack owed anywhere: the channel scan below
   // would find no work — two atomic loads instead of an O(procs) walk on
   // every idle pump iteration. A stale read only defers the scan to the
   // next poll.
   if (unacked_total_.load(std::memory_order_acquire) == 0 &&
       owed_acks_total_.load(std::memory_order_acquire) == 0) {
-    return delivered;
+    return;
   }
   const std::uint64_t now = util::now_ns();
   // Once the machine is stopping, any ack still owed is redundant (its
@@ -481,17 +454,14 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
       send_standalone_ack(p, d, in.cum, build_sack_bitmap(in.cum, in.ooo));
     }
   }
-  return delivered;
 }
 
-std::uint64_t ReliableTransport::next_due_ns(ProcId p) const {
-  std::uint64_t due = inner_->next_due_ns(p);
-  const auto& held = src_[static_cast<std::size_t>(p)].held;
-  if (!held.empty()) due = min_due(due, held.front().due_ns);
+std::uint64_t Reliability::next_due_ns(ProcId p) const {
   if (unacked_total_.load(std::memory_order_acquire) == 0 &&
       owed_acks_total_.load(std::memory_order_acquire) == 0) {
-    return due;
+    return 0;
   }
+  std::uint64_t due = 0;
   const bool stopping = machine_.stopping();
   for (ProcId d = 0; d < procs_; ++d) {
     if (d == p) continue;
@@ -504,44 +474,34 @@ std::uint64_t ReliableTransport::next_due_ns(ProcId p) const {
   return due;
 }
 
-std::uint64_t ReliableTransport::in_flight() const {
-  // Unacked messages — transmitted (may need re-shipping) or paced (not
-  // yet shipped at all) — and held copies: the machine is not quiescent
-  // until every one is confirmed delivered.
-  return unacked_total_.load(std::memory_order_acquire) +
-         held_total_.load(std::memory_order_acquire) + inner_->in_flight();
-}
-
-std::uint64_t ReliableTransport::debug_srtt_ns(ProcId src,
-                                               ProcId dst) const {
+std::uint64_t Reliability::debug_srtt_ns(ProcId src, ProcId dst) const {
   const Channel& c = ch(src, dst);
   return c.rtt_valid ? c.srtt_ns : 0;
 }
 
-double ReliableTransport::debug_cwnd(ProcId src, ProcId dst) const {
+double Reliability::debug_cwnd(ProcId src, ProcId dst) const {
   return ch(src, dst).cwnd;
 }
 
-std::size_t ReliableTransport::debug_paced(ProcId src, ProcId dst) const {
+std::size_t Reliability::debug_paced(ProcId src, ProcId dst) const {
   return ch(src, dst).paced.size();
 }
 
-void ReliableTransport::reset() {
+void Reliability::reset() {
   const std::size_t n = static_cast<std::size_t>(procs_) *
                         static_cast<std::size_t>(procs_);
   for (std::size_t i = 0; i < n; ++i) {
     ch_[i] = Channel{};
     ch_[i].cwnd = window_init_;
   }
-  for (int p = 0; p < procs_; ++p) src_[static_cast<std::size_t>(p)] = {};
+  std::fill_n(ack_ordinal_.get(), procs_, 0u);
   for (std::atomic<std::uint64_t>* a :
-       {&unacked_total_, &owed_acks_total_, &held_total_, &drops_, &dups_,
+       {&unacked_total_, &owed_acks_total_, &drops_, &dups_,
         &delays_, &retransmits_, &dup_drops_, &acks_sent_,
         &fast_retransmits_, &rto_fires_, &rtx_bytes_, &paced_msgs_,
         &max_inflight_msgs_}) {
     a->store(0, std::memory_order_relaxed);
   }
-  inner_->reset();
 }
 
 }  // namespace tram::fault

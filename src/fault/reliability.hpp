@@ -1,19 +1,25 @@
 #pragma once
 ///
-/// \file reliable_transport.hpp
+/// \file reliability.hpp
 /// \brief Seeded fault injection and, over it, exactly-once delivery with
 /// SACK-based recovery, an adaptive retransmit timer, and AIMD
 /// send-window pacing.
 ///
-/// Faults: every wire copy this layer hands to the transport below asks
-/// FaultSchedule::fate about its identity (src, dst, kind, seq, attempt)
-/// and is dropped, sent twice, or held for delay_ns. The attempt is the
-/// one the retransmit queue counts (SendEntry::rtx_count: 0 on the first
-/// transmit); a standalone ack takes a per-source ordinal as its seq. A
-/// held copy waits in its source's FIFO, which poll() drains before the
-/// inner poll. Every hold lasts the same delay_ns on a monotonic clock,
-/// so FIFO order is due order; held copies count in in_flight(), and the
-/// oldest one's due time in next_due_ns().
+/// The reliability stage of rt::Transport, which owns it when any
+/// cfg.fault knob is set and calls it directly: send() on every
+/// cross-process message, on_inbound() in the delivery tail, poll() after
+/// each ingress poll, and next_due_ns()/in_flight() for the idle hint and
+/// quiescence.
+///
+/// Faults: every wire copy this stage emits through Transport::inject
+/// asks FaultSchedule::fate about its identity (src, dst, kind, seq,
+/// attempt) and is dropped, sent twice, or delayed by delay_ns. The
+/// attempt is the one the retransmit queue counts (SendEntry::rtx_count:
+/// 0 on the first transmit); a standalone ack takes a per-source ordinal
+/// as its seq. A delayed copy leaves at once with the delay added to its
+/// modeled arrival (net::Fabric::send), so it wakes its receiver like any
+/// send, waits in the receiver's reorder heap, and counts in the fabric's
+/// in-flight total until it is delivered.
 ///
 /// The protocol, per directed (src, dst) process channel:
 ///
@@ -25,12 +31,11 @@
 ///    window are *paced*: queued sender-side (still counted by
 ///    in_flight(), so quiescence detection cannot fire under them) and
 ///    transmitted as acks open the window.
-///  - receive (DeliveryInterceptor::on_inbound, below every transport's
-///    delivery tail): apply the piggybacked ack + SACK to the reverse
-///    channel's retransmit queue; dedup the data sequence number against
-///    the cumulative counter + out-of-order window (a duplicate is
-///    counted and consumed); strip the header (zero-copy subref) and
-///    deliver.
+///  - receive (on_inbound, in the transport's delivery tail): apply the
+///    piggybacked ack + SACK to the reverse channel's retransmit queue;
+///    dedup the data sequence number against the cumulative counter +
+///    out-of-order window (a duplicate is counted and consumed); strip the
+///    header (zero-copy subref) and deliver.
 ///  - recovery: a SACK bit marks its entry received — the payload slab is
 ///    released early and the entry becomes a shell held only for seq
 ///    accounting. Unsacked entries serially below the highest SACKed
@@ -55,22 +60,21 @@
 ///    (TCP NewReno, RFC 6582).
 ///  - ack: piggybacked on all reverse traffic; when none shows up within
 ///    the holdoff (one eighth of the cost-model timeout) the receiver's
-///    pump thread sends a standalone kAck that the peer's interceptor
+///    pump thread sends a standalone kAck that the peer's on_inbound
 ///    consumes. Duplicates re-arm the ack so a lost ack is always
 ///    replaced. A message that transmits at once carries the current
 ///    (ack, sack) and cancels the owed standalone ack.
 ///
-/// Quiescence integration: in_flight() adds the count of unacked data
-/// messages — transmitted *and* paced — and of held copies to the inner
-/// transport's, so the machine can declare quiescence neither while a
-/// dropped packet still needs re-shipping, nor while pacing holds data
-/// back, nor while a delayed copy waits to be sent.
+/// Quiescence integration: in_flight() counts the unacked data messages
+/// — transmitted *and* paced — and the transport adds the fabric's
+/// packets, so the machine can declare quiescence neither while a dropped
+/// packet still needs re-shipping, nor while pacing holds data back, nor
+/// while a delayed copy is on its way.
 ///
 /// Threading: the single-owner rule of runtime/transport.hpp holds, so no
-/// channel field and no held FIFO is locked. A retransmit or a paced
-/// entry goes to the layer below from the loop that picks it: the modeled
-/// transport never delivers synchronously, so that send cannot re-enter
-/// this layer.
+/// channel field is locked. A retransmit or a paced entry goes to the
+/// fabric from the loop that picks it: the transport never delivers
+/// synchronously, so that send cannot re-enter this stage.
 /// Deadlines are armed by the thread that acts on them, which re-reads
 /// next_due_ns() before it parks. Only the totals and counters below are
 /// atomic, for the QD thread, the trace sampler and reporters.
@@ -84,28 +88,43 @@
 #include "fault/fault_config.hpp"
 #include "fault/fault_schedule.hpp"
 #include "fault/reliable_wire.hpp"
-#include "runtime/transport.hpp"
+#include "runtime/message.hpp"
+#include "util/types.hpp"
+
+namespace tram::rt {
+class Machine;
+class Transport;
+}  // namespace tram::rt
 
 namespace tram::fault {
 
-class ReliableTransport final : public rt::Transport,
-                                public rt::DeliveryInterceptor {
+class Reliability {
  public:
-  ReliableTransport(rt::Machine& machine,
-                    std::unique_ptr<rt::Transport> inner, FaultConfig cfg);
+  /// A stage emitting its wire copies through `transport`, over the
+  /// topology and cost model of the transport's machine.
+  Reliability(rt::Transport& transport, FaultConfig cfg);
 
-  // -- rt::Transport --
-  void send(ProcId src_proc, rt::Message&& m) override;
-  std::size_t poll(rt::Process& proc) override;
-  std::uint64_t next_due_ns(ProcId p) const override;
-  std::uint64_t in_flight() const override;
-  void reset() override;
-
-  // -- rt::DeliveryInterceptor --
-  bool on_inbound(rt::Process& proc, rt::Message& m) override;
+  /// Frame a message from src_proc and transmit it, or pace it past the
+  /// window.
+  void send(ProcId src_proc, rt::Message&& m);
+  /// Apply an inbound message's piggybacked ack at process dst, dedup and
+  /// unframe it. Returns false when it is consumed: a duplicate, or a
+  /// standalone ack that must not reach an endpoint handler.
+  bool on_inbound(ProcId dst, rt::Message& m);
+  /// p's timers: retransmit on an expired probe, send the standalone
+  /// acks p owes.
+  void poll(ProcId p);
+  /// p's earliest armed deadline (a probe or an owed ack), 0 when none.
+  std::uint64_t next_due_ns(ProcId p) const;
+  /// Unacked data messages, transmitted or paced.
+  std::uint64_t in_flight() const {
+    return unacked_total_.load(std::memory_order_acquire);
+  }
+  /// Reset channels and counters between runs (machine quiesced).
+  void reset();
 
   /// Fault counters (tram_stats' FaultStats block): wire copies the
-  /// schedule dropped, sent twice, or held.
+  /// schedule dropped, sent twice, or delayed.
   std::uint64_t drops_injected() const noexcept {
     return drops_.load(std::memory_order_relaxed);
   }
@@ -199,20 +218,6 @@ class ReliableTransport final : public rt::Transport,
     std::uint64_t ack_deadline_ns = 0;
   };
 
-  /// A wire copy the fault schedule delayed, waiting for its due time.
-  struct Held {
-    std::uint64_t due_ns = 0;
-    rt::Message m;
-  };
-
-  /// Per-source fault state, owned by that source's pump thread.
-  struct Source {
-    std::deque<Held> held;  ///< FIFO; every hold is delay_ns, so due
-                            ///< times ascend
-    std::uint32_t ack_ordinal = 0;  ///< the next standalone ack's seq
-                                    ///< for the fault schedule
-  };
-
   Channel& ch(ProcId s, ProcId d) const noexcept {
     return ch_[static_cast<std::size_t>(s) *
                    static_cast<std::size_t>(procs_) +
@@ -242,13 +247,13 @@ class ReliableTransport final : public rt::Transport,
   void drain_paced(ProcId src, ProcId dst, Channel& c);
   void send_standalone_ack(ProcId from, ProcId to, std::uint32_t ack,
                            std::uint64_t sack);
-  /// Hand one wire copy to the layer below as its fate says: drop it,
-  /// send it twice, and/or hold it in src's FIFO for delay_ns.
+  /// Inject one wire copy as its fate says: drop it, send it twice,
+  /// and/or delay its arrival by delay_ns.
   void emit(ProcId src, ProcId dst, std::uint8_t kind, std::uint32_t seq,
             std::uint32_t attempt, rt::Message&& m);
 
+  rt::Transport& transport_;
   rt::Machine& machine_;
-  std::unique_ptr<rt::Transport> inner_;
   const int procs_;
   std::uint64_t rto_ns_ = 0;
   std::uint64_t ack_delay_ns_ = 0;
@@ -257,7 +262,9 @@ class ReliableTransport final : public rt::Transport,
   bool adaptive_ = true;
   FaultSchedule sched_;
   std::unique_ptr<Channel[]> ch_;
-  std::unique_ptr<Source[]> src_;
+  /// Per source, owned by its pump thread: the next standalone ack's seq
+  /// for the fault schedule.
+  std::unique_ptr<std::uint32_t[]> ack_ordinal_;
   /// Unacked data messages, transmitted or paced — the reliability
   /// layer's contribution to in_flight().
   std::atomic<std::uint64_t> unacked_total_{0};
@@ -266,8 +273,6 @@ class ReliableTransport final : public rt::Transport,
   /// idle machine pays two atomic loads per pump iteration, not an
   /// O(procs) walk.
   std::atomic<std::uint64_t> owed_acks_total_{0};
-  /// Held copies over all sources, for in_flight().
-  std::atomic<std::uint64_t> held_total_{0};
   std::atomic<std::uint64_t> drops_{0};
   std::atomic<std::uint64_t> dups_{0};
   std::atomic<std::uint64_t> delays_{0};

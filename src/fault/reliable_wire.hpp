@@ -5,7 +5,7 @@
 ///
 /// When fault injection is on, every cross-process message — routed or
 /// direct, data or control — is prefixed with a ReliableHeader by
-/// ReliableTransport::send. The receiver-side interceptor parses it,
+/// Reliability::send. The receiver's Reliability::on_inbound parses it,
 /// applies the piggybacked cumulative ack + SACK bitmap, dedups data
 /// sequence numbers, and strips the header (a zero-copy subref of the
 /// same slab) before the message reaches its endpoint — the layers above
@@ -27,7 +27,7 @@ struct ReliableHeader {
   /// a framed one escaping it).
   std::uint32_t magic = kMagic;
   /// kData carries an application payload behind the header; kAck is a
-  /// standalone cumulative ack the interceptor consumes.
+  /// standalone cumulative ack the receiver's on_inbound consumes.
   std::uint8_t kind = kData;
   std::uint8_t flags = 0;
   /// Source process of this message: names the (src, dst) channel the

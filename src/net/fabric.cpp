@@ -24,7 +24,7 @@ Fabric::Fabric(util::Topology topo, CostModel model)
   }
 }
 
-std::uint64_t Fabric::send(Packet&& p) {
+std::uint64_t Fabric::send(Packet&& p, std::uint64_t extra_delay_ns) {
   if (p.dst_proc < 0 || p.dst_proc >= topo_.procs()) {
     throw std::out_of_range("Fabric::send: bad dst_proc");
   }
@@ -33,7 +33,6 @@ std::uint64_t Fabric::send(Packet&& p) {
   const bool same_node = src_node == dst_node;
   const std::size_t bytes = p.wire_bytes();
   const std::uint64_t now = util::now_ns();
-  p.send_ns = now;
 
   std::uint64_t arrival;
   if (same_node) {
@@ -87,6 +86,7 @@ std::uint64_t Fabric::send(Packet&& p) {
       arrival = lend;
     }
   }
+  arrival += extra_delay_ns;
   p.arrival_ns = arrival;
 
   auto& src_ctr = counters_[p.src_proc]->value;

@@ -13,8 +13,9 @@
 ///  - The packet is pushed to the destination process's ingress MPSC queue
 ///    immediately; the *receiver* refrains from processing it until
 ///    wall-clock time reaches arrival_ns (see the reorder heap in
-///    rt::ModeledFabricTransport). This gives real wall-clock latency
-///    shapes without any dedicated network threads.
+///    rt::Transport). This gives real wall-clock latency shapes without
+///    any dedicated network threads. A copy the fault schedule delays
+///    travels the same way, with the delay added to its arrival.
 ///  - With CostModel::zero() every modeled cost is 0, so arrival_ns equals
 ///    the send time and receivers process immediately (deterministic
 ///    tests), and a send skips the NIC-clock CAS.
@@ -55,10 +56,11 @@ class Fabric {
   const util::Topology& topology() const noexcept { return topo_; }
   const CostModel& cost_model() const noexcept { return model_; }
 
-  /// Hand a packet to the network. Fills in send_ns/arrival_ns, accounts
-  /// stats, and enqueues on the destination ingress. Thread-safe. Returns
-  /// the computed arrival time.
-  std::uint64_t send(Packet&& p);
+  /// Hand a packet to the network. Fills in arrival_ns, extra_delay_ns
+  /// past the modeled one, accounts stats, and enqueues on the
+  /// destination ingress. The delay occupies no NIC or link. Thread-safe.
+  /// Returns the computed arrival time.
+  std::uint64_t send(Packet&& p, std::uint64_t extra_delay_ns = 0);
 
   /// Destination ingress queue for a process; drained by its comm thread.
   util::MpscQueue<Packet>& ingress(ProcId p) { return ingress_[p]->queue; }

@@ -37,8 +37,6 @@ struct Packet {
   /// Wall-clock time (ns) at which the fabric will release the packet to
   /// the destination. Filled in by Fabric::send.
   std::uint64_t arrival_ns = 0;
-  /// Time the packet was handed to the fabric (for fabric-level stats).
-  std::uint64_t send_ns = 0;
   util::PayloadRef payload;
 
   std::size_t wire_bytes() const noexcept {

@@ -20,11 +20,11 @@ struct RuntimeConfig {
   /// tests, delta_like() for benchmarks.
   net::CostModel cost = net::CostModel::delta_like();
 
-  /// Fault injection (src/fault/). All-zero (the default) leaves the
-  /// modeled-fabric transport undecorated — no decorator, no reliability
-  /// headers, no per-message cost. Any nonzero knob wraps it in
-  /// ReliableTransport, which injects the faults and restores
-  /// exactly-once delivery on top of them.
+  /// Fault injection (src/fault/). All-zero (the default) installs no
+  /// reliability stage in the transport — no reliability headers, no
+  /// per-message cost. Any nonzero knob installs fault::Reliability, which
+  /// injects the faults and restores exactly-once delivery on top of
+  /// them.
   fault::FaultConfig fault;
 
   /// Comm-thread occupancy per message sent / received, nanoseconds. This

@@ -28,9 +28,9 @@
 /// park_budget_ns() ends the park kWakeLeadNs before that due time, and
 /// a due time at most kParkMinGapNs away is not worth a park at all. A
 /// worker's due time is the arrival hint its process's pump publishes
-/// (Worker::next_arrival_ns, set by ModeledFabricTransport::poll); inside
-/// the gap the worker takes its ladder's non-park action instead (spin
-/// when Machine::idle_spin(), else yield), so it is awake when the packet
+/// (Worker::next_arrival_ns, set by Transport::poll); inside the gap the
+/// worker takes its ladder's non-park action instead (spin when
+/// Machine::idle_spin(), else yield), so it is awake when the packet
 /// lands and the delivery needs no futex wake.
 ///
 /// The comm thread's due time is its transport's next_due_ns(), and

@@ -5,9 +5,8 @@
 #include <thread>
 
 #include "core/tram_stats.hpp"
-#include "fault/reliable_transport.hpp"
+#include "fault/reliability.hpp"
 #include "runtime/comm_thread.hpp"
-#include "runtime/transport.hpp"
 #include "trace/trace.hpp"
 #include "util/timebase.hpp"
 
@@ -21,23 +20,13 @@ constexpr std::uint64_t kTraceSampleNs = 200'000;
 }  // namespace
 
 Machine::Machine(util::Topology topo, RuntimeConfig cfg)
-    : topo_(topo), cfg_(cfg), fabric_(topo, cfg.cost) {
+    : topo_(topo),
+      cfg_(cfg),
+      fabric_(topo, cfg.cost),
+      transport_(*this, fabric_) {
   if (!cfg_.dedicated_comm && topo_.workers_per_proc() != 1) {
     throw std::invalid_argument(
         "non-SMP mode (dedicated_comm=false) requires workers_per_proc==1");
-  }
-  std::unique_ptr<Transport> base =
-      std::make_unique<ModeledFabricTransport>(*this, fabric_);
-  if (cfg_.fault.enabled()) {
-    // One layer injects the faults and recovers from them: a lossy fabric
-    // without reliability would hang quiescence on the first drop.
-    auto reliable = std::make_unique<fault::ReliableTransport>(
-        *this, std::move(base), cfg_.fault);
-    reliable_ = reliable.get();
-    interceptor_ = reliable_;
-    transport_ = std::move(reliable);
-  } else {
-    transport_ = std::move(base);
   }
   procs_.reserve(static_cast<std::size_t>(topo_.procs()));
   for (ProcId p = 0; p < topo_.procs(); ++p) {
@@ -64,18 +53,18 @@ EndpointId Machine::register_endpoint(Handler h) {
 
 core::FaultStats Machine::fault_stats() const {
   core::FaultStats s;
-  if (reliable_ != nullptr) {
-    s.faults_injected_drop = reliable_->drops_injected();
-    s.faults_injected_dup = reliable_->dups_injected();
-    s.faults_injected_delay = reliable_->delays_injected();
-    s.retransmits = reliable_->retransmits();
-    s.dup_drops = reliable_->dup_drops();
-    s.acks_sent = reliable_->acks_sent();
-    s.fast_retransmits = reliable_->fast_retransmits();
-    s.rto_fires = reliable_->rto_fires();
-    s.rtx_bytes = reliable_->rtx_bytes();
-    s.paced_msgs = reliable_->paced_msgs();
-    s.max_inflight_msgs = reliable_->max_inflight_msgs();
+  if (const fault::Reliability* rel = transport_.reliability()) {
+    s.faults_injected_drop = rel->drops_injected();
+    s.faults_injected_dup = rel->dups_injected();
+    s.faults_injected_delay = rel->delays_injected();
+    s.retransmits = rel->retransmits();
+    s.dup_drops = rel->dup_drops();
+    s.acks_sent = rel->acks_sent();
+    s.fast_retransmits = rel->fast_retransmits();
+    s.rto_fires = rel->rto_fires();
+    s.rtx_bytes = rel->rtx_bytes();
+    s.paced_msgs = rel->paced_msgs();
+    s.max_inflight_msgs = rel->max_inflight_msgs();
   }
   // Link counters live on the fabric, independent of fault injection:
   // nonzero whenever the cost model configures per-link contention.
@@ -123,7 +112,7 @@ void Machine::quiescence_wait(std::uint64_t& t_end_ns) {
     const std::uint64_t h = total_handled();
     const std::uint64_t s = total_sent();
     const bool ok = quiet && h == s && total_pending() == 0 &&
-                    transport_->in_flight() == 0;
+                    transport_.in_flight() == 0;
     const std::uint64_t now = util::now_ns();
     trace::instant(trace::Cat::kRuntime, trace::kQdRound, s - h,
                    ok ? 1u : 0u);
@@ -155,7 +144,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   // A previous run must have drained completely: leftover messages would be
   // dispatched into the new run's state (and their payloads may alias
   // recycled pool slabs). Fail loudly rather than corrupt.
-  if (transport_->in_flight() != 0) {
+  if (transport_.in_flight() != 0) {
     throw std::logic_error("Machine::run: transport packets left over");
   }
   for (auto& proc : procs_) {
@@ -170,7 +159,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
       }
     }
   }
-  transport_->reset();
+  transport_.reset();
   for (auto& proc : procs_) {
     for (auto& w : proc->workers_) {
       w->reseed(seed);
@@ -190,14 +179,13 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
     });
     sampler->add("pending items", [this] { return total_pending(); });
     sampler->add("transport in-flight",
-                 [this] { return transport_->in_flight(); });
+                 [this] { return transport_.in_flight(); });
     sampler->add("pool outstanding bytes", [] {
       return core::payload_pool_stats().outstanding_bytes;
     });
-    if (reliable_ != nullptr) {
-      sampler->add("retransmits",
-                   [this] { return reliable_->retransmits(); });
-      sampler->add("paced msgs", [this] { return reliable_->paced_msgs(); });
+    if (const fault::Reliability* rel = transport_.reliability()) {
+      sampler->add("retransmits", [rel] { return rel->retransmits(); });
+      sampler->add("paced msgs", [rel] { return rel->paced_msgs(); });
     }
     sampler->start();
   }

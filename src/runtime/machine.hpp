@@ -36,6 +36,7 @@
 #include "runtime/config.hpp"
 #include "runtime/endpoint.hpp"
 #include "runtime/process.hpp"
+#include "runtime/transport.hpp"
 #include "runtime/worker.hpp"
 #include "util/parker.hpp"
 #include "util/topology.hpp"
@@ -43,14 +44,8 @@
 namespace tram::core {
 struct FaultStats;
 }
-namespace tram::fault {
-class ReliableTransport;
-}
 
 namespace tram::rt {
-
-class DeliveryInterceptor;
-class Transport;
 
 class Machine {
  public:
@@ -62,25 +57,14 @@ class Machine {
 
   const util::Topology& topology() const noexcept { return topo_; }
   const RuntimeConfig& config() const noexcept { return cfg_; }
-  /// The simulated interconnect the base transport drives. It counts the
+  /// The simulated interconnect the transport drives. It counts the
   /// traffic RunResult reports.
   net::Fabric& fabric() noexcept { return fabric_; }
-  /// The transport carrying all cross-process traffic (see transport.hpp).
-  /// With cfg.fault enabled this is ReliableTransport over the base
-  /// transport; otherwise exactly the base transport.
-  Transport& transport() noexcept { return *transport_; }
+  /// The transport carrying all cross-process traffic (see transport.hpp),
+  /// with its reliability stage when cfg.fault is enabled.
+  Transport& transport() noexcept { return transport_; }
   EndpointRegistry& endpoints() noexcept { return endpoints_; }
 
-  /// The fault-injection and reliability layer, or nullptr when
-  /// cfg.fault is all-zero (the undecorated fast path).
-  fault::ReliableTransport* reliability() const noexcept {
-    return reliable_;
-  }
-  /// Hook the transports' delivery tail runs inbound messages through
-  /// (see DeliveryInterceptor); nullptr when fault injection is off.
-  DeliveryInterceptor* delivery_interceptor() const noexcept {
-    return interceptor_;
-  }
   /// Merged fault/reliability counters — all zero when fault injection
   /// is off.
   core::FaultStats fault_stats() const;
@@ -140,11 +124,11 @@ class Machine {
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
   }
-  /// Unpark process p's comm thread (no-op outside SMP mode). The base
+  /// Unpark process p's comm thread (no-op outside SMP mode). The
   /// transport calls it when a send from another process lands in p's
-  /// ingress. Deadlines p's own pump arms (a retransmit probe, a delayed
-  /// ack, a held packet) need no wake: the pump re-reads next_due_ns(p)
-  /// before it parks.
+  /// ingress, a delayed copy included. Deadlines p's own pump arms (a
+  /// retransmit probe, a delayed ack) need no wake: the pump re-reads
+  /// next_due_ns(p) before it parks.
   void wake_comm(ProcId p) noexcept {
     if (cfg_.dedicated_comm) {
       procs_[static_cast<std::size_t>(p)]->comm_parker().unpark();
@@ -175,11 +159,7 @@ class Machine {
   util::Topology topo_;
   RuntimeConfig cfg_;
   net::Fabric fabric_;
-  std::unique_ptr<Transport> transport_;
-  /// Non-owning views of the decorator held by transport_ (nullptr when
-  /// fault injection is off).
-  fault::ReliableTransport* reliable_ = nullptr;
-  DeliveryInterceptor* interceptor_ = nullptr;
+  Transport transport_;
   EndpointRegistry endpoints_;
   std::vector<std::unique_ptr<Process>> procs_;
 

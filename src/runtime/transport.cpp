@@ -1,7 +1,9 @@
 #include "runtime/transport.hpp"
 
+#include <algorithm>
 #include <utility>
 
+#include "fault/reliability.hpp"
 #include "net/fabric.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/process.hpp"
@@ -10,35 +12,39 @@
 
 namespace tram::rt {
 
-void deliver_to_process(Machine& machine, Process& proc, Message&& m) {
-  // One predictable branch on the fault-free path; the reliability layer
-  // (src/fault/) dedups and strips its frame here when installed.
-  if (DeliveryInterceptor* icpt = machine.delivery_interceptor()) {
-    if (!icpt->on_inbound(proc, m)) return;
-  }
-  proc.worker(machine.topology().local_rank(m.dst_worker))
-      .enqueue(std::move(m));
-}
-
 ProcId message_dst_proc(const Machine& machine, const Message& m) {
   return m.dst_worker == kInvalidWorker
              ? m.dst_proc_hint
              : machine.topology().proc_of_worker(m.dst_worker);
 }
 
-// ---- ModeledFabricTransport ----
-
-ModeledFabricTransport::ModeledFabricTransport(Machine& machine,
-                                               net::Fabric& fabric)
+Transport::Transport(Machine& machine, net::Fabric& fabric)
     : machine_(machine), fabric_(fabric) {
   const int procs = machine.topology().procs();
   states_.reserve(static_cast<std::size_t>(procs));
   for (int p = 0; p < procs; ++p) {
     states_.push_back(std::make_unique<ProcState>());
   }
+  if (machine.config().fault.enabled()) {
+    // One stage injects the faults and recovers from them: a lossy fabric
+    // without reliability would hang quiescence on the first drop.
+    reliability_ =
+        std::make_unique<fault::Reliability>(*this, machine.config().fault);
+  }
 }
 
-void ModeledFabricTransport::send(ProcId src_proc, Message&& m) {
+Transport::~Transport() = default;
+
+void Transport::send(ProcId src_proc, Message&& m) {
+  if (reliability_) {
+    reliability_->send(src_proc, std::move(m));
+  } else {
+    inject(src_proc, std::move(m));
+  }
+}
+
+void Transport::inject(ProcId src_proc, Message&& m,
+                       std::uint64_t extra_delay_ns) {
   const auto& cfg = machine_.config();
   // The per-message (and per-byte) processing cost of section III-A,
   // burned on the calling thread — the comm thread in SMP mode, the
@@ -58,13 +64,13 @@ void ModeledFabricTransport::send(ProcId src_proc, Message&& m) {
   p.hops = m.hops;
   p.payload = std::move(m.payload);
   const ProcId dst = p.dst_proc;
-  fabric_.send(std::move(p));
+  fabric_.send(std::move(p), extra_delay_ns);
   // The arrival lands in dst's ingress queue, which its comm thread only
   // drains when awake.
   machine_.wake_comm(dst);
 }
 
-std::size_t ModeledFabricTransport::poll(Process& proc) {
+std::size_t Transport::poll(Process& proc) {
   const auto& cfg = machine_.config();
   auto& st = *states_[static_cast<std::size_t>(proc.id())];
   auto& q = fabric_.ingress(proc.id());
@@ -97,16 +103,21 @@ std::size_t ModeledFabricTransport::poll(Process& proc) {
     m.hops = p.hops;
     m.dst_worker = p.dst_worker;
     m.payload = std::move(p.payload);
-    deliver_to_process(machine_, proc, std::move(m));
+    // One predictable branch on the fault-free path; the reliability
+    // stage dedups, consumes acks and strips its frame here.
+    if (!reliability_ || reliability_->on_inbound(proc.id(), m)) {
+      proc.worker(machine_.topology().local_rank(m.dst_worker))
+          .enqueue(std::move(m));
+    }
     ++delivered;
     now = util::now_ns();
   }
   publish_next_arrival(proc, st);
+  if (reliability_) reliability_->poll(proc.id());
   return delivered;
 }
 
-void ModeledFabricTransport::publish_next_arrival(Process& proc,
-                                                  ProcState& st) {
+void Transport::publish_next_arrival(Process& proc, ProcState& st) {
   Worker* top = nullptr;
   std::uint64_t due = 0;
   if (!st.heap.empty()) {
@@ -125,17 +136,28 @@ void ModeledFabricTransport::publish_next_arrival(Process& proc,
   st.hinted_ns = due;
 }
 
-std::uint64_t ModeledFabricTransport::next_due_ns(ProcId p) const {
+std::uint64_t Transport::next_due_ns(ProcId p) const {
   const auto& heap = states_[static_cast<std::size_t>(p)]->heap;
-  return heap.empty() ? 0 : heap.top().arrival_ns;
+  const std::uint64_t arrival = heap.empty() ? 0 : heap.top().arrival_ns;
+  if (!reliability_) return arrival;
+  // The earlier of the two; either may be 0, "none".
+  const std::uint64_t deadline = reliability_->next_due_ns(p);
+  if (arrival == 0) return deadline;
+  if (deadline == 0) return arrival;
+  return std::min(arrival, deadline);
 }
 
-std::uint64_t ModeledFabricTransport::in_flight() const {
+std::uint64_t Transport::in_flight() const {
   // Packets in the reorder heaps have not been note_received yet, so the
-  // fabric's pushed-minus-received count covers them too.
-  return fabric_.in_flight();
+  // fabric's pushed-minus-received count covers them too, delayed copies
+  // included.
+  return fabric_.in_flight() +
+         (reliability_ ? reliability_->in_flight() : 0);
 }
 
-void ModeledFabricTransport::reset() { fabric_.reset(); }
+void Transport::reset() {
+  if (reliability_) reliability_->reset();
+  fabric_.reset();
+}
 
 }  // namespace tram::rt

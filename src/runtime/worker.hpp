@@ -114,9 +114,9 @@ class Worker {
 
   /// Modeled arrival (util::now_ns() clock) of the packet heading this
   /// process's reorder heap when that packet is for this worker, else 0.
-  /// Written by the process's pump thread after each
-  /// ModeledFabricTransport::poll; an idle SMP worker parks toward it
-  /// (rt::park_budget_ns). Only a hint, so relaxed on both sides.
+  /// Written by the process's pump thread after each Transport::poll; an
+  /// idle SMP worker parks toward it (rt::park_budget_ns). Only a hint,
+  /// so relaxed on both sides.
   std::uint64_t next_arrival_ns() const noexcept {
     return next_arrival_ns_.load(std::memory_order_relaxed);
   }

@@ -12,24 +12,23 @@
 ///    queue, and the run still completes exactly-once (paced messages
 ///    count in in_flight(), so QD cannot fire under them);
 ///  - the AIMD window step by step, with no machine run and no clock
-///    assertion: a ReliableTransport over a recording stub, fed crafted
-///    ack headers through on_inbound;
-///  - over the same stub, the fault schedule deciding every wire copy:
-///    which copies reach the layer below for a first transmit and for a
-///    retransmit, and delayed copies held in order until their due time.
+///    assertion: a reliability stage over a two-process machine's
+///    transport, fed crafted ack headers through on_inbound, its wire
+///    copies read off the fabric;
+///  - over the same rig, the fault schedule deciding every wire copy:
+///    which copies reach the fabric for a first transmit and for a
+///    retransmit, and delayed copies reaching it at once, in order, due
+///    late.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/histogram.hpp"
@@ -37,8 +36,10 @@
 #include "core/tram_stats.hpp"
 #include "fault/fault_config.hpp"
 #include "fault/fault_schedule.hpp"
-#include "fault/reliable_transport.hpp"
+#include "fault/reliability.hpp"
 #include "fault/reliable_wire.hpp"
+#include "net/fabric.hpp"
+#include "net/packet.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/transport.hpp"
 #include "util/payload_pool.hpp"
@@ -137,13 +138,14 @@ core::FaultStats run_lossy(const util::Topology& topo,
         << what << " worker " << w;
   }
   // QD fired, so nothing may still be unacked, paced, or in the fabric.
-  EXPECT_EQ(machine.reliability()->in_flight(), 0u) << what;
+  EXPECT_EQ(machine.transport().in_flight(), 0u) << what;
   if (srtt_out != nullptr) {
+    const fault::Reliability& rel = *machine.transport().reliability();
     std::uint64_t srtt = 0;
     for (ProcId s = 0; s < topo.procs(); ++s) {
       for (ProcId d = 0; d < topo.procs(); ++d) {
         if (s == d) continue;
-        srtt = std::max(srtt, machine.reliability()->debug_srtt_ns(s, d));
+        srtt = std::max(srtt, rel.debug_srtt_ns(s, d));
       }
     }
     *srtt_out = srtt;
@@ -213,31 +215,17 @@ TEST(FaultSack, PacingNeverDeadlocksQuiescence) {
 
 // ---- the window, one ack at a time ----
 
-/// Inner transport that records what the reliability layer hands it and
-/// delivers nothing: the test plays the peer by crafting ack headers.
-class RecordingTransport final : public rt::Transport {
- public:
-  explicit RecordingTransport(std::vector<rt::Message>& sent)
-      : sent_(sent) {}
-  void send(ProcId, rt::Message&& m) override {
-    sent_.push_back(std::move(m));
-  }
-  std::size_t poll(rt::Process&) override { return 0; }
-  std::uint64_t next_due_ns(ProcId) const override { return 0; }
-  std::uint64_t in_flight() const override { return 0; }
-  void reset() override { sent_.clear(); }
-
- private:
-  std::vector<rt::Message>& sent_;
-};
-
-/// A ReliableTransport for channel 0 -> 1 of a two-process machine, over
-/// a RecordingTransport. Nothing runs the machine: every step is a direct
-/// call on this thread.
+/// A reliability stage for channel 0 -> 1 of a two-process machine,
+/// emitting through that machine's transport (which has no stage of its
+/// own). Nothing runs the machine: every step is a direct call on this
+/// thread, and each step ends by taking the wire copies that reached
+/// process 1's ingress into `sent`. Nothing delivers them, so the fabric
+/// still counts them in flight. The test plays the peer by crafting ack
+/// headers.
 struct WindowRig {
   explicit WindowRig(const fault::FaultConfig& f)
       : machine(util::Topology(2, 1, 1), rt::RuntimeConfig::testing()),
-        rel(machine, std::make_unique<RecordingTransport>(sent), f) {}
+        rel(machine.transport(), f) {}
 
   /// Data from process 0 to the worker of process 1.
   void send(int n) {
@@ -248,6 +236,7 @@ struct WindowRig {
       m.payload = util::PayloadPool::global().acquire(8);
       rel.send(0, std::move(m));
     }
+    drain();
   }
 
   /// Process 1's standalone ack for channel 0 -> 1 arriving at process 0:
@@ -262,15 +251,30 @@ struct WindowRig {
     m.dst_worker = 0;
     m.payload = util::PayloadPool::global().acquire(sizeof h);
     std::memcpy(m.payload.data(), &h, sizeof h);
-    EXPECT_FALSE(rel.on_inbound(machine.process(0), m));  // consumed
+    EXPECT_FALSE(rel.on_inbound(0, m));  // consumed
+    drain();
+  }
+
+  /// Process 0's timers.
+  void poll() {
+    rel.poll(0);
+    drain();
+  }
+
+  /// Append the copies waiting in process 1's ingress to `sent`, in the
+  /// order they reached the fabric.
+  void drain() {
+    while (auto p = machine.fabric().ingress(1).try_pop()) {
+      sent.push_back(std::move(*p));
+    }
   }
 
   double cwnd() const { return rel.debug_cwnd(0, 1); }
   std::size_t paced() const { return rel.debug_paced(0, 1); }
 
-  std::vector<rt::Message> sent;
   rt::Machine machine;
-  fault::ReliableTransport rel;
+  fault::Reliability rel;
+  std::vector<net::Packet> sent;
 };
 
 /// Send a full window and ack all of it, `rounds` times: each round
@@ -331,22 +335,22 @@ TEST(FaultWindow, TimeoutRestartsAtWindowInit) {
   ASSERT_DOUBLE_EQ(rig.cwnd(), 5.0);
 
   rig.send(5);
-  while (rig.rel.rto_fires() == 0) rig.rel.poll(rig.machine.process(0));
+  while (rig.rel.rto_fires() == 0) rig.poll();
   EXPECT_DOUBLE_EQ(rig.cwnd(), 4.0);
 
   // A second timeout in the same episode does not go lower.
-  while (rig.rel.rto_fires() == 1) rig.rel.poll(rig.machine.process(0));
+  while (rig.rel.rto_fires() == 1) rig.poll();
   EXPECT_DOUBLE_EQ(rig.cwnd(), 4.0);
 }
 
 // ---- the fault schedule decides every wire copy ----
 
-/// The data sequence numbers of the copies that reached the layer below,
-/// in the order they arrived.
-std::vector<std::uint32_t> wire_seqs(const std::vector<rt::Message>& sent) {
+/// The data sequence numbers of the copies that reached the fabric, in
+/// the order they arrived.
+std::vector<std::uint32_t> wire_seqs(const std::vector<net::Packet>& sent) {
   std::vector<std::uint32_t> seqs;
-  for (const rt::Message& m : sent) {
-    const auto h = fault::parse_reliable_header(m.payload.span());
+  for (const net::Packet& p : sent) {
+    const auto h = fault::parse_reliable_header(p.payload.span());
     EXPECT_EQ(h.kind, fault::ReliableHeader::kData);
     seqs.push_back(h.seq);
   }
@@ -373,9 +377,9 @@ std::vector<std::uint32_t> scheduled_seqs(const fault::FaultSchedule& sched,
 }
 
 /// A first transmit draws the fate of attempt 0, and a retransmit the
-/// fate of the entry's retransmit count: the copies that reach the layer
-/// below are exactly those FaultSchedule::fate lets through, and the
-/// injection counters tally its drops and dups.
+/// fate of the entry's retransmit count: the copies that reach the fabric
+/// are exactly those FaultSchedule::fate lets through, and the injection
+/// counters tally its drops and dups.
 TEST(FaultFates, WireCopiesFollowTheSchedule) {
   constexpr std::uint32_t kSeqs = 32;
   fault::FaultConfig f;
@@ -405,7 +409,7 @@ TEST(FaultFates, WireCopiesFollowTheSchedule) {
 
   // One timer round re-ships every unacked entry as attempt 1.
   rig.sent.clear();
-  while (rig.rel.rto_fires() == 0) rig.rel.poll(rig.machine.process(0));
+  while (rig.rel.rto_fires() == 0) rig.poll();
   EXPECT_EQ(rig.rel.retransmits(), kSeqs);
   EXPECT_EQ(wire_seqs(rig.sent), scheduled_seqs(sched, kSeqs, 1, drops, dups));
   EXPECT_EQ(rig.rel.drops_injected(), drops);
@@ -413,10 +417,11 @@ TEST(FaultFates, WireCopiesFollowTheSchedule) {
   EXPECT_EQ(rig.rel.delays_injected(), 0u);
 }
 
-/// Every copy held for 1 ms: nothing reaches the layer below, the held
-/// copies count in flight and name the next deadline, and a poll past it
-/// releases them in send order.
-TEST(FaultFates, HeldCopiesWaitAndLeaveInOrder) {
+/// Every copy delayed 1 ms: each reaches the fabric at once, in send
+/// order, with its modeled arrival 1 ms after it left. The fabric counts
+/// the copies in flight, the stage only its unacked messages, and the
+/// stage's next deadline is the sender's probe.
+TEST(FaultFates, DelayedCopiesArriveLateInOrder) {
   constexpr std::uint32_t kMsgs = 4;  // within window_init: all transmit
   fault::FaultConfig f;
   f.delay_ns = 1'000'000;
@@ -426,22 +431,19 @@ TEST(FaultFates, HeldCopiesWaitAndLeaveInOrder) {
   const std::uint64_t t0 = util::now_ns();
   rig.send(static_cast<int>(kMsgs));
   const std::uint64_t t1 = util::now_ns();
-  EXPECT_TRUE(rig.sent.empty());
   EXPECT_EQ(rig.rel.delays_injected(), kMsgs);
-  // Each message counts once unacked and once as a held copy.
-  EXPECT_EQ(rig.rel.in_flight(), 2u * kMsgs);
-  const std::uint64_t due = rig.rel.next_due_ns(0);
-  EXPECT_GE(due, t0 + f.delay_ns);
-  EXPECT_LE(due, t1 + f.delay_ns);
-
-  while (util::now_ns() < t1 + f.delay_ns) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  rig.rel.poll(rig.machine.process(0));
   std::vector<std::uint32_t> in_order(kMsgs);
   for (std::uint32_t s = 0; s < kMsgs; ++s) in_order[s] = s;
   EXPECT_EQ(wire_seqs(rig.sent), in_order);
+  for (const net::Packet& p : rig.sent) {
+    EXPECT_GE(p.arrival_ns, t0 + f.delay_ns);
+    EXPECT_LE(p.arrival_ns, t1 + f.delay_ns);
+  }
+  EXPECT_EQ(rig.machine.fabric().in_flight(), std::uint64_t{kMsgs});
   EXPECT_EQ(rig.rel.in_flight(), std::uint64_t{kMsgs});  // unacked only
+  const std::uint64_t due = rig.rel.next_due_ns(0);
+  EXPECT_GE(due, t0 + f.rto_ns);
+  EXPECT_LE(due, t1 + f.rto_ns);
 }
 
 }  // namespace

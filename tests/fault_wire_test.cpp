@@ -2,8 +2,8 @@
 /// ReliableHeader parse validation (truncation / bad magic / unknown kind
 /// abort, mirroring parse_routed_header), the seeded fault schedule's
 /// bit-for-bit replayability, FaultConfig validation, and the structural
-/// guarantee that an all-zero FaultConfig leaves the transport chain
-/// undecorated.
+/// guarantee that an all-zero FaultConfig installs no reliability stage
+/// in the transport.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "fault/fault_schedule.hpp"
 #include "fault/reliable_wire.hpp"
 #include "runtime/machine.hpp"
+#include "runtime/transport.hpp"
 
 namespace {
 
@@ -197,14 +198,13 @@ TEST(FaultConfig, RejectsBadCongestionKnobs) {
                std::invalid_argument);
 }
 
-/// FaultConfig{} (all zero) must leave the transport chain exactly as it
-/// was: no decorator, no interceptor, all-zero counters — so the default
-/// config pays no per-message cost for the fault layer.
-TEST(FaultConfig, AllZeroLeavesTransportUndecorated) {
+/// FaultConfig{} (all zero) installs no reliability stage and counts
+/// nothing, so the default config pays one null check per call for the
+/// fault layer and nothing more.
+TEST(FaultConfig, AllZeroInstallsNoReliabilityStage) {
   rt::Machine machine(util::Topology(2, 1, 1),
                       rt::RuntimeConfig::testing());
-  EXPECT_EQ(machine.reliability(), nullptr);
-  EXPECT_EQ(machine.delivery_interceptor(), nullptr);
+  EXPECT_EQ(machine.transport().reliability(), nullptr);
   const core::FaultStats fs = machine.fault_stats();
   EXPECT_EQ(fs.faults_injected_drop, 0u);
   EXPECT_EQ(fs.faults_injected_dup, 0u);
@@ -213,13 +213,12 @@ TEST(FaultConfig, AllZeroLeavesTransportUndecorated) {
   EXPECT_EQ(fs.dup_drops, 0u);
   EXPECT_EQ(fs.acks_sent, 0u);
 
-  // A nonzero config installs the layer that injects the faults and
+  // A nonzero config installs the stage that injects the faults and
   // recovers from them.
   rt::RuntimeConfig faulty_cfg = rt::RuntimeConfig::testing();
   faulty_cfg.fault.dup_rate = 0.1;
   rt::Machine faulty(util::Topology(2, 1, 1), faulty_cfg);
-  EXPECT_NE(faulty.reliability(), nullptr);
-  EXPECT_NE(faulty.delivery_interceptor(), nullptr);
+  EXPECT_NE(faulty.transport().reliability(), nullptr);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-/// The Transport seam: ModeledFabricTransport over CostModel::zero()
-/// (RuntimeConfig::testing()) delivers every direct and process-addressed
-/// message in SMP and non-SMP mode, carries the whole aggregation stack
-/// unchanged, and charges each message its payload plus the fixed header.
-/// Its poll() tells each worker when the next packet it holds for that
-/// worker lands.
+/// rt::Transport over CostModel::zero() (RuntimeConfig::testing())
+/// delivers every direct and process-addressed message in SMP and non-SMP
+/// mode, carries the whole aggregation stack unchanged, and charges each
+/// message its payload plus the fixed header. Its poll() tells each
+/// worker when the next packet it holds for that worker lands, and its
+/// next_due_ns() is the earlier of that arrival and the reliability
+/// stage's next deadline.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "runtime/process.hpp"
 #include "runtime/transport.hpp"
 #include "util/spinlock.hpp"
+#include "util/timebase.hpp"
 
 namespace {
 
@@ -242,6 +244,46 @@ TEST(Transport, PollTellsEachWorkerItsNextArrival) {
   EXPECT_EQ(w2.progress(), 1u);
   EXPECT_EQ(w3.progress(), 1u);
   EXPECT_EQ(handled_by, (std::vector<WorkerId>{w2.id(), w3.id()}));
+}
+
+/// With the reliability stage installed, process 0's due time is the
+/// earlier of the packet it holds (sent 1 -> 0, arriving after the 1 s
+/// remote alpha) and its own probe for the message it sent 0 -> 1, due
+/// one pinned RTO after the send. The stage injects no fault: delay_ns
+/// only installs it, and delay_rate 0 delays no copy.
+TEST(Transport, NextDueIsTheEarlierOfArrivalAndStageDeadline) {
+  constexpr std::uint64_t kAlphaNs = 1'000'000'000;
+  struct Due {
+    std::uint64_t due, t0, t1;
+  };
+  auto due_with_rto = [](std::uint64_t rto_ns) {
+    RuntimeConfig cfg = RuntimeConfig::testing();
+    cfg.cost.alpha_remote_ns = static_cast<double>(kAlphaNs);
+    cfg.fault.delay_ns = 1;
+    cfg.fault.delay_rate = 0.0;
+    cfg.fault.rto_ns = rto_ns;
+    Machine m(Topology(2, 1, 1), cfg);  // one worker per process
+    rt::Transport& tr = m.transport();
+    EXPECT_NE(tr.reliability(), nullptr);
+    const std::uint64_t t0 = util::now_ns();
+    for (ProcId src : {0, 1}) {
+      Message msg;
+      msg.src_worker = src;
+      msg.dst_worker = 1 - src;
+      tr.send(src, std::move(msg));
+    }
+    const std::uint64_t t1 = util::now_ns();
+    EXPECT_EQ(tr.poll(m.process(0)), 0u);
+    return Due{tr.next_due_ns(0), t0, t1};
+  };
+
+  const Due arrival = due_with_rto(2 * kAlphaNs);
+  EXPECT_GE(arrival.due, arrival.t0 + kAlphaNs);
+  EXPECT_LE(arrival.due, arrival.t1 + kAlphaNs);
+
+  const Due probe = due_with_rto(kAlphaNs / 2);
+  EXPECT_GE(probe.due, probe.t0 + kAlphaNs / 2);
+  EXPECT_LE(probe.due, probe.t1 + kAlphaNs / 2);
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 /// between benchmark trials, so a trial's peak measures that trial alone
 /// and not whatever the warmup did. The three high-waters and their re-arm
 /// points:
-///   max_inflight_msgs      — ReliableTransport::reset() (Machine::run)
+///   max_inflight_msgs      — fault::Reliability::reset() (Transport::
+///                            reset, invoked at Machine::run start)
 ///   peak_outstanding_bytes — PayloadPool::reset_stats()
-///   max_link_queue_ns      — Fabric::reset() (ModeledFabricTransport::
-///                            reset, also invoked at Machine::run start)
+///   max_link_queue_ns      — Fabric::reset() (Transport::reset, also
+///                            invoked at Machine::run start)
 /// Each case drives a heavy scenario, re-arms, drives a light one, and
 /// asserts the counter reports the light scenario — a stale high-water
 /// would still show the heavy peak.
@@ -117,8 +118,8 @@ void check_link_queue_rearm() {
   const std::uint64_t heavy = fab.max_link_queue_ns();
   EXPECT_GT(heavy, 0u);
 
-  // Fabric::reset() is what FabricTransport::reset() calls at the top of
-  // every Machine::run. An uncontended send afterwards must leave the
+  // Fabric::reset() is what Transport::reset() calls at the top of every
+  // Machine::run. An uncontended send afterwards must leave the
   // high-water at zero, not at the heavy run's queueing.
   fab.reset();
   EXPECT_EQ(fab.max_link_queue_ns(), 0u);
