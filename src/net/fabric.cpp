@@ -92,9 +92,6 @@ std::uint64_t Fabric::send(Packet&& p, std::uint64_t extra_delay_ns) {
   auto& src_ctr = counters_[p.src_proc]->value;
   src_ctr.messages_sent.fetch_add(1, std::memory_order_relaxed);
   src_ctr.bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
-  if (same_node) {
-    src_ctr.local_messages_sent.fetch_add(1, std::memory_order_relaxed);
-  }
   if (p.hops > 0) {
     src_ctr.forwarded_sent.fetch_add(1, std::memory_order_relaxed);
   }
@@ -102,12 +99,6 @@ std::uint64_t Fabric::send(Packet&& p, std::uint64_t extra_delay_ns) {
 
   ingress_[p.dst_proc]->queue.push(std::move(p));
   return arrival;
-}
-
-void Fabric::note_received(ProcId dst, const Packet&) {
-  counters_[dst]->value.messages_received.fetch_add(
-      1, std::memory_order_relaxed);
-  total_popped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t Fabric::total(
@@ -140,8 +131,6 @@ void Fabric::reset() {
   for (auto& c : counters_) {
     c->value.messages_sent.store(0, std::memory_order_relaxed);
     c->value.bytes_sent.store(0, std::memory_order_relaxed);
-    c->value.messages_received.store(0, std::memory_order_relaxed);
-    c->value.local_messages_sent.store(0, std::memory_order_relaxed);
     c->value.forwarded_sent.store(0, std::memory_order_relaxed);
   }
 }

@@ -41,8 +41,6 @@ namespace tram::net {
 struct FabricCounters {
   std::atomic<std::uint64_t> messages_sent{0};
   std::atomic<std::uint64_t> bytes_sent{0};
-  std::atomic<std::uint64_t> messages_received{0};
-  std::atomic<std::uint64_t> local_messages_sent{0};  // same-node subset
   /// Subset of messages_sent with Packet::hops > 0: traffic re-shipped by
   /// a topological-routing intermediate rather than an originating
   /// worker.
@@ -53,9 +51,6 @@ class Fabric {
  public:
   Fabric(util::Topology topo, CostModel model);
 
-  const util::Topology& topology() const noexcept { return topo_; }
-  const CostModel& cost_model() const noexcept { return model_; }
-
   /// Hand a packet to the network. Fills in arrival_ns, extra_delay_ns
   /// past the modeled one, accounts stats, and enqueues on the
   /// destination ingress. The delay occupies no NIC or link. Thread-safe.
@@ -65,7 +60,7 @@ class Fabric {
   /// Destination ingress queue for a process; drained by its comm thread.
   util::MpscQueue<Packet>& ingress(ProcId p) { return ingress_[p]->queue; }
 
-  /// Counters for one process (src side of sent, dst side of received).
+  /// Counters of the packets one process sent.
   FabricCounters& counters(ProcId p) { return counters_[p]->value; }
 
   /// Sums of the per-process sent counters across all processes.
@@ -92,6 +87,11 @@ class Fabric {
   /// Used by quiescence detection: the system cannot be quiescent while
   /// packets are in flight.
   std::uint64_t in_flight() const;
+  /// Receivers must call this after popping a packet from ingress() so
+  /// in_flight() stays accurate.
+  void note_received() noexcept {
+    total_popped_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// Reset all counters and injection clocks (between benchmark trials).
   void reset();
@@ -119,11 +119,6 @@ class Fabric {
   std::atomic<std::uint64_t> total_popped_{0};
   std::atomic<std::uint64_t> link_busy_ns_{0};
   std::atomic<std::uint64_t> link_queue_ns_max_{0};
-
- public:
-  /// Receivers must call this after popping a packet from ingress() so
-  /// in_flight() stays accurate.
-  void note_received(ProcId dst, const Packet& p);
 };
 
 }  // namespace tram::net

@@ -1,7 +1,7 @@
 #pragma once
 ///
 /// \file config.hpp
-/// \brief Runtime tuning knobs (cost model, faults, comm-thread costs, QD).
+/// \brief Runtime tuning knobs (cost model, faults, comm-thread costs).
 ///
 /// The idle policy is not a knob: workers and comm threads share one
 /// fixed spin -> yield -> park ladder (runtime/idle.hpp), and an SMP
@@ -45,10 +45,6 @@ struct RuntimeConfig {
   /// Capacity of each worker -> comm-thread egress ring.
   std::uint32_t egress_ring_capacity = 2048;
 
-  /// Quiescence detection: the condition must hold this long (two samples)
-  /// before the machine declares termination.
-  std::uint64_t qd_settle_ns = 200'000;
-
   /// Returns a config with a zero-cost interconnect and zero comm-thread
   /// per-message costs: deterministic unit-test mode.
   static RuntimeConfig testing() {
@@ -57,7 +53,6 @@ struct RuntimeConfig {
     c.comm_per_msg_send_ns = 0.0;
     c.comm_per_msg_recv_ns = 0.0;
     c.comm_per_byte_ns = 0.0;
-    c.qd_settle_ns = 50'000;
     return c;
   }
 };

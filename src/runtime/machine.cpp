@@ -93,42 +93,34 @@ void Machine::clear_worker_hooks() {
   }
 }
 
-void Machine::quiescence_wait(std::uint64_t& t_end_ns) {
-  // Counting QD: every worker quiet, every sent message handled, no
-  // buffered work. The (handled, sent) read order, handled with acquire,
-  // makes a single positive sample sound at the instant handled was read;
-  // the stability window guards the pending counters, which are
-  // application-maintained and may lag a flush by a few instructions.
+Machine::QdSample Machine::qd_sample() const {
+  QdSample q;
+  q.quiet = quiet_workers_.load(std::memory_order_acquire) == topo_.workers();
+  q.handled = total_handled();
+  const bool drained =
+      q.quiet && total_pending() == 0 && transport_.in_flight() == 0;
+  q.sent = total_sent();
+  q.clean = drained && q.handled == q.sent;
+  return q;
+}
+
+std::uint64_t Machine::quiescence_wait() {
   // While a worker has work there is nothing to sample: park until the
   // last worker to go quiet unparks (note_quiet). Every wake is followed
   // by a sample and a 20 us sleep, so this thread wakes no more often
   // than a plain poll would.
-  const int total_workers = topo_.workers();
-  std::uint64_t first_ok_ns = 0;
-  std::uint64_t first_ok_sent = 0;
+  QdSample prev;
+  std::uint64_t prev_ns = 0;
   for (;;) {
-    const bool quiet =
-        quiet_workers_.load(std::memory_order_acquire) == total_workers;
-    const std::uint64_t h = total_handled();
-    const std::uint64_t s = total_sent();
-    const bool ok = quiet && h == s && total_pending() == 0 &&
-                    transport_.in_flight() == 0;
+    const QdSample cur = qd_sample();
     const std::uint64_t now = util::now_ns();
-    trace::instant(trace::Cat::kRuntime, trace::kQdRound, s - h,
-                   ok ? 1u : 0u);
-    if (!ok) {
-      first_ok_ns = 0;
-    } else if (first_ok_ns == 0) {
-      first_ok_ns = now;
-      first_ok_sent = s;
-    } else if (s == first_ok_sent && now - first_ok_ns >= cfg_.qd_settle_ns) {
-      t_end_ns = first_ok_ns;
-      return;
-    } else if (s != first_ok_sent) {
-      first_ok_ns = 0;
-    }
+    trace::instant(trace::Cat::kRuntime, trace::kQdRound,
+                   cur.sent - cur.handled, cur.clean ? 1u : 0u);
+    if (qd_ends(prev, cur)) return prev_ns;
+    prev = cur;
+    prev_ns = now;
     std::this_thread::sleep_for(std::chrono::microseconds(20));
-    if (!quiet) qd_parker_.park_for(util::Parker::kForever);
+    if (!cur.quiet) qd_parker_.park_for(util::Parker::kForever);
   }
 }
 
@@ -222,8 +214,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   start_barrier_->arrive_and_wait();
   const std::uint64_t t0 = util::now_ns();
 
-  std::uint64_t t_end = 0;
-  quiescence_wait(t_end);
+  const std::uint64_t t_end = quiescence_wait();
   stop_.store(true, std::memory_order_release);
   // A comm thread with nothing due parks with no timeout: wake every
   // runtime thread so it sees stop_.

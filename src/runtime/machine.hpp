@@ -18,12 +18,13 @@
 /// idle hooks left its pending counters at zero, and it has dispatched
 /// nothing since), every runtime message sent has been handled, every
 /// registered pending counter (aggregation buffers, deferred work) reads
-/// zero and the transport holds nothing — stable across a settle window. The thread that called run() samples
-/// these counters only while every worker is quiet: otherwise it parks
-/// with no timeout, and the worker whose change of state makes every
-/// worker quiet unparks it (note_quiet). Pending counters follow one
-/// contract (Worker::add_pending_counter), which also covers multi-hop
-/// routed traffic (core/tram.hpp).
+/// zero and the transport holds nothing, in two consecutive samples
+/// (qd_ends). The thread that called run() samples these counters only
+/// while every worker is quiet: otherwise it parks with no timeout, and
+/// the worker whose change of state makes every worker quiet unparks it
+/// (note_quiet). Pending counters follow one contract
+/// (Worker::add_pending_counter), which also covers multi-hop routed
+/// traffic (core/tram.hpp).
 
 #include <atomic>
 #include <barrier>
@@ -39,6 +40,7 @@
 #include "runtime/transport.hpp"
 #include "runtime/worker.hpp"
 #include "util/parker.hpp"
+#include "util/sync.hpp"
 #include "util/topology.hpp"
 
 namespace tram::core {
@@ -149,12 +151,42 @@ class Machine {
     return handled_.load(std::memory_order_acquire);
   }
 
+  /// One sample of the quiescence counters (qd_sample).
+  struct QdSample {
+    bool quiet = false;  // every worker counted itself quiet (note_quiet)
+    bool clean = false;  // quiet, handled == sent, nothing pending or queued
+    std::uint64_t handled = 0;
+    std::uint64_t sent = 0;
+  };
+  /// Reads the quiet count, handled (acquire), then, while every worker is
+  /// quiet, the pending counters and the transport, and sent last. Handled
+  /// first: the sent read sees every send a counted handler made. Sent
+  /// last: a send made while the counters were read, which may have
+  /// lowered a counter before its read, shows in sent.
+  QdSample qd_sample() const;
+  /// What ends a run: two consecutive clean samples that read the same sent
+  /// (Mattern's four-counter method). Every message sent by the second's
+  /// sent read was handled by the first's handled read, so from that read
+  /// on no message was in flight and none was sent. Work then sits only in
+  /// pending counters and moves between them only by hand-offs, which by
+  /// the contract at Worker::add_pending_counter raise the receiving
+  /// counter first and land where only a send lowers it. A sample misses
+  /// an item only when a hand-off carries it from a counter not yet read
+  /// to one already read, so an item that dodges the first sample is read
+  /// by the second or sent before its sent read: the run was quiescent at
+  /// the first sample's handled read.
+  static constexpr bool qd_ends(const QdSample& prev,
+                                const QdSample& cur) noexcept {
+    return prev.clean && cur.clean && prev.sent == cur.sent;
+  }
+
   /// Remove all idle hooks and pending counters from every worker (between
   /// benchmark configurations that reuse the machine).
   void clear_worker_hooks();
 
  private:
-  void quiescence_wait(std::uint64_t& t_end_ns);
+  /// Returns when qd_ends: the time of the first of the two samples.
+  std::uint64_t quiescence_wait();
 
   util::Topology topo_;
   RuntimeConfig cfg_;
@@ -163,11 +195,11 @@ class Machine {
   EndpointRegistry endpoints_;
   std::vector<std::unique_ptr<Process>> procs_;
 
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> handled_{0};
+  util::DefaultSync::Atomic<std::uint64_t> sent_{0};
+  util::DefaultSync::Atomic<std::uint64_t> handled_{0};
   std::atomic<bool> stop_{false};
   /// Workers whose scheduler loop counts them quiet (note_quiet).
-  std::atomic<int> quiet_workers_{0};
+  util::DefaultSync::Atomic<int> quiet_workers_{0};
   /// Where the thread that called run() sleeps while a worker has work.
   util::Parker qd_parker_;
   bool running_ = false;

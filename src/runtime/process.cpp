@@ -20,10 +20,6 @@ Process::Process(Machine& machine, ProcId id) : machine_(machine), id_(id) {
 
 Process::~Process() = default;
 
-NodeId Process::node() const noexcept {
-  return machine_.topology().node_of_proc(id_);
-}
-
 WorkerId Process::pick_delivery_worker() {
   const std::uint32_t r = rr_.fetch_add(1, std::memory_order_relaxed);
   const int w = worker_count();

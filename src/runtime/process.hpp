@@ -33,7 +33,6 @@ class Process {
   Process& operator=(const Process&) = delete;
 
   ProcId id() const noexcept { return id_; }
-  NodeId node() const noexcept;
   Machine& machine() noexcept { return machine_; }
 
   int worker_count() const noexcept { return static_cast<int>(workers_.size()); }

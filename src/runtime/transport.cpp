@@ -94,7 +94,7 @@ std::size_t Transport::poll(Process& proc) {
         cfg.comm_per_byte_ns * static_cast<double>(p.payload.size());
     util::spin_for_ns(
         static_cast<std::uint64_t>(cfg.comm_per_msg_recv_ns + byte_cost));
-    fabric_.note_received(proc.id(), p);
+    fabric_.note_received();
 
     Message m;
     m.endpoint = p.endpoint;

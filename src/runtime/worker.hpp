@@ -93,7 +93,13 @@ class Worker {
   ///    message that brought the work counts as handled, and before a
   ///    buffer hands the work on;
   ///  - lower it only after the sends that the work caused are counted
-  ///    (send() counts a message before it leaves);
+  ///    (send() counts a message before it leaves), with release, and
+  ///    read it with acquire, so a sample that sees the drop sees the send;
+  ///  - a hand-off from one counter to another (a deferred update inserted
+  ///    into an aggregation buffer) lands in a counter that only a send
+  ///    lowers: quiescence detection reads the counters one at a time, and
+  ///    a second hand-off could carry an item past a second sample too
+  ///    (Machine::qd_ends);
   ///  - the owning worker reads its counters after each round of its idle
   ///    hooks to decide whether it is quiet (Machine::note_quiet).
   void add_pending_counter(std::function<std::uint64_t()> counter) {

@@ -16,9 +16,8 @@
 /// consumer's load(acquire) on `next` are the load-bearing pair (they
 /// publish the node's value). empty_approx() is an advisory idle heuristic
 /// whose result is stale the instant it returns, so its load is relaxed;
-/// pop_count is a single-writer monotone counter read under quiescence
-/// windows, also relaxed. Both relaxations are exercised by util_sync_test
-/// under the DebugSync deterministic scheduler.
+/// util_sync_test exercises the queue under the DebugSync deterministic
+/// scheduler.
 
 #include <atomic>
 #include <cstddef>
@@ -70,7 +69,6 @@ class MpscQueue {
     T out = std::move(next->value);
     tail_ = next;
     delete tail;
-    pop_count_.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
 
@@ -80,12 +78,6 @@ class MpscQueue {
   /// never on memory published by the racing push, so no ordering is needed.
   bool empty_approx() const {
     return tail_->next.load(std::memory_order_relaxed) == nullptr;
-  }
-
-  /// Total elements ever popped (consumer-side monotone counter, used by
-  /// quiescence detection).
-  std::size_t pop_count() const {
-    return pop_count_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -98,7 +90,6 @@ class MpscQueue {
 
   alignas(64) typename Sync::template Atomic<Node*> head_;  // producers
   alignas(64) Node* tail_;                                  // consumer
-  typename Sync::template Atomic<std::size_t> pop_count_{0};
 };
 
 }  // namespace tram::util

@@ -4,10 +4,11 @@
 /// \brief Compile-time synchronization seam for the lock-free primitives.
 ///
 /// Every lock-free concurrency primitive in util/ (mpsc_queue, spsc_ring,
-/// spinlock, PayloadPool refcounts) is templated on a Sync policy that
-/// supplies its atomics. The exception is util::Parker, whose futex wait
-/// blocks in the kernel where the token scheduler below cannot follow
-/// (parker.hpp says how it is checked instead). Two policies exist:
+/// spinlock, PayloadPool refcounts), core::PpBuffer and rt::Machine's QD
+/// counters take their atomics from a Sync policy. The exception is
+/// util::Parker, whose futex wait blocks in the kernel where the token
+/// scheduler below cannot follow (parker.hpp says how it is checked
+/// instead). Two policies exist:
 ///
 ///  - RealSync: std::atomic with the memory orders written at each call
 ///    site. This is what ships; the relaxed orders on the hot paths are

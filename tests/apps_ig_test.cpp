@@ -96,7 +96,6 @@ TEST(IndexGather, LatencyOrderingPpBelowWw) {
                  << threads << " runtime threads, " << cpus << " CPUs";
   }
   rt::RuntimeConfig cfg;  // real delta-like costs
-  cfg.qd_settle_ns = 100'000;
   auto run_with = [&](core::Scheme s) {
     rt::Machine m(topo, cfg);
     apps::IgParams p;

@@ -58,12 +58,11 @@ TEST(Fabric, InFlightTracksPushedMinusReceived) {
   // Popping alone is not receipt: the receiver must acknowledge, so
   // reorder-heap residents still count as in flight.
   EXPECT_EQ(fab.in_flight(), 2u);
-  fab.note_received(1, *p);
+  fab.note_received();
   EXPECT_EQ(fab.in_flight(), 1u);
   p = fab.ingress(1).try_pop();
-  fab.note_received(1, *p);
+  fab.note_received();
   EXPECT_EQ(fab.in_flight(), 0u);
-  EXPECT_EQ(fab.counters(1).messages_received.load(), 2u);
 }
 
 TEST(Fabric, RemoteArrivalRespectsAlpha) {
@@ -84,7 +83,6 @@ TEST(Fabric, SameNodeSkipsNicAndUsesLocalAlpha) {
   const std::uint64_t arrival = fab.send(make_packet(0, 1));
   EXPECT_GE(arrival, before + 1'000);
   EXPECT_LT(arrival, before + 500'000);  // got local, not remote, alpha
-  EXPECT_EQ(fab.counters(0).local_messages_sent.load(), 1u);
 }
 
 TEST(Fabric, InjectionSerializesPerSourceNode) {
@@ -172,12 +170,9 @@ TEST(Fabric, ResetClearsCountersAndClocks) {
   m.inject_ns = 1'000'000;
   Fabric fab(Topology(2, 1, 1), m);
   fab.send(make_packet(0, 1));
-  auto p = fab.ingress(1).try_pop();
-  fab.note_received(1, *p);
   fab.reset();
   EXPECT_EQ(fab.total_messages_sent(), 0u);
   EXPECT_EQ(fab.total_bytes_sent(), 0u);
-  EXPECT_EQ(fab.counters(1).messages_received.load(), 0u);
 }
 
 TEST(Fabric, ExpeditedOrderedFirstAmongEqualArrivals) {

@@ -297,7 +297,7 @@ TEST(Machine, QuiescenceSleepsWhileWorkIsPending) {
     }
   }
   trace::clear();
-  EXPECT_GE(qd_rounds, 4u);  // two clean samples end each run
+  EXPECT_GE(qd_rounds, 4u);  // exactly two clean samples end each run
   EXPECT_LE(qd_rounds, 20u);
 }
 #endif

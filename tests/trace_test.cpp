@@ -159,8 +159,9 @@ TEST_F(TraceTest, TracedMachineRunWritesLoadableChromeJson) {
   trace::phase("exchange");
 
   // A small all-to-all: enough traffic for worker-busy spans on every
-  // worker track plus comm pumps, and long enough (quiescence settle)
-  // for the counter sampler to land samples.
+  // worker track plus comm pumps. The run need not be long for counter
+  // samples: the sampler takes one before its first sleep and a closing
+  // one when it stops.
   auto cfg = rt::RuntimeConfig::testing();
   rt::Machine machine(util::Topology(2, 2, 2), cfg);
   std::atomic<std::uint64_t> sum{0};

@@ -15,7 +15,6 @@ TEST(MpscQueue, EmptyPopsNothing) {
   MpscQueue<int> q;
   EXPECT_FALSE(q.try_pop().has_value());
   EXPECT_TRUE(q.empty_approx());
-  EXPECT_EQ(q.pop_count(), 0u);
 }
 
 TEST(MpscQueue, SingleThreadFifo) {
@@ -28,7 +27,7 @@ TEST(MpscQueue, SingleThreadFifo) {
     EXPECT_EQ(*v, i);
   }
   EXPECT_FALSE(q.try_pop().has_value());
-  EXPECT_EQ(q.pop_count(), 100u);
+  EXPECT_TRUE(q.empty_approx());
 }
 
 TEST(MpscQueue, DestructorReleasesPending) {
@@ -75,7 +74,7 @@ TEST(MpscQueue, PerProducerFifoUnderContention) {
   }
   for (auto& t : producers) t.join();
   EXPECT_FALSE(q.try_pop().has_value());
-  EXPECT_EQ(q.pop_count(), kProducers * kPerProducer);
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[p], kPerProducer);
 }
 
 TEST(MpscQueue, ConsumerRacesProducersWithPayloads) {
